@@ -4,8 +4,9 @@ Reads newline-delimited JSON requests (one document per line) from a file or
 stdin and writes one JSON response per request, in input order.  Integers
 may be given as JSON numbers or as decimal strings of any size; rational
 results are rendered as reduced strings ``"p/q"`` with positive ``q``
-(plain ``"p"`` when integral).  Output is byte-stable for identical input,
-including under concurrent execution (``--jobs``).
+(plain ``"p"`` when integral).  Output is byte-stable for identical input.
+Requests run one after another: ``--jobs`` is accepted for compatibility
+and ignored, because the work is pure Python and holds the interpreter lock.
 
 Exit status: 0 when every response is ok, 1 when any request failed,
 2 when the input stream itself could not be read.
@@ -16,8 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import moduli, ptype
 from .errors import LatticeError
@@ -98,6 +100,35 @@ def _lattice_from(payload) -> IntegralLattice:
     raise SchemaError("need 'gram' (Gram matrix) or 'setup' (preset)")
 
 
+def _arguments(fields, payload, bound) -> list:
+    """Parse a command's payload fields, named as in the schema, in order.
+
+    A trailing ``?`` marks an optional field: ``bound?`` defaults to the
+    batch's bound and ``gram|setup?`` to None.  ``v``, ``a`` and ``h`` are
+    vectors of the Mukai setup parsed from the leading ``ns|setup``;
+    ``x`` and ``y`` are plain integer vectors; any other field is a matrix.
+    """
+    args = []
+    for field in fields:
+        name = field.rstrip("?")
+        optional = name != field
+        if optional and not any(key in payload for key in name.split("|")):
+            args.append(bound if name == "bound" else None)
+        elif name == "bound":
+            args.append(_as_int(payload["bound"], "bound"))
+        elif name == "ns|setup":
+            args.append(_setup_from(payload))
+        elif name == "gram|setup":
+            args.append(_lattice_from(payload))
+        elif name in ("v", "a", "h"):
+            args.append(args[0].vector_from_coords(_as_vector(_require(payload, name), name)))
+        elif name in ("x", "y"):
+            args.append(_as_vector(_require(payload, name), name))
+        else:
+            args.append(_as_matrix(_require(payload, name), name))
+    return args
+
+
 def _fraction_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
@@ -108,178 +139,132 @@ def _rational_vector(coords) -> list[str]:
     return [_fraction_str(Fraction(x)) for x in coords]
 
 
-def _line_class_doc(lc: moduli.LineClass) -> dict:
-    return {
-        "r": _rational_vector(lc.coords),
-        "square": _fraction_str(lc.square),
-        "disc_order": lc.disc_order,
-        "two_r": list(lc.two_r) if lc.two_r is not None else None,
-    }
+# Each handler takes the parsed payload fields of its command and returns the
+# values of its result fields, both in the order its ``COMMANDS`` entry lists.
+# Tuples serialise as JSON lists.
 
 
-def _cmd_snf(payload, bound):
-    result = smith_normal_form(_as_matrix(_require(payload, "matrix"), "matrix"))
-    return {
-        "d": [list(row) for row in result.d],
-        "u": [list(row) for row in result.u],
-        "v": [list(row) for row in result.v],
-        "diagonal": list(result.diagonal),
-    }
+def _cmd_snf(matrix):
+    result = smith_normal_form(matrix)
+    return result.d, result.u, result.v, result.diagonal
 
 
-def _cmd_disc(payload, bound):
-    group = _lattice_from(payload).discriminant_group()
-    return {"factors": list(group.invariant_factors), "order": group.order}
+def _cmd_disc(lattice):
+    group = lattice.discriminant_group()
+    return group.invariant_factors, group.order
 
 
-def _cmd_saturate(payload, bound):
-    basis = _as_matrix(_require(payload, "basis"), "basis")
-    if "gram" in payload or "setup" in payload:
-        ambient = _lattice_from(payload)
-    else:
+def _cmd_saturate(basis, ambient):
+    if ambient is None:
         width = len(basis[0]) if basis else 0
         ambient = IntegralLattice([[1 if i == j else 0 for j in range(width)] for i in range(width)])
     sub = ambient.span(basis)
-    sat = sub.saturate()
-    return {"basis": [list(row) for row in sat.basis], "index": sub.saturation_index()}
+    return sub.saturate().basis, sub.saturation_index()
 
 
-def _cmd_pair(payload, bound):
-    lattice = _lattice_from(payload)
-    x = _as_vector(_require(payload, "x"), "x")
-    y = _as_vector(_require(payload, "y"), "y")
-    return {"value": lattice.pair(x, y)}
+def _cmd_pair(lattice, x, y):
+    return (lattice.pair(x, y),)
 
 
-def _pointed_from(payload):
-    setup = _setup_from(payload)
-    v = setup.vector_from_coords(_as_vector(_require(payload, "v"), "v"))
-    generators = _as_matrix(_require(payload, "generators"), "generators")
-    return setup, ptype.PointedSublattice.span(setup, v, generators)
+def _cmd_ptype_check(setup, v, generators):
+    lattice = ptype.PointedSublattice.span(setup, v, generators)
+    census = [a.coords for a in lattice.isotropic_classes().classes]
+    return lattice.is_p_type(), census, setup.square(v), lattice.basis
 
 
-def _cmd_ptype_check(payload, bound):
-    setup, lattice = _pointed_from(payload)
-    return {
-        "p_type": lattice.is_p_type(),
-        "census": [list(a.coords) for a in lattice.isotropic_classes().classes],
-        "v_square": setup.square(lattice.v),
-        "basis": [list(row) for row in lattice.basis],
-    }
+def _cmd_ptype_decompose(setup, v, generators):
+    dec = ptype.PointedSublattice.span(setup, v, generators).decomposition()
+    return dec.s.coords, dec.t.coords, setup.pair(dec.s, v), setup.pair(dec.s, dec.t)
 
 
-def _cmd_ptype_decompose(payload, bound):
-    setup, lattice = _pointed_from(payload)
-    dec = lattice.decomposition()
-    return {
-        "s": list(dec.s.coords),
-        "t": list(dec.t.coords),
-        "s_pairing": setup.pair(dec.s, lattice.v),
-        "cross": setup.pair(dec.s, dec.t),
-    }
-
-
-def _cmd_ptype_enumerate(payload, bound):
-    setup = _setup_from(payload)
-    v = setup.vector_from_coords(_as_vector(_require(payload, "v"), "v"))
-    if "bound" in payload:
-        bound = _as_int(payload["bound"], "bound")
+def _cmd_ptype_enumerate(setup, v, bound):
     lattices = ptype.enumerate_p_type(setup, v, bound)
-    return {
-        "count": len(lattices),
-        "lattices": [
-            {
-                "basis": [list(row) for row in lat.basis],
-                "gram2": [list(row) for row in lat.gram2],
-            }
-            for lat in lattices
-        ],
-    }
+    return len(lattices), [{"basis": lat.basis, "gram2": lat.gram2} for lat in lattices]
 
 
-def _cmd_line_class(payload, bound):
-    setup = _setup_from(payload)
-    v = setup.vector_from_coords(_as_vector(_require(payload, "v"), "v"))
-    a = setup.vector_from_coords(_as_vector(_require(payload, "a"), "a"))
-    return _line_class_doc(moduli.theta_dual(setup, v, a))
+def _cmd_line_class(setup, v, a):
+    lc = moduli.theta_dual(setup, v, a)
+    return _rational_vector(lc.coords), _fraction_str(lc.square), lc.disc_order, lc.two_r
 
 
-def _cmd_classify(payload, bound):
-    setup = _setup_from(payload)
-    v = setup.vector_from_coords(_as_vector(_require(payload, "v"), "v"))
-    a = setup.vector_from_coords(_as_vector(_require(payload, "a"), "a"))
+def _cmd_classify(setup, v, a):
     verdict = moduli.classify_line_class(setup, v, a)
-    return {
-        "n": verdict.n,
-        "square": _fraction_str(verdict.line_class.square),
-        "disc_order": verdict.line_class.disc_order,
-        "square_ok": verdict.square_ok,
-        "torsion_ok": verdict.torsion_ok,
-        "isotropic_witness_ok": verdict.isotropic_witness_ok,
-        "all_ok": verdict.all_ok,
-        "h_basis": [list(row) for row in verdict.lattice.basis] if verdict.lattice else None,
-    }
+    return (
+        verdict.n,
+        _fraction_str(verdict.line_class.square),
+        verdict.line_class.disc_order,
+        verdict.square_ok,
+        verdict.torsion_ok,
+        verdict.isotropic_witness_ok,
+        verdict.all_ok,
+        verdict.lattice.basis if verdict.lattice else None,
+    )
 
 
-def _cmd_mori(payload, bound):
-    setup = _setup_from(payload)
-    v = setup.vector_from_coords(_as_vector(_require(payload, "v"), "v"))
-    h = setup.vector_from_coords(_as_vector(_require(payload, "h"), "h"))
-    if "bound" in payload:
-        bound = _as_int(payload["bound"], "bound")
+def _cmd_mori(setup, v, h, bound):
     candidates = moduli.mori_candidates(setup, v, h, bound)
-    return {
-        "count": len(candidates),
-        "candidates": [
-            {
-                "a": list(cand.a.coords),
-                "r": _rational_vector(cand.line_class.coords),
-                "square": _fraction_str(cand.line_class.square),
-                "disc_order": cand.line_class.disc_order,
-                "lagrangian": cand.lagrangian,
-            }
-            for cand in candidates
-        ],
-    }
+    return len(candidates), [
+        {
+            "a": cand.a.coords,
+            "r": _rational_vector(cand.line_class.coords),
+            "square": _fraction_str(cand.line_class.square),
+            "disc_order": cand.line_class.disc_order,
+            "lagrangian": cand.lagrangian,
+        }
+        for cand in candidates
+    ]
 
 
-def _partition_doc(report: moduli.PartitionReport) -> dict:
-    return {
-        "m": report.m,
-        "jh_ok": report.jh_ok,
-        "ext1_budget_ok": report.ext1_budget_ok,
-        "ext1_cross": report.ext1_cross,
-        "dim_identity_ok": report.dim_identity_ok,
-    }
+def _cmd_partition(check, setup, v, parts):
+    # ``check`` names a function of ``moduli``.  It is looked up per call, so
+    # a wrapper later bound to that name (as bench/tracing.py does) sees it.
+    report = getattr(moduli, check)(setup, v, parts)
+    return report.m, report.jh_ok, report.ext1_budget_ok, report.ext1_cross, report.dim_identity_ok
 
 
-def _cmd_jh_check(payload, bound):
-    setup = _setup_from(payload)
-    v = setup.vector_from_coords(_as_vector(_require(payload, "v"), "v"))
-    parts = _as_matrix(_require(payload, "parts"), "parts")
-    return _partition_doc(moduli.jh_feasibility(setup, v, parts))
+class Command(NamedTuple):
+    """A CLI command: its handler and the payload and result fields ``--schema`` lists."""
+
+    handler: Callable
+    payload: tuple[str, ...]
+    result: tuple[str, ...]
 
 
-def _cmd_budget_check(payload, bound):
-    setup = _setup_from(payload)
-    v = setup.vector_from_coords(_as_vector(_require(payload, "v"), "v"))
-    parts = _as_matrix(_require(payload, "parts"), "parts")
-    return _partition_doc(moduli.contraction_budget(setup, v, parts))
-
+_PARTITION_PAYLOAD = ("ns|setup", "v", "parts")
+_PARTITION_RESULT = ("m", "jh_ok", "ext1_budget_ok", "ext1_cross", "dim_identity_ok")
 
 COMMANDS = {
-    "snf": _cmd_snf,
-    "disc": _cmd_disc,
-    "saturate": _cmd_saturate,
-    "pair": _cmd_pair,
-    "ptype-check": _cmd_ptype_check,
-    "ptype-decompose": _cmd_ptype_decompose,
-    "ptype-enumerate": _cmd_ptype_enumerate,
-    "line-class": _cmd_line_class,
-    "classify": _cmd_classify,
-    "mori": _cmd_mori,
-    "jh-check": _cmd_jh_check,
-    "budget-check": _cmd_budget_check,
+    "snf": Command(_cmd_snf, ("matrix",), ("d", "u", "v", "diagonal")),
+    "disc": Command(_cmd_disc, ("gram|setup",), ("factors", "order")),
+    "saturate": Command(_cmd_saturate, ("basis", "gram|setup?"), ("basis", "index")),
+    "pair": Command(_cmd_pair, ("gram|setup", "x", "y"), ("value",)),
+    "ptype-check": Command(
+        _cmd_ptype_check, ("ns|setup", "v", "generators"), ("p_type", "census", "v_square", "basis")
+    ),
+    "ptype-decompose": Command(
+        _cmd_ptype_decompose, ("ns|setup", "v", "generators"), ("s", "t", "s_pairing", "cross")
+    ),
+    "ptype-enumerate": Command(_cmd_ptype_enumerate, ("ns|setup", "v", "bound?"), ("count", "lattices")),
+    "line-class": Command(_cmd_line_class, ("ns|setup", "v", "a"), ("r", "square", "disc_order", "two_r")),
+    "classify": Command(
+        _cmd_classify,
+        ("ns|setup", "v", "a"),
+        (
+            "n",
+            "square",
+            "disc_order",
+            "square_ok",
+            "torsion_ok",
+            "isotropic_witness_ok",
+            "all_ok",
+            "h_basis",
+        ),
+    ),
+    "mori": Command(_cmd_mori, ("ns|setup", "v", "h", "bound?"), ("count", "candidates")),
+    "jh-check": Command(partial(_cmd_partition, "jh_feasibility"), _PARTITION_PAYLOAD, _PARTITION_RESULT),
+    "budget-check": Command(
+        partial(_cmd_partition, "contraction_budget"), _PARTITION_PAYLOAD, _PARTITION_RESULT
+    ),
 }
 
 SCHEMA = {
@@ -302,53 +287,10 @@ SCHEMA = {
         },
         "rationals": "strings 'p/q' with q > 0, 'p' when integral",
     },
-    "commands": {
-        "snf": {"payload": ["matrix"], "result": ["d", "u", "v", "diagonal"]},
-        "disc": {"payload": ["gram|setup"], "result": ["factors", "order"]},
-        "saturate": {"payload": ["basis", "gram|setup?"], "result": ["basis", "index"]},
-        "pair": {"payload": ["gram|setup", "x", "y"], "result": ["value"]},
-        "ptype-check": {
-            "payload": ["ns|setup", "v", "generators"],
-            "result": ["p_type", "census", "v_square", "basis"],
-        },
-        "ptype-decompose": {
-            "payload": ["ns|setup", "v", "generators"],
-            "result": ["s", "t", "s_pairing", "cross"],
-        },
-        "ptype-enumerate": {
-            "payload": ["ns|setup", "v", "bound?"],
-            "result": ["count", "lattices"],
-        },
-        "line-class": {
-            "payload": ["ns|setup", "v", "a"],
-            "result": ["r", "square", "disc_order", "two_r"],
-        },
-        "classify": {
-            "payload": ["ns|setup", "v", "a"],
-            "result": [
-                "n",
-                "square",
-                "disc_order",
-                "square_ok",
-                "torsion_ok",
-                "isotropic_witness_ok",
-                "all_ok",
-                "h_basis",
-            ],
-        },
-        "mori": {"payload": ["ns|setup", "v", "h", "bound?"], "result": ["count", "candidates"]},
-        "jh-check": {
-            "payload": ["ns|setup", "v", "parts"],
-            "result": ["m", "jh_ok", "ext1_budget_ok", "ext1_cross", "dim_identity_ok"],
-        },
-        "budget-check": {
-            "payload": ["ns|setup", "v", "parts"],
-            "result": ["m", "jh_ok", "ext1_budget_ok", "ext1_cross", "dim_identity_ok"],
-        },
-    },
+    "commands": {name: {"payload": cmd.payload, "result": cmd.result} for name, cmd in COMMANDS.items()},
     "flags": {
         "--bound": "default box radius for enumerations (10) when the payload has none",
-        "--jobs": "worker threads; never affects output bytes",
+        "--jobs": "accepted for compatibility; batches run sequentially, because the work holds the GIL",
         "--seed": "accepted for compatibility; results never depend on it",
     },
     "exit_codes": {"0": "all responses ok", "1": "some response failed", "2": "unreadable input"},
@@ -383,11 +325,11 @@ def handle_line(line: str, bound: int) -> tuple[str, bool] | None:
     if not isinstance(doc, dict):
         return _error(None, "schema-error", "request must be a JSON object"), False
     command = doc.get("command")
-    handler = COMMANDS.get(command)
-    if handler is None:
+    spec = COMMANDS.get(command) if isinstance(command, str) else None
+    if spec is None:
         return _error(command, "schema-error", f"unknown command {command!r}"), False
     try:
-        result = handler(doc, bound)
+        result = dict(zip(spec.result, spec.handler(*_arguments(spec.payload, doc, bound))))
     except SchemaError as exc:
         return _error(command, "schema-error", str(exc)), False
     except LatticeError as exc:
@@ -399,22 +341,18 @@ def handle_line(line: str, bound: int) -> tuple[str, bool] | None:
 
 
 def run_batch(lines, bound: int, jobs: int, out) -> int:
-    def worker(line):
-        return handle_line(line, bound)
+    """Answer the request lines in order, writing each response as it is made.
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(worker, lines))
-    else:
-        outcomes = [worker(line) for line in lines]
+    ``jobs`` is ignored; it stays in the signature for existing callers.
+    """
     failed = False
-    for outcome in outcomes:
+    for line in lines:
+        outcome = handle_line(line, bound)
         if outcome is None:
             continue
         response, ok = outcome
         out.write(response + "\n")
-        if not ok:
-            failed = True
+        failed = failed or not ok
     return 1 if failed else 0
 
 
@@ -425,7 +363,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("input", nargs="?", help="request file (defaults to stdin)")
     parser.add_argument("--bound", type=int, default=DEFAULT_BOUND, help="default enumeration box radius")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for batch processing")
+    parser.add_argument("--jobs", type=int, default=1, help="ignored; batches run sequentially")
     parser.add_argument("--seed", type=int, default=0, help="ignored; output never depends on it")
     parser.add_argument("--schema", action="store_true", help="print the request/response schema and exit")
     args = parser.parse_args(argv)
@@ -447,7 +385,7 @@ def main(argv=None) -> int:
         print(f"mukailat: input is not valid UTF-8: {exc}", file=sys.stderr)
         return 2
 
-    return run_batch(lines, args.bound, max(1, args.jobs), sys.stdout)
+    return run_batch(lines, args.bound, args.jobs, sys.stdout)
 
 
 if __name__ == "__main__":

@@ -141,17 +141,15 @@ def _classify(
     v: MukaiVector,
     a: MukaiVector,
     vsq: int,
-    perp: Sublattice,
-    build_lattice: bool = True,
+    lc: LineClass,
 ) -> LineClassVerdict:
     n = vsq // 2 - 1
-    lc = _line_class(setup, v, a, vsq, perp)
     square_ok = lc.square == Fraction(-(n + 1), 2)
     torsion_ok = lc.two_r is not None
     pairing = setup.pair(a, v)
     isotropic_witness_ok = setup.square(a) == 0 and abs(pairing) == vsq // 2
     lattice = None
-    if build_lattice and square_ok and torsion_ok and isotropic_witness_ok:
+    if square_ok and torsion_ok and isotropic_witness_ok:
         witness = a if pairing > 0 else -a
         if setup.is_primitive(witness) and setup.is_primitive(v - witness):
             lattice = construct_p_type(setup, v, witness)
@@ -175,7 +173,7 @@ def classify_line_class(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Li
     vsq = setup.square(v)
     if vsq < 6:
         raise LatticeError("square-too-small", f"v^2 = {vsq} < 6")
-    return _classify(setup, v, a, vsq, v_perp(setup, v))
+    return _classify(setup, v, a, vsq, _line_class(setup, v, a, vsq, v_perp(setup, v)))
 
 
 @dataclass(frozen=True)
@@ -226,7 +224,7 @@ def mori_candidates(
         lc = _line_class(setup, v, a, vsq, perp)
         if setup.ambient.pair(lc.coords, h.coords) <= 0:
             continue
-        verdict = _classify(setup, v, a, vsq, perp)
+        verdict = _classify(setup, v, a, vsq, lc)
         out.append(MoriCandidate(a=a, line_class=lc, lagrangian=verdict.lattice is not None))
     out.sort(key=lambda cand: cand.a.coords)
     return out

@@ -22,11 +22,7 @@ from .mukai import MukaiSetup, MukaiVector
 
 def _reduce_line(x: int, y: int) -> tuple[int, int]:
     g = gcd(x, y)
-    x //= g
-    y //= g
-    if x < 0 or (x == 0 and y < 0):
-        x, y = -x, -y
-    return x, y
+    return _canonical_sign((x // g, y // g))
 
 
 def form_value(gram2, xy) -> int:

@@ -121,21 +121,26 @@ def test_error_codes_are_distinct():
     assert doc["code"] == "imprimitive"
     doc = response('{"command": "pair", "gram": [[0, 1.5], [1.5, 0]], "x": [1, 1], "y": [1, 1]}')
     assert doc["code"] == "schema-error"
+    for line in ('{"command": ["disc"]}', '{"command": {}}'):
+        doc = response(line)
+        assert doc["status"] == "error" and doc["code"] == "schema-error"
 
 
 def test_batch_keeps_order_and_survives_failures():
     lines = [
         '{"command": "disc", "gram": [[-6]]}',
         "garbage",
+        '{"command": ["disc"]}',
+        '{"command": {}}',
         '{"command": "pair", "gram": [[2]], "x": [1], "y": [3]}',
     ]
     status, output = run_lines(lines)
     assert status == 1
-    assert len(output) == 3
+    assert len(output) == 5
     docs = [json.loads(line) for line in output]
     assert docs[0]["status"] == "ok"
-    assert docs[1]["status"] == "error"
-    assert docs[2]["result"] == {"value": 6}
+    assert [doc["status"] for doc in docs[1:4]] == ["error"] * 3
+    assert docs[4]["result"] == {"value": 6}
 
 
 def test_batch_empty_input():

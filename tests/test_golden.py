@@ -1,0 +1,51 @@
+"""Golden batch: every command's ok and error paths, pinned to exact bytes.
+
+``golden/requests.ndjson`` holds an ok request and at least one failing
+request for each command, plus parse and schema errors and blank lines;
+``golden/responses.ndjson`` is its exact output.  Regenerate both files only
+for an intended output change:
+
+    PYTHONPATH=src python -m mukailat tests/golden/requests.ndjson > tests/golden/responses.ndjson
+    PYTHONPATH=src python -m mukailat --schema > tests/golden/schema.json
+"""
+
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mukailat
+from mukailat.cli import DEFAULT_BOUND, main, run_batch
+
+GOLDEN = Path(__file__).parent / "golden"
+REQUESTS = GOLDEN / "requests.ndjson"
+EXPECTED = (GOLDEN / "responses.ndjson").read_bytes()
+
+
+def run_cli(*args):
+    env = {**os.environ, "PYTHONPATH": str(Path(mukailat.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "mukailat", *args], capture_output=True, env=env)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_golden_batch_in_process(jobs):
+    out = io.StringIO()
+    status = run_batch(REQUESTS.read_text(encoding="utf-8").splitlines(), DEFAULT_BOUND, jobs, out)
+    assert out.getvalue().encode("utf-8") == EXPECTED
+    assert status == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_golden_batch_through_the_cli(jobs):
+    done = run_cli("--jobs", jobs, "--seed", "7", str(REQUESTS))
+    assert done.stdout == EXPECTED
+    assert done.returncode == 1
+    assert done.stderr == b""
+
+
+def test_golden_schema(capsys):
+    assert main(["--schema"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "schema.json").read_bytes()
