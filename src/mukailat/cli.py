@@ -2,9 +2,10 @@
 
 Reads newline-delimited JSON requests (one document per line) from a file or
 stdin and writes one JSON response per request, in input order.  Integers
-may be given as JSON numbers or as decimal strings of any size; rational
-results are rendered as reduced strings ``"p/q"`` with positive ``q``
-(plain ``"p"`` when integral).  Output is byte-stable for identical input.
+may be given as JSON numbers or as decimal strings of up to 4300 digits,
+Python's int-string limit; rational results are rendered as reduced
+strings ``"p/q"`` with positive ``q`` (plain ``"p"`` when integral).  A
+request that fails in an unexpected way gets an ``internal-error`` response.  Output is byte-stable for identical input.
 Requests run one after another: ``--jobs`` is accepted for compatibility
 and ignored, because the work is pure Python and holds the interpreter lock.
 
@@ -281,7 +282,7 @@ SCHEMA = {
         "error": {
             "command": "echoed or null",
             "status": "error",
-            "code": "parse-error | schema-error | <domain code>",
+            "code": "parse-error | schema-error | internal-error | <domain code>",
             "result": None,
             "diagnostics": ["message"],
         },
@@ -314,10 +315,27 @@ def _error(command, code, message) -> str:
 
 
 def handle_line(line: str, bound: int) -> tuple[str, bool] | None:
-    """Process one request line; returns (response, ok) or None for a blank line."""
+    """Process one request line; returns (response, ok) or None for a blank line.
+
+    Any failure while parsing, handling or printing the request becomes its
+    own error response, so that no request can abort the batch.
+    """
     text = line.strip()
     if not text:
         return None
+    try:
+        return _answer(text, bound)
+    except Exception as exc:
+        # For instance a JSON number past Python's int-string digit limit,
+        # a result too long to print, or nesting too deep to parse.  The
+        # traceback module is imported here to keep it out of start-up.
+        import traceback
+
+        traceback.print_exc(file=sys.stderr)
+        return _error(None, "internal-error", f"{type(exc).__name__}: {exc}"), False
+
+
+def _answer(text: str, bound: int) -> tuple[str, bool]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 
 from .errors import LatticeError
 from .lattice import Sublattice
@@ -63,30 +64,37 @@ def v_perp(setup: MukaiSetup, v: MukaiVector) -> Sublattice:
     return setup.ambient.span([v.coords]).orthogonal_complement()
 
 
-def _project(setup: MukaiSetup, v: MukaiVector, coords, vsq: int) -> tuple[Fraction, ...]:
-    weight = Fraction(setup.ambient.pair(coords, v.coords), vsq)
-    return tuple(Fraction(a) - weight * b for a, b in zip(coords, v.coords))
-
-
 def _line_class(
     setup: MukaiSetup,
     v: MukaiVector,
-    a: MukaiVector,
+    coords: tuple[int, ...],
+    pairing: int,
     vsq: int,
-    perp: Sublattice,
+    perp_rows,
 ) -> LineClass:
-    coords = _project(setup, v, a.coords, vsq)
-    square = Fraction(setup.ambient.pair(coords, coords))
-    if not all(Fraction(p).denominator == 1 for p in (setup.ambient.pair(coords, b) for b in perp.basis)):
+    """The line class of the integral ``a`` with ``(a, v) = pairing``.
+
+    ``R = N / v^2`` with the integral numerator ``N = v^2 a - (a, v) v``.
+    ``perp_rows`` are the dual pairings of a basis of ``v_perp``.  That
+    lattice is saturated, so ``m R`` lies in it exactly when ``m R`` is
+    integral: the order of ``R`` in its discriminant group is the lcm of the
+    denominators of the coordinates of ``R``.
+    """
+    numerators = tuple(vsq * x - pairing * y for x, y in zip(coords, v.coords))
+    if any(sum(map(mul, numerators, row)) % vsq for row in perp_rows):
         raise LatticeError("not-in-dual", "projection left the dual of v_perp")
-    if any(coords):
-        rational = perp.rational_coords(coords)
-        if rational is None:
-            raise LatticeError("not-in-dual", "projection left the rational span of v_perp")
-        disc_order = lcm(*(c.denominator for c in rational))
-    else:
-        disc_order = 1
-    return LineClass(v=v, coords=coords, square=square, disc_order=disc_order)
+    r = tuple(Fraction(x, vsq) for x in numerators)
+    square = Fraction(setup.ambient.square(numerators), vsq * vsq)
+    return LineClass(v=v, coords=r, square=square, disc_order=lcm(*(x.denominator for x in r)))
+
+
+def _perp_rows(setup: MukaiSetup, v: MukaiVector) -> tuple:
+    return tuple(setup.ambient.dual_pairings(b) for b in v_perp(setup, v).basis)
+
+
+def _theta(setup: MukaiSetup, v: MukaiVector, a: MukaiVector, vsq: int) -> LineClass:
+    pairing = setup.ambient.pair(a.coords, v.coords)
+    return _line_class(setup, v, a.coords, pairing, vsq, _perp_rows(setup, v))
 
 
 def theta_dual(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClass:
@@ -98,7 +106,7 @@ def theta_dual(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClass:
     vsq = setup.square(v)
     if vsq <= 0:
         raise LatticeError("nonpositive-square", f"v^2 = {vsq} <= 0")
-    return _line_class(setup, v, a, vsq, v_perp(setup, v))
+    return _theta(setup, v, a, vsq)
 
 
 def line_class_square(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Fraction:
@@ -136,6 +144,28 @@ class LineClassVerdict:
         return self.square_ok and self.torsion_ok and self.isotropic_witness_ok
 
 
+def _witness(
+    setup: MukaiSetup,
+    v: MukaiVector,
+    a: MukaiVector,
+    vsq: int,
+    lc: LineClass,
+) -> tuple[bool, bool, bool, MukaiVector | None]:
+    """The three verdict checks, and the sign-fixed witness ``w`` that spans
+    a P-type lattice (every check passes and ``w``, ``v - w`` are primitive)
+    or None."""
+    square_ok = lc.square == Fraction(-vsq, 4)
+    torsion_ok = lc.two_r is not None
+    pairing = setup.pair(a, v)
+    isotropic_witness_ok = setup.square(a) == 0 and abs(pairing) == vsq // 2
+    witness = None
+    if square_ok and torsion_ok and isotropic_witness_ok:
+        w = a if pairing > 0 else -a
+        if setup.is_primitive(w) and setup.is_primitive(v - w):
+            witness = w
+    return square_ok, torsion_ok, isotropic_witness_ok, witness
+
+
 def _classify(
     setup: MukaiSetup,
     v: MukaiVector,
@@ -143,23 +173,14 @@ def _classify(
     vsq: int,
     lc: LineClass,
 ) -> LineClassVerdict:
-    n = vsq // 2 - 1
-    square_ok = lc.square == Fraction(-(n + 1), 2)
-    torsion_ok = lc.two_r is not None
-    pairing = setup.pair(a, v)
-    isotropic_witness_ok = setup.square(a) == 0 and abs(pairing) == vsq // 2
-    lattice = None
-    if square_ok and torsion_ok and isotropic_witness_ok:
-        witness = a if pairing > 0 else -a
-        if setup.is_primitive(witness) and setup.is_primitive(v - witness):
-            lattice = construct_p_type(setup, v, witness)
+    square_ok, torsion_ok, isotropic_witness_ok, witness = _witness(setup, v, a, vsq, lc)
     return LineClassVerdict(
         line_class=lc,
-        n=n,
+        n=vsq // 2 - 1,
         square_ok=square_ok,
         torsion_ok=torsion_ok,
         isotropic_witness_ok=isotropic_witness_ok,
-        lattice=lattice,
+        lattice=None if witness is None else construct_p_type(setup, v, witness),
     )
 
 
@@ -173,7 +194,7 @@ def classify_line_class(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Li
     vsq = setup.square(v)
     if vsq < 6:
         raise LatticeError("square-too-small", f"v^2 = {vsq} < 6")
-    return _classify(setup, v, a, vsq, _line_class(setup, v, a, vsq, v_perp(setup, v)))
+    return _classify(setup, v, a, vsq, _theta(setup, v, a, vsq))
 
 
 @dataclass(frozen=True)
@@ -193,13 +214,14 @@ def mori_candidates(
 ) -> list[MoriCandidate]:
     """Candidate curve-cone generators theta_dual(a) positive against ``h``.
 
-    Scans integral ``a`` with coordinates in ``[-bound, bound]`` satisfying
-    ``a^2 >= 0`` and ``|(a, v)| <= v^2/2``, keeping those whose projection
-    pairs strictly positively with ``h`` (which must lie in ``v_perp`` and
-    have ``h^2 > 0``).  Candidates passing the full line-class criterion and
-    spanning a P-type lattice are flagged ``lagrangian``.  The list is
-    sorted by the coordinates of ``a``; positive-cone generators are not
-    enumerated.
+    Finds the integral ``a`` with coordinates in ``[-bound, bound]``
+    satisfying ``a^2 >= 0`` and ``|(a, v)| <= v^2/2`` whose projection pairs
+    strictly positively with ``h`` (which must lie in ``v_perp`` and have
+    ``h^2 > 0``).  The tests run on integers: ``h`` is orthogonal to ``v``,
+    so ``(R, h) = (a, h)``, and rationals are built only for the candidates
+    kept.  Candidates passing the full line-class criterion and spanning a
+    P-type lattice are flagged ``lagrangian``.  The list is sorted by the
+    coordinates of ``a``; positive-cone generators are not enumerated.
     """
     if not setup.is_primitive(v):
         raise LatticeError("imprimitive", "v must be primitive")
@@ -212,20 +234,33 @@ def mori_candidates(
         raise LatticeError("nonpositive-square", f"h^2 = {setup.square(h)} <= 0")
     if bound < 0:
         raise LatticeError("invalid-matrix", "bound must be nonnegative")
-    perp = v_perp(setup, v)
+    ambient = setup.ambient
+    perp_rows = _perp_rows(setup, v)
     half = vsq // 2
+    # (a, w) is the dot product of a with w_row, whose last entry is -r_w.
+    v_row = ambient.dual_pairings(v.coords)
+    h_row = ambient.dual_pairings(h.coords)
+    box = range(-bound, bound + 1)
     out = []
-    for coords in product(range(-bound, bound + 1), repeat=setup.rank):
-        if not any(coords):
-            continue
-        a = MukaiVector.from_coords(coords)
-        if setup.square(a) < 0 or abs(setup.pair(a, v)) > half:
-            continue
-        lc = _line_class(setup, v, a, vsq, perp)
-        if setup.ambient.pair(lc.coords, h.coords) <= 0:
-            continue
-        verdict = _classify(setup, v, a, vsq, lc)
-        out.append(MoriCandidate(a=a, line_class=lc, lagrangian=verdict.lattice is not None))
+    # a = (r, c, s) has a^2 = c.Nc - 2rs; c.Nc does not depend on r, so c
+    # is the outer loop.
+    for c in product(box, repeat=setup.rho):
+        form = ambient.square((0, *c, 0))
+        c_v = sum(map(mul, c, v_row[1:]))
+        c_h = sum(map(mul, c, h_row[1:]))
+        for r in box:
+            head_v = r * v_row[0] + c_v
+            head_h = r * h_row[0] + c_h
+            for s in box:
+                # a = 0 fails (a, h) > 0.
+                pairing = head_v + s * v_row[-1]
+                if form < 2 * r * s or abs(pairing) > half or head_h + s * h_row[-1] <= 0:
+                    continue
+                coords = (r, *c, s)
+                lc = _line_class(setup, v, coords, pairing, vsq, perp_rows)
+                a = MukaiVector.from_coords(coords)
+                lagrangian = _witness(setup, v, a, vsq, lc)[3] is not None
+                out.append(MoriCandidate(a=a, line_class=lc, lagrangian=lagrangian))
     out.sort(key=lambda cand: cand.a.coords)
     return out
 

@@ -11,8 +11,9 @@ classes, each pairing to ``v^2/2`` against ``v``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from math import gcd, isqrt
+from operator import mul
 
 from .errors import LatticeError
 from .intlinalg import IntMatrix, freeze_matrix
@@ -137,13 +138,28 @@ class PointedSublattice:
             w = vec if isinstance(vec, MukaiVector) else setup.vector_from_coords(vec)
             setup._check(w)
             rows.append(w.coords)
-        sub = Sublattice(setup.ambient, rows).saturate()
+        sub = Sublattice(setup.ambient, rows)
         if sub.rank != 2:
             raise LatticeError("rank-mismatch", f"span has rank {sub.rank}, expected 2")
-        coords = sub.coords(v.coords)
-        if coords is None:
+        # The index of a rank-2 lattice in its saturation is the gcd of the
+        # 2x2 minors of a basis; at index 1 the Hermite basis is already the
+        # saturated one.
+        b1, b2 = sub.basis
+        minors = (b1[i] * b2[j] - b1[j] * b2[i] for i, j in combinations(range(len(b1)), 2))
+        if gcd(*minors) != 1:
+            sub = sub.saturate()
+            b1, b2 = sub.basis
+        # Cramer's rule on the pivot columns of the Hermite basis, whose 2x2
+        # minor is nonzero, then a check of every coordinate.
+        i = next(k for k, x in enumerate(b1) if x)
+        j = next(k for k, x in enumerate(b2) if x)
+        det = b1[i] * b2[j] - b1[j] * b2[i]
+        target = v.coords
+        x, x_rem = divmod(target[i] * b2[j] - target[j] * b2[i], det)
+        y, y_rem = divmod(b1[i] * target[j] - b1[j] * target[i], det)
+        if x_rem or y_rem or any(x * p + y * q != w for p, q, w in zip(b1, b2, target)):
             raise LatticeError("not-pointed", "v does not lie in the sublattice")
-        return cls(setup, v, sub.basis, sub.gram(), coords)
+        return cls(setup, v, sub.basis, sub.gram(), (x, y))
 
     def sublattice(self) -> Sublattice:
         return Sublattice(self.setup.ambient, self.basis)
@@ -216,11 +232,13 @@ def construct_p_type(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Point
 def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[PointedSublattice]:
     """All P-type lattices with a witness in the coordinate box ``[-bound, bound]``.
 
-    Scans every primitive isotropic ``a`` with ``(a, v) = v^2/2`` and all
-    coordinates bounded by ``bound`` (keeping those whose complement
-    ``v - a`` is primitive, so every span really is of P-type), and returns
-    the deduplicated saturated spans, sorted by their Hermite bases.  The
-    result is deterministic and independent of scan order.
+    Finds every primitive isotropic ``a = (r, c, s)`` with ``(a, v) = v^2/2``
+    and all coordinates bounded by ``bound`` whose complement ``t = v - a``
+    is primitive (so every span really is of P-type), and returns the
+    deduplicated saturated spans of ``{a, t}``, sorted by their Hermite
+    bases.  Only ``(r, c)`` is scanned: ``a^2 = c.Nc - 2rs = 0`` fixes ``s``
+    when ``r != 0``, and ``(a, v) = v^2/2`` fixes it when ``r = 0`` and
+    ``r_v != 0``.  The result is deterministic and independent of scan order.
     """
     if bound < 0:
         raise LatticeError("invalid-matrix", "bound must be nonnegative")
@@ -230,20 +248,44 @@ def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[Poin
     if vsq < 6:
         raise LatticeError("square-too-small", f"v^2 = {vsq} < 6")
     half = vsq // 2
+    ambient = setup.ambient
+    # (a, v) is the dot product of a with v_row, whose last entry is -r_v.
+    v_row = ambient.dual_pairings(v.coords)
+    s_weight = v_row[-1]
+    box = range(-bound, bound + 1)
     found = {}
-    for coords in product(range(-bound, bound + 1), repeat=setup.rank):
-        if not any(coords):
-            continue
-        g = 0
-        for x in coords:
-            g = gcd(g, x)
-        if g != 1:
-            continue
-        a = MukaiVector.from_coords(coords)
-        if setup.square(a) != 0 or setup.pair(a, v) != half:
-            continue
-        if not setup.is_primitive(v - a):
-            continue
-        lattice = PointedSublattice.span(setup, v, [a, v - a])
-        found.setdefault(lattice.basis, lattice)
+    # a = (r, c, s) has a^2 = c.Nc - 2rs; c.Nc does not depend on r, so c
+    # is the outer loop.
+    for c in product(box, repeat=setup.rho):
+        form = ambient.square((0, *c, 0))
+        c_pairing = sum(map(mul, c, v_row[1:]))
+        for r in box:
+            pairing = r * v_row[0] + c_pairing
+            if r:
+                s, rem = divmod(form, 2 * r)
+                if rem or abs(s) > bound or pairing + s * s_weight != half:
+                    continue
+                choices = (s,)
+            elif form:
+                continue
+            elif s_weight:
+                s, rem = divmod(half - pairing, s_weight)
+                if rem or abs(s) > bound:
+                    continue
+                choices = (s,)
+            elif pairing == half:
+                choices = box
+            else:
+                continue
+            for s in choices:
+                a = (r, *c, s)
+                t = tuple(x - y for x, y in zip(v.coords, a))
+                if gcd(*a) != 1 or gcd(*t) != 1:
+                    continue
+                # A P-type lattice has exactly the two witnesses a and t; span
+                # it from the smaller one when both lie in the box.
+                if t < a and max(map(abs, t)) <= bound:
+                    continue
+                lattice = PointedSublattice.span(setup, v, [a, t])
+                found.setdefault(lattice.basis, lattice)
     return [found[key] for key in sorted(found)]

@@ -143,6 +143,39 @@ def test_batch_keeps_order_and_survives_failures():
     assert docs[4]["result"] == {"value": 6}
 
 
+HOSTILE = [
+    # a JSON number past Python's 4300-digit int-string limit
+    ("internal-error", '{"command": "pair", "gram": [[1]], "x": [%s], "y": [1]}' % ("7" * 5000)),
+    # a decimal string past that limit
+    ("schema-error", json.dumps({"command": "pair", "gram": [[1]], "x": ["7" * 5000], "y": [1]})),
+    # a result of 6000 digits, too long to print
+    ("internal-error", json.dumps({"command": "pair", "gram": [[1]], "x": ["7" * 3000], "y": ["9" * 3000]})),
+    # nesting too deep for the JSON parser
+    ("internal-error", "[" * 100_000),
+]
+
+
+def test_hostile_requests_never_abort_the_batch():
+    ok = '{"command": "pair", "gram": [[2]], "x": [1], "y": [3]}'
+    for code, line in HOSTILE:
+        status, output = run_lines([ok, line, "", ok])
+        assert status == 1
+        assert len(output) == 3
+        docs = [json.loads(text) for text in output]
+        assert docs[1]["status"] == "error" and docs[1]["code"] == code
+        assert docs[0]["result"] == docs[2]["result"] == {"value": 6}
+    done = subprocess.run(
+        [sys.executable, "-m", "mukailat"],
+        input="\n".join([line for _, line in HOSTILE] + [ok]),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 1
+    docs = [json.loads(text) for text in done.stdout.splitlines()]
+    assert [doc["code"] for doc in docs[:-1]] == [code for code, _ in HOSTILE]
+    assert docs[-1]["result"] == {"value": 6}
+
+
 def test_batch_empty_input():
     status, output = run_lines([])
     assert status == 0 and output == []

@@ -19,7 +19,6 @@ from mukailat import (
     theta_dual,
     v_perp,
 )
-from mukailat.moduli import _project
 
 
 @pytest.fixture
@@ -68,9 +67,11 @@ def test_projection_is_idempotent_and_orthogonal(six):
     vsq = setup.square(v)
     for _ in range(200):
         a = setup.vector_from_coords([rng.randint(-30, 30) for _ in range(3)])
-        coords = _project(setup, v, a.coords, vsq)
+        coords = theta_dual(setup, v, a).coords
         assert setup.ambient.pair(coords, v.coords) == 0
-        assert _project(setup, v, coords, vsq) == coords
+        # by linearity, projecting the integral v^2 R gives back v^2 R
+        again = theta_dual(setup, v, setup.vector_from_coords([int(vsq * x) for x in coords]))
+        assert again.coords == tuple(vsq * x for x in coords)
 
 
 def test_line_class_square(six):

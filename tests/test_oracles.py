@@ -1,0 +1,202 @@
+"""The closed-form searches and the rank-2 span against the old scans.
+
+``oracles.py`` keeps the box scans and the generic saturation that
+``enumerate_p_type``, ``mori_candidates`` and ``PointedSublattice.span``
+replaced.  Each ``v`` is built as a witness plus an isotropic complement, so
+that most enumerations are not empty, and the strategies force the
+branches of the closed form: a witness with ``r = 0``, and a ``v`` with
+``r_v = 0``.
+"""
+
+from functools import lru_cache
+from itertools import combinations, product
+from math import gcd
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import enumerate_p_type_scan, line_class_scan, mori_candidates_scan, saturated_span
+
+from mukailat import (
+    LatticeError,
+    MukaiSetup,
+    PointedSublattice,
+    Sublattice,
+    enumerate_p_type,
+    kummer_mukai_setup,
+    mori_candidates,
+    theta_dual,
+)
+
+BOX = 4
+
+
+def slow(examples: int):
+    return settings(
+        max_examples=examples,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+
+
+@lru_cache(maxsize=None)
+def _setup(ns) -> MukaiSetup:
+    return MukaiSetup(ns)
+
+
+@lru_cache(maxsize=None)
+def _isotropic(ns) -> tuple:
+    """Primitive isotropic vectors in the box ``[-BOX, BOX]``."""
+    setup = _setup(ns)
+    return tuple(
+        a
+        for a in product(range(-BOX, BOX + 1), repeat=setup.rank)
+        if gcd(*a) == 1 and setup.ambient.square(a) == 0
+    )
+
+
+@st.composite
+def even_ns(draw, rho):
+    """An even NS Gram of signature (1, rho - 1)."""
+    if rho == 1:
+        return ((2 * draw(st.integers(1, 5)),),)
+    a, c = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    b = draw(st.sampled_from([b for b in range(-5, 6) if b * b > 4 * a * c]))
+    return ((2 * a, b), (b, 2 * c))
+
+
+@st.composite
+def pointed(draw, rho):
+    """``(setup, v, a)``: ``v = a + t`` with ``a``, ``t`` primitive isotropic and ``v^2 >= 6``."""
+    ns = draw(even_ns(rho))
+    setup = _setup(ns)
+    mode = draw(st.sampled_from(["any", "witness r = 0", "v r = 0"]))
+    witnesses = [a for a in _isotropic(ns) if mode != "witness r = 0" or a[0] == 0]
+    assume(witnesses)
+    a = draw(st.sampled_from(witnesses))
+    complements = [
+        t
+        for t in _isotropic(ns)
+        if 3 <= setup.ambient.pair(a, t) <= 8
+        and gcd(*(x + y for x, y in zip(a, t))) == 1
+        and (mode != "v r = 0" or a[0] + t[0] == 0)
+    ]
+    assume(complements)
+    t = draw(st.sampled_from(complements))
+    v = setup.vector_from_coords([x + y for x, y in zip(a, t)])
+    return setup, v, a
+
+
+@slow(40)
+@given(st.sampled_from([1, 2]).flatmap(pointed), st.integers(0, 4))
+def test_enumerate_matches_the_box_scan(case, bound):
+    setup, v, a = case
+    found = enumerate_p_type(setup, v, bound)
+    assert found == enumerate_p_type_scan(setup, v, bound)
+    if max(map(abs, a)) <= bound:
+        assert found
+
+
+@pytest.mark.parametrize("v", [(1, 1, 1, 1, 1, 0, 0, -1), (0, 1, 1, 1, 1, 1, 1, 0)])
+def test_enumerate_matches_the_box_scan_on_kummer_mukai(v):
+    setup = kummer_mukai_setup()
+    v = setup.vector_from_coords(v)
+    assert setup.square(v) == 6
+    found = enumerate_p_type(setup, v, 1)
+    assert found
+    assert found == enumerate_p_type_scan(setup, v, 1)
+
+
+@st.composite
+def pointed_with_h(draw, rho):
+    setup, v, a = draw(pointed(rho))
+    positive = [
+        h
+        for h in product(range(-3, 4), repeat=setup.rank)
+        if setup.ambient.pair(h, v.coords) == 0 and setup.ambient.square(h) > 0
+    ]
+    assume(positive)
+    return setup, v, setup.vector_from_coords(draw(st.sampled_from(positive)))
+
+
+@slow(25)
+@given(st.data())
+def test_mori_matches_the_box_scan(data):
+    rho = data.draw(st.sampled_from([1, 2]))
+    setup, v, h = data.draw(pointed_with_h(rho))
+    # The rank-4 scan of the old code runs about half a second at bound 4.
+    bound = data.draw(st.integers(0, 4 if rho == 1 else 3))
+    assert mori_candidates(setup, v, h, bound) == mori_candidates_scan(setup, v, h, bound)
+
+
+@slow(60)
+@given(st.data())
+def test_theta_dual_matches_the_rational_solve(data):
+    kummer = data.draw(st.booleans())
+    if kummer:
+        setup = kummer_mukai_setup()
+        v = setup.vector_from_coords((1, 1, 1, 1, 1, 0, 0, -1))
+    else:
+        setup, v, _ = data.draw(pointed(data.draw(st.sampled_from([1, 2]))))
+    a = setup.vector_from_coords(data.draw(st.lists(st.integers(-9, 9), min_size=setup.rank, max_size=setup.rank)))
+    assert theta_dual(setup, v, a) == line_class_scan(setup, v, a)
+
+
+def _outcome(span, setup, v, generators):
+    try:
+        return span(setup, v, generators)
+    except LatticeError as exc:
+        return exc.code, str(exc)
+
+
+@slow(150)
+@given(st.data())
+def test_span_matches_the_generic_saturation(data):
+    ns = data.draw(st.sampled_from([None, ((6,),)]) | even_ns(2))
+    setup = kummer_mukai_setup() if ns is None else _setup(ns)
+    vector = st.lists(st.integers(-4, 4), min_size=setup.rank, max_size=setup.rank).map(tuple)
+    g1, g2 = data.draw(vector), data.draw(vector)
+    # Keep most draws at rank 2; a zero or repeated generator is one shape of many.
+    independent = any(g1[i] * g2[j] != g1[j] * g2[i] for i, j in combinations(range(setup.rank), 2))
+    assume(independent or data.draw(st.integers(0, 4)) == 0)
+    x, y = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    shape = data.draw(st.sampled_from(["two"] * 4 + ["dependent third", "third", "single", "v off the span"]))
+    # A multiplier above 1 puts the span at an index above 1 in its saturation.
+    m1, m2 = data.draw(st.sampled_from([1, 1, 2, 3])), data.draw(st.sampled_from([1, 1, 2, 3]))
+    generators = [tuple(m1 * p for p in g1), tuple(m2 * q for q in g2)]
+    v = tuple(x * p + y * q for p, q in zip(g1, g2))
+    if shape == "dependent third":
+        generators.append(tuple(p + q for p, q in zip(g1, g2)))
+    elif shape == "third":
+        generators.append(data.draw(vector))
+    elif shape == "single":
+        generators = generators[:1]
+    elif shape == "v off the span":
+        v = data.draw(vector)
+    v = setup.vector_from_coords(v)
+    got = _outcome(PointedSublattice.span, setup, v, generators)
+    assert got == _outcome(saturated_span, setup, v, generators)
+    if isinstance(got, PointedSublattice):
+        saturated = Sublattice(setup.ambient, generators).saturate()
+        assert got.basis == saturated.basis
+        assert got.gram2 == saturated.gram()
+        assert got.v_coords == saturated.coords(v.coords)
+
+
+def test_span_error_codes():
+    setup = _setup(((6,),))
+    v = setup.vector(0, [1], -3)
+    a = setup.vector(1, [0], 0)
+    doubled = PointedSublattice.span(setup, v, [2 * a, v])
+    assert doubled == saturated_span(setup, v, [a, v])
+    assert Sublattice(setup.ambient, [(2, 0, 0), v.coords]).saturation_index() == 2
+    cases = {
+        "rank-mismatch": [a],
+        "dependent-rows": [a, v, a + v],
+        "not-pointed": [a, setup.vector(0, [0], 1)],
+    }
+    for code, generators in cases.items():
+        with pytest.raises(LatticeError) as err:
+            PointedSublattice.span(setup, v, generators)
+        assert err.value.code == code
