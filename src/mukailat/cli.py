@@ -29,6 +29,8 @@ from .lattice import IntegralLattice
 from .mukai import MukaiSetup, kummer_bbf_lattice, kummer_mukai_setup, rank_one_setup
 
 DEFAULT_BOUND = 10
+# A rejected string is echoed in its error message up to this many characters.
+ECHO_LIMIT = 40
 
 
 class SchemaError(Exception):
@@ -44,7 +46,8 @@ def _as_int(value, field):
         try:
             return int(value, 10)
         except ValueError:
-            raise SchemaError(f"{field}: {value!r} is not a decimal integer") from None
+            shown = repr(value) if len(value) <= ECHO_LIMIT else f"{value[:ECHO_LIMIT]!r}... ({len(value)} characters)"
+            raise SchemaError(f"{field}: {shown} is not a decimal integer") from None
     raise SchemaError(f"{field}: expected an integer, got {type(value).__name__}")
 
 
@@ -272,7 +275,7 @@ SCHEMA = {
     "format": "newline-delimited JSON; one request per line, one response per line, order preserved",
     "request": {
         "command": sorted(COMMANDS),
-        "integers": "JSON numbers or decimal strings, arbitrary precision",
+        "integers": "JSON numbers or decimal strings of up to 4300 digits (Python's int-string limit)",
         "setup": "preset string: kummer-mukai | ns-rank1:<2d> | kummer-bbf:<n>",
         "ns": "explicit NS Gram matrix (alternative to setup for Mukai commands)",
         "gram": "explicit Gram matrix (alternative to setup for lattice commands)",

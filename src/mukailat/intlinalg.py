@@ -32,29 +32,18 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def freeze_matrix(rows) -> IntMatrix:
     """Validate a rectangular integer matrix and return it as nested tuples."""
-    out = []
-    width = None
-    for row in rows:
-        entries = []
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise LatticeError("invalid-matrix", f"non-integer entry {x!r}")
-            entries.append(x)
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise LatticeError("invalid-matrix", "rows have unequal lengths")
-        out.append(tuple(entries))
-    return tuple(out)
+    out = tuple(freeze_vector(row) for row in rows)
+    if len({len(row) for row in out}) > 1:
+        raise LatticeError("invalid-matrix", "rows have unequal lengths")
+    return out
 
 
 def freeze_vector(vec) -> tuple[int, ...]:
-    out = []
-    for x in vec:
+    out = tuple(vec)
+    for x in out:
         if not isinstance(x, int) or isinstance(x, bool):
             raise LatticeError("invalid-matrix", f"non-integer entry {x!r}")
-        out.append(x)
-    return tuple(out)
+    return out
 
 
 def identity(n: int) -> list[list[int]]:
@@ -279,9 +268,8 @@ def integer_rank(mat) -> int:
 
 def invert_unimodular(mat) -> IntMatrix:
     """Inverse of a square integer matrix with determinant +-1."""
-    frozen = freeze_matrix(mat)
-    n = len(frozen)
-    h, t = hermite_with_transform(frozen)
+    h, t = hermite_with_transform(mat)
+    n = len(h)
     if h != tuple(tuple(identity(n)[i]) for i in range(n)):
         raise LatticeError("not-unimodular", "matrix is not unimodular")
     return t

@@ -49,6 +49,14 @@ class IntegralLattice:
         if require_nondegenerate and self.det() == 0:
             raise LatticeError("degenerate-lattice", "Gram matrix has determinant 0")
 
+    @classmethod
+    def _of(cls, gram: IntMatrix) -> "IntegralLattice":
+        """A lattice on a Gram matrix already known to be square, symmetric and integral."""
+        lattice = cls.__new__(cls)
+        lattice.gram = gram
+        lattice._det = None
+        return lattice
+
     @property
     def rank(self) -> int:
         return len(self.gram)
@@ -155,9 +163,10 @@ class Sublattice:
     """
 
     def __init__(self, ambient: IntegralLattice, rows):
-        frozen = intlinalg.freeze_matrix(rows)
-        basis = intlinalg.hermite_basis(frozen)
-        if len(basis) != len(frozen):
+        # Zero rows of the Hermite form are the dependencies among the rows.
+        hermite, _ = intlinalg.hermite_with_transform(rows)
+        basis = tuple(row for row in hermite if any(row))
+        if len(basis) != len(hermite):
             raise LatticeError("dependent-rows", "basis rows are linearly dependent")
         for row in basis:
             if len(row) != ambient.rank:

@@ -9,9 +9,11 @@ orthogonal projection onto ``v_perp``.  A class ``a`` with ``a^2 = 0`` and
 
 and order 2 in the discriminant group of ``v_perp``; the classification
 verdict checks exactly these conditions and reconstructs the witnessing
-P-type lattice.  Extremality of a ray is never decided here: candidate
-generators of the cone of curves are merely enumerated against a chosen
-positive class ``h``, and positive-cone generators are not produced.
+P-type lattice.  No basis of ``v_perp`` is needed to place ``R`` in its
+dual: for ``w`` orthogonal to ``v``, ``(R, w) = (a, w)`` is an integer.
+Extremality of a ray is never decided here: candidate generators of the
+cone of curves are merely enumerated against a chosen positive class ``h``,
+and positive-cone generators are not produced.
 """
 
 from __future__ import annotations
@@ -70,31 +72,25 @@ def _line_class(
     coords: tuple[int, ...],
     pairing: int,
     vsq: int,
-    perp_rows,
 ) -> LineClass:
     """The line class of the integral ``a`` with ``(a, v) = pairing``.
 
     ``R = N / v^2`` with the integral numerator ``N = v^2 a - (a, v) v``.
-    ``perp_rows`` are the dual pairings of a basis of ``v_perp``.  That
+    ``R`` lies in the dual of ``v_perp`` with no check, because
+    ``(N, w) = v^2 (a, w)`` for every ``w`` orthogonal to ``v``.  That
     lattice is saturated, so ``m R`` lies in it exactly when ``m R`` is
     integral: the order of ``R`` in its discriminant group is the lcm of the
     denominators of the coordinates of ``R``.
     """
     numerators = tuple(vsq * x - pairing * y for x, y in zip(coords, v.coords))
-    if any(sum(map(mul, numerators, row)) % vsq for row in perp_rows):
-        raise LatticeError("not-in-dual", "projection left the dual of v_perp")
     r = tuple(Fraction(x, vsq) for x in numerators)
     square = Fraction(setup.ambient.square(numerators), vsq * vsq)
     return LineClass(v=v, coords=r, square=square, disc_order=lcm(*(x.denominator for x in r)))
 
 
-def _perp_rows(setup: MukaiSetup, v: MukaiVector) -> tuple:
-    return tuple(setup.ambient.dual_pairings(b) for b in v_perp(setup, v).basis)
-
-
 def _theta(setup: MukaiSetup, v: MukaiVector, a: MukaiVector, vsq: int) -> LineClass:
     pairing = setup.ambient.pair(a.coords, v.coords)
-    return _line_class(setup, v, a.coords, pairing, vsq, _perp_rows(setup, v))
+    return _line_class(setup, v, a.coords, pairing, vsq)
 
 
 def theta_dual(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClass:
@@ -235,7 +231,6 @@ def mori_candidates(
     if bound < 0:
         raise LatticeError("invalid-matrix", "bound must be nonnegative")
     ambient = setup.ambient
-    perp_rows = _perp_rows(setup, v)
     half = vsq // 2
     # (a, w) is the dot product of a with w_row, whose last entry is -r_w.
     v_row = ambient.dual_pairings(v.coords)
@@ -257,7 +252,7 @@ def mori_candidates(
                 if form < 2 * r * s or abs(pairing) > half or head_h + s * h_row[-1] <= 0:
                     continue
                 coords = (r, *c, s)
-                lc = _line_class(setup, v, coords, pairing, vsq, perp_rows)
+                lc = _line_class(setup, v, coords, pairing, vsq)
                 a = MukaiVector.from_coords(coords)
                 lagrangian = _witness(setup, v, a, vsq, lc)[3] is not None
                 out.append(MoriCandidate(a=a, line_class=lc, lagrangian=lagrangian))

@@ -15,11 +15,11 @@ negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from math import gcd
 
 from .errors import LatticeError
-from .intlinalg import IntMatrix, freeze_matrix, freeze_vector
+from .intlinalg import IntMatrix, freeze_matrix, freeze_vector, signature
 from .lattice import IntegralLattice
 
 
@@ -33,10 +33,14 @@ class MukaiVector:
 
     def __post_init__(self):
         object.__setattr__(self, "c", freeze_vector(self.c))
-        if not isinstance(self.r, int) or isinstance(self.r, bool):
-            raise LatticeError("invalid-matrix", "rank component must be an integer")
-        if not isinstance(self.s, int) or isinstance(self.s, bool):
-            raise LatticeError("invalid-matrix", "degree-4 component must be an integer")
+        freeze_vector((self.r, self.s))
+
+    @classmethod
+    def _of(cls, r: int, c: tuple[int, ...], s: int) -> "MukaiVector":
+        """A vector from components already known to be ints, unchecked."""
+        vec = object.__new__(cls)
+        vec.__dict__.update(r=r, c=c, s=s)
+        return vec
 
     @property
     def coords(self) -> tuple[int, ...]:
@@ -47,13 +51,15 @@ class MukaiVector:
         coords = freeze_vector(coords)
         if len(coords) < 2:
             raise LatticeError("dimension-mismatch", "need at least rank and degree-4 parts")
-        return cls(coords[0], coords[1:-1], coords[-1])
+        return cls._of(coords[0], coords[1:-1], coords[-1])
 
     def is_zero(self) -> bool:
         return not any(self.coords)
 
+    # Sums and integer multiples of valid vectors are valid: only the scalar
+    # is checked.
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(
+        return MukaiVector._of(
             self.r + other.r,
             tuple(a + b for a, b in zip(self.c, other.c, strict=True)),
             self.s + other.s,
@@ -63,10 +69,12 @@ class MukaiVector:
         return self + (-other)
 
     def __neg__(self) -> "MukaiVector":
-        return MukaiVector(-self.r, tuple(-x for x in self.c), -self.s)
+        return MukaiVector._of(-self.r, tuple(-x for x in self.c), -self.s)
 
     def __mul__(self, k: int) -> "MukaiVector":
-        return MukaiVector(k * self.r, tuple(k * x for x in self.c), k * self.s)
+        if not isinstance(k, int):
+            raise LatticeError("invalid-matrix", f"non-integer scalar {k!r}")
+        return MukaiVector._of(k * self.r, tuple(k * x for x in self.c), k * self.s)
 
     __rmul__ = __mul__
 
@@ -98,9 +106,12 @@ class MukaiSetup:
         for i in range(rho):
             ambient.append((0,) + ns[i] + (0,))
         ambient.append((-1,) + (0,) * rho + (0,))
-        self.ambient = IntegralLattice(ambient, require_nondegenerate=True)
+        # Square and symmetric because the NS block is.
+        self.ambient = IntegralLattice._of(tuple(ambient))
+        if self.ambient.det() == 0:
+            raise LatticeError("degenerate-lattice", "Gram matrix has determinant 0")
         if check_hodge_signature:
-            sig = IntegralLattice(ns).signature()
+            sig = signature(ns)
             if sig != (1, rho - 1, 0):
                 raise LatticeError(
                     "bad-signature",
@@ -143,12 +154,7 @@ class MukaiSetup:
     def pair(self, v: MukaiVector, w: MukaiVector) -> int:
         self._check(v)
         self._check(w)
-        cc = sum(
-            v.c[i] * sum(g * w.c[j] for j, g in enumerate(self.ns_gram[i]) if g)
-            for i in range(self.rho)
-            if v.c[i]
-        )
-        return cc - v.r * w.s - v.s * w.r
+        return self.ambient.pair(v.coords, w.coords)
 
     def square(self, v: MukaiVector) -> int:
         return self.pair(v, v)
@@ -205,6 +211,14 @@ def hyperbolic_gram() -> IntMatrix:
     return ((0, 1), (1, 0))
 
 
+def _u_cubed_block(size: int) -> list[list[int]]:
+    """A ``size``-square zero matrix with U^3 as its leading 6x6 block."""
+    gram = [[0] * size for _ in range(size)]
+    for b in range(3):
+        gram[2 * b][2 * b + 1] = gram[2 * b + 1][2 * b] = 1
+    return gram
+
+
 def rank_one_setup(degree: int) -> MukaiSetup:
     """Picard rank 1 setup with NS = <degree>; ``degree = 2d > 0`` must be even."""
     if degree <= 0 or degree % 2:
@@ -212,30 +226,20 @@ def rank_one_setup(degree: int) -> MukaiSetup:
     return MukaiSetup([[degree]])
 
 
+@cache
 def kummer_mukai_setup() -> MukaiSetup:
     """The full Mukai lattice of an abelian surface, isometric to U^4.
 
-    The NS block is U^3, so the Hodge-index check does not apply.
+    The NS block is U^3, so the Hodge-index check does not apply.  It is
+    built once per process and shared; a ``MukaiSetup`` is never mutated.
     """
-    u = hyperbolic_gram()
-    ns = [[0] * 6 for _ in range(6)]
-    for b in range(3):
-        for i in range(2):
-            for j in range(2):
-                ns[2 * b + i][2 * b + j] = u[i][j]
-    return MukaiSetup(ns, check_hodge_signature=False)
+    return MukaiSetup(_u_cubed_block(6), check_hodge_signature=False)
 
 
 def kummer_bbf_lattice(n: int) -> IntegralLattice:
     """Beauville-Bogomolov form of a generalised Kummer 2n-fold: U^3 + <-(2n+2)>."""
     if n < 1:
         raise LatticeError("invalid-matrix", "need n >= 1")
-    u = hyperbolic_gram()
-    size = 7
-    gram = [[0] * size for _ in range(size)]
-    for b in range(3):
-        for i in range(2):
-            for j in range(2):
-                gram[2 * b + i][2 * b + j] = u[i][j]
+    gram = _u_cubed_block(7)
     gram[6][6] = -(2 * n + 2)
     return IntegralLattice(gram, require_nondegenerate=True)

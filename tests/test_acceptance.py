@@ -6,6 +6,7 @@ the code paths they check.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -14,9 +15,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 
+import mukailat
 from mukailat import (
     classify_line_class,
     construct_p_type,
@@ -384,6 +387,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             return subprocess.run(
                 [sys.executable, "-m", "mukailat", str(batch), *extra],
                 capture_output=True,
+                env={**os.environ, "PYTHONPATH": str(Path(mukailat.__file__).parents[1])},
             )
 
         first = run("--jobs", "1")

@@ -1,11 +1,17 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mukailat
 from mukailat.cli import DEFAULT_BOUND, canonical_json, handle_line, main, run_batch
+
+# ``python -m mukailat`` in a child process imports the package under test.
+CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(mukailat.__file__).parents[1])}
 
 
 def run_lines(lines, bound=DEFAULT_BOUND, jobs=1):
@@ -163,12 +169,15 @@ def test_hostile_requests_never_abort_the_batch():
         assert len(output) == 3
         docs = [json.loads(text) for text in output]
         assert docs[1]["status"] == "error" and docs[1]["code"] == code
+        # No response echoes a long input back in full.
+        assert len(output[1]) < 300
         assert docs[0]["result"] == docs[2]["result"] == {"value": 6}
     done = subprocess.run(
         [sys.executable, "-m", "mukailat"],
         input="\n".join([line for _, line in HOSTILE] + [ok]),
         capture_output=True,
         text=True,
+        env=CLI_ENV,
     )
     assert done.returncode == 1
     docs = [json.loads(text) for text in done.stdout.splitlines()]
@@ -243,7 +252,7 @@ def test_main_exit_codes(tmp_path):
     bad.write_text("nope\n", encoding="utf-8")
 
     run = lambda *args: subprocess.run(
-        [sys.executable, "-m", "mukailat", *args], capture_output=True, text=True
+        [sys.executable, "-m", "mukailat", *args], capture_output=True, text=True, env=CLI_ENV
     )
     ok = run(str(good))
     assert ok.returncode == 0

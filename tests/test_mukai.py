@@ -5,13 +5,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mukailat import (
+    IntegralLattice,
     LatticeError,
     MukaiSetup,
     MukaiVector,
+    Sublattice,
     kummer_bbf_lattice,
     kummer_mukai_setup,
     rank_one_setup,
+    smith_normal_form,
 )
+
+# A bool, a float and a str where an integer belongs.
+NON_INTEGERS = [True, 1.0, "1"]
+
+
+def assert_invalid_matrix(build):
+    with pytest.raises(LatticeError) as err:
+        build()
+    assert err.value.code == "invalid-matrix"
 
 
 @pytest.fixture
@@ -156,6 +168,19 @@ def test_setup_validation():
         rank_one_setup(5)
     with pytest.raises(LatticeError):
         rank_one_setup(-2)
+    for ns in ([[0]], [[2, 2], [2, 2]]):
+        for check in (True, False):
+            with pytest.raises(LatticeError) as err:
+                MukaiSetup(ns, check_hodge_signature=check)
+            assert err.value.code == "degenerate-lattice"
+    # Every public entry point that takes a matrix rejects non-integer entries.
+    plane = IntegralLattice([[0, 1], [1, 0]])
+    for bad in NON_INTEGERS:
+        assert_invalid_matrix(lambda: MukaiSetup([[bad]]))
+        assert_invalid_matrix(lambda: MukaiSetup([[0, bad], [bad, 0]], check_hodge_signature=False))
+        assert_invalid_matrix(lambda: IntegralLattice([[2, bad], [bad, 2]]))
+        assert_invalid_matrix(lambda: Sublattice(plane, [[1, 0], [0, bad]]))
+        assert_invalid_matrix(lambda: smith_normal_form([[1, bad], [0, 1]]))
 
 
 def test_vector_validation(six):
@@ -166,6 +191,16 @@ def test_vector_validation(six):
         six.pair(six.vector(1, [0], 0), kummer_mukai_setup().vector_from_coords([0] * 8))
     with pytest.raises(LatticeError):
         MukaiVector.from_coords([1])
+    for bad in NON_INTEGERS:
+        assert_invalid_matrix(lambda: MukaiVector(bad, (0,), 0))
+        assert_invalid_matrix(lambda: MukaiVector(0, (bad,), 0))
+        assert_invalid_matrix(lambda: MukaiVector(0, (0,), bad))
+        assert_invalid_matrix(lambda: MukaiVector.from_coords([0, bad, 0]))
+        assert_invalid_matrix(lambda: six.vector_from_coords([bad, 0, 0]))
+    v = six.vector(0, [1], -3)
+    for bad in (1.5, "2"):
+        assert_invalid_matrix(lambda: v * bad)
+        assert_invalid_matrix(lambda: bad * v)
 
 
 def test_vector_arithmetic(six):
@@ -179,3 +214,23 @@ def test_vector_arithmetic(six):
     assert (v - v).is_zero()
     assert six.is_primitive(v)
     assert not six.is_primitive(2 * v)
+    # The arithmetic builds its results unchecked; they must equal the same
+    # vectors built through the checking constructors.
+    setup = kummer_mukai_setup()
+    rng = random.Random(4)
+    for _ in range(50):
+        x = [rng.randint(-9, 9) for _ in range(setup.rank)]
+        y = [rng.randint(-9, 9) for _ in range(setup.rank)]
+        k = rng.randint(-4, 4)
+        v, w = setup.vector_from_coords(x), setup.vector_from_coords(y)
+        for result, coords in (
+            (v + w, [a + b for a, b in zip(x, y)]),
+            (v - w, [a - b for a, b in zip(x, y)]),
+            (-v, [-a for a in x]),
+            (k * v, [k * a for a in x]),
+            (v * k, [k * a for a in x]),
+        ):
+            expected = MukaiVector.from_coords(coords)
+            assert result == expected and hash(result) == hash(expected)
+            assert result == MukaiVector(expected.r, list(expected.c), expected.s)
+            assert type(result.c) is tuple and all(type(x) is int for x in result.coords)
