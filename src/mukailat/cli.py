@@ -162,8 +162,8 @@ def _cmd_saturate(basis, ambient):
     if ambient is None:
         width = len(basis[0]) if basis else 0
         ambient = IntegralLattice([[1 if i == j else 0 for j in range(width)] for i in range(width)])
-    sub = ambient.span(basis)
-    return sub.saturate().basis, sub.saturation_index()
+    saturated, index = ambient.span(basis).saturation()
+    return saturated.basis, index
 
 
 def _cmd_pair(lattice, x, y):

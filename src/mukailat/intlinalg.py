@@ -110,68 +110,80 @@ class SNFResult:
         return sum(1 for x in self.diagonal if x != 0)
 
 
-def _smallest_pivot(a, t: int, m: int, n: int):
+def _smallest_pivot(a, t: int):
     # Smallest absolute value wins; ties go to the leftmost column, then the
-    # topmost row, which makes the whole reduction deterministic.
+    # topmost row, which makes the whole reduction deterministic.  Nothing
+    # beats a unit, so the first one found is the pivot.
     best = None
-    best_abs = 0
-    for j in range(t, n):
-        for i in range(t, m):
-            x = a[i][j]
-            if x and (best is None or abs(x) < best_abs):
+    least = 0
+    rows = a[t:]
+    for j in range(t, len(a[0])):
+        for i, row in enumerate(rows, t):
+            x = abs(row[j])
+            if x and (x < least or not least):
+                if x == 1:
+                    return i, j
                 best = (i, j)
-                best_abs = abs(x)
+                least = x
     return best
 
 
-def smith_normal_form(mat) -> SNFResult:
-    """Smith normal form with unimodular transforms, ``u @ mat @ v == d``."""
-    frozen = freeze_matrix(mat)
-    a = [list(row) for row in frozen]
+def _smith_eliminate(a: list[list[int]], u, vt) -> None:
+    """Bring ``a`` to Smith form in place.
+
+    Each row operation is also applied to ``u``, and each column operation
+    to the rows of ``vt``, the transpose of ``v``, unless they are None.
+    Rows and columns before the current pivot are already zero in ``a`` and
+    are skipped.
+    """
     m = len(a)
     n = len(a[0]) if a else 0
-    u = identity(m)
-    v = identity(n)
     size = min(m, n)
     t = 0
     while t < size:
-        pivot = _smallest_pivot(a, t, m, n)
+        pivot = _smallest_pivot(a, t)
         if pivot is None:
             break
         pi, pj = pivot
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
+            if u is not None:
+                u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            for row in a:
+            for row in a[t:]:
                 row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-        p = a[t][t]
+            if vt is not None:
+                vt[t], vt[pj] = vt[pj], vt[t]
+        apiv = a[t]
+        p = apiv[t]
         dirty = False
         for i in range(t + 1, m):
-            if a[i][t]:
-                q = a[i][t] // p
+            arow = a[i]
+            if arow[t]:
+                q = arow[t] // p
                 if q:
-                    arow, apiv = a[i], a[t]
-                    for j in range(n):
+                    for j in range(t, n):
                         arow[j] -= q * apiv[j]
-                    urow, upiv = u[i], u[t]
-                    for j in range(m):
-                        urow[j] -= q * upiv[j]
-                if a[i][t]:
+                    if u is not None:
+                        urow, upiv = u[i], u[t]
+                        for j in range(m):
+                            urow[j] -= q * upiv[j]
+                if arow[t]:
                     dirty = True
         if dirty:
             continue
+        # Column t is zero below the pivot now, so a column operation on
+        # ``a`` changes only the pivot row.
         for j in range(t + 1, n):
-            if a[t][j]:
-                q = a[t][j] // p
+            if apiv[j]:
+                q = apiv[j] // p
                 if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-                    for row in v:
-                        row[j] -= q * row[t]
-                if a[t][j]:
+                    apiv[j] -= q * p
+                    if vt is not None:
+                        vrow, vpiv = vt[j], vt[t]
+                        for k in range(n):
+                            vrow[k] -= q * vpiv[k]
+                if apiv[j]:
                     dirty = True
         if dirty:
             continue
@@ -183,96 +195,127 @@ def smith_normal_form(mat) -> SNFResult:
                 carrier = i
                 break
         if carrier is not None:
-            arow, acar = a[t], a[carrier]
-            for j in range(n):
-                arow[j] += acar[j]
-            urow, ucar = u[t], u[carrier]
-            for j in range(m):
-                urow[j] += ucar[j]
+            apiv[t:] = [x + y for x, y in zip(apiv[t:], a[carrier][t:])]
+            if u is not None:
+                u[t] = [x + y for x, y in zip(u[t], u[carrier])]
             continue
         t += 1
     for i in range(size):
         if a[i][i] < 0:
             a[i][i] = -a[i][i]
-            u[i] = [-x for x in u[i]]
+            if u is not None:
+                u[i] = [-x for x in u[i]]
+
+
+def smith_normal_form(mat) -> SNFResult:
+    """Smith normal form with unimodular transforms, ``u @ mat @ v == d``."""
+    a = [list(row) for row in freeze_matrix(mat)]
+    u = identity(len(a))
+    vt = identity(len(a[0]) if a else 0)
+    _smith_eliminate(a, u, vt)
     return SNFResult(
         tuple(tuple(row) for row in u),
         tuple(tuple(row) for row in a),
-        tuple(tuple(row) for row in v),
+        transpose(vt),
     )
 
 
-def hermite_with_transform(mat) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form ``h`` with unimodular ``t @ mat == h``.
-
-    Pivots are positive, entries above each pivot are reduced into
-    ``[0, pivot)``, and zero rows sink to the bottom.
-    """
-    frozen = freeze_matrix(mat)
-    a = [list(row) for row in frozen]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    t = identity(m)
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        pivot_found = False
-        for i in range(r, m):
-            if a[i][j] == 0:
-                continue
-            if not pivot_found:
-                if i != r:
-                    a[r], a[i] = a[i], a[r]
-                    t[r], t[i] = t[i], t[r]
-                pivot_found = True
-            else:
-                p, q = a[r][j], a[i][j]
-                g, x, y = xgcd(p, q)
-                p_, q_ = p // g, q // g
-                a[r], a[i] = (
-                    [x * u + y * w for u, w in zip(a[r], a[i])],
-                    [-q_ * u + p_ * w for u, w in zip(a[r], a[i])],
-                )
-                t[r], t[i] = (
-                    [x * u + y * w for u, w in zip(t[r], t[i])],
-                    [-q_ * u + p_ * w for u, w in zip(t[r], t[i])],
-                )
-        if not pivot_found:
-            continue
-        if a[r][j] < 0:
-            a[r] = [-x for x in a[r]]
-            t[r] = [-x for x in t[r]]
-        p = a[r][j]
-        for i in range(r):
-            q = a[i][j] // p
-            if q:
-                a[i] = [u - q * w for u, w in zip(a[i], a[r])]
-                t[i] = [u - q * w for u, w in zip(t[i], t[r])]
-        r += 1
-    return (
-        tuple(tuple(row) for row in a),
-        tuple(tuple(row) for row in t),
-    )
+def smith_diagonal(mat) -> tuple[int, ...]:
+    """``smith_normal_form(mat).diagonal``, by the same elimination without the transforms."""
+    a = [list(row) for row in freeze_matrix(mat)]
+    _smith_eliminate(a, None, None)
+    return tuple(a[i][i] for i in range(min(len(a), len(a[0]) if a else 0)))
 
 
 def hermite_basis(mat) -> IntMatrix:
-    """Nonzero rows of the Hermite form: the canonical basis of the row span."""
-    h, _ = hermite_with_transform(mat)
-    return tuple(row for row in h if any(row))
+    """Nonzero rows of the Hermite form: the canonical basis of the row span.
+
+    Pivots are positive, entries above each pivot lie in ``[0, pivot)``, and
+    pivot columns increase down the rows.  Rows are inserted one at a time,
+    and every entry above a pivot is reduced again after each insertion, the
+    order of Kannan and Bachem, so entries stay near the size of the form.
+    """
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for row in freeze_matrix(mat):
+        x = list(row)
+        n = len(x)
+        lead = k = 0
+        while True:
+            while lead < n and not x[lead]:
+                lead += 1
+            if lead == n:
+                break
+            while k < len(pivots) and pivots[k] < lead:
+                k += 1
+            if k == len(pivots) or pivots[k] != lead:
+                if x[lead] < 0:
+                    x = [-w for w in x]
+                basis.insert(k, x)
+                pivots.insert(k, lead)
+                break
+            b = basis[k]
+            p, q = b[lead], x[lead]
+            if q % p:
+                g, s, t = xgcd(p, q)
+                p, q = p // g, q // g
+                basis[k] = [s * w + t * y for w, y in zip(b, x)]
+                x = [p * y - q * w for w, y in zip(b, x)]
+            else:
+                q //= p
+                x = [y - q * w for w, y in zip(b, x)]
+            k += 1
+        for j, (c, b) in enumerate(zip(pivots, basis)):
+            for i in range(j):
+                q = basis[i][c] // b[c]
+                if q:
+                    basis[i] = [w - q * y for w, y in zip(basis[i], b)]
+    return tuple(tuple(row) for row in basis)
 
 
 def integer_rank(mat) -> int:
     return len(hermite_basis(mat))
 
 
-def invert_unimodular(mat) -> IntMatrix:
-    """Inverse of a square integer matrix with determinant +-1."""
-    h, t = hermite_with_transform(mat)
-    n = len(h)
-    if h != tuple(tuple(identity(n)[i]) for i in range(n)):
-        raise LatticeError("not-unimodular", "matrix is not unimodular")
-    return t
+def saturation(rows) -> tuple[IntMatrix, int]:
+    """Hermite basis of ``Q-span(rows) & Z^n``, and the index of the row span in it.
+
+    ``rows`` (k x n) must be linearly independent.  One column-echelon pass
+    brings them to ``rows @ V = [L | 0]`` with ``L`` lower triangular, and
+    applies the inverse operations to the rows of ``W = V^-1``, so that
+    ``rows = L @ W[:k]``.  The unimodular ``W`` makes ``W[:k]`` a basis of
+    the saturation, and the index is ``|det L|``.  No transform is returned.
+    """
+    b = [list(row) for row in freeze_matrix(rows)]
+    k = len(b)
+    n = len(b[0]) if b else 0
+    w = identity(n)
+    index = 1
+    for t in range(k):
+        pivot_row = b[t]
+        below = b[t:]
+        for j in range(t + 1, n):
+            q = pivot_row[j]
+            if not q:
+                continue
+            p = pivot_row[t]
+            if p and q % p == 0:
+                f = q // p
+                for row in below:
+                    row[j] -= f * row[t]
+                w[t] = [x + f * y for x, y in zip(w[t], w[j])]
+                continue
+            g, x, y = xgcd(p, q)
+            p, q = p // g, q // g
+            for row in below:
+                row[t], row[j] = x * row[t] + y * row[j], p * row[j] - q * row[t]
+            wt, wj = w[t], w[j]
+            w[t] = [p * c + q * d for c, d in zip(wt, wj)]
+            w[j] = [x * d - y * c for c, d in zip(wt, wj)]
+        if not pivot_row[t]:
+            raise LatticeError("dependent-rows", "basis rows are linearly dependent")
+        index *= pivot_row[t]
+    return hermite_basis(w[:k]), abs(index)
 
 
 def integer_kernel(mat) -> IntMatrix:

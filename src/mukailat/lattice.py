@@ -130,8 +130,9 @@ class IntegralLattice:
         return lcm(*(Fraction(c).denominator for c in x))
 
     def discriminant_group(self) -> DiscriminantGroup:
+        """Elementary divisors of the Gram matrix, from a Smith elimination without transforms."""
         self._require_nondegenerate("discriminant_group")
-        diag = intlinalg.smith_normal_form(self.gram).diagonal
+        diag = intlinalg.smith_diagonal(self.gram)
         factors = tuple(d for d in diag if d > 1)
         order = 1
         for d in diag:
@@ -163,16 +164,23 @@ class Sublattice:
     """
 
     def __init__(self, ambient: IntegralLattice, rows):
-        # Zero rows of the Hermite form are the dependencies among the rows.
-        hermite, _ = intlinalg.hermite_with_transform(rows)
-        basis = tuple(row for row in hermite if any(row))
-        if len(basis) != len(hermite):
+        rows = intlinalg.freeze_matrix(rows)
+        basis = intlinalg.hermite_basis(rows)
+        if len(basis) < len(rows):
             raise LatticeError("dependent-rows", "basis rows are linearly dependent")
         for row in basis:
             if len(row) != ambient.rank:
                 raise LatticeError("dimension-mismatch", "basis row length != ambient rank")
         self.ambient = ambient
         self.basis: IntMatrix = basis
+
+    @classmethod
+    def _of(cls, ambient: IntegralLattice, basis: IntMatrix) -> "Sublattice":
+        """A sublattice on rows already in Hermite form, of the ambient's length."""
+        sub = cls.__new__(cls)
+        sub.ambient = ambient
+        sub.basis = basis
+        return sub
 
     @property
     def rank(self) -> int:
@@ -207,21 +215,22 @@ class Sublattice:
             return None
         return tuple(int(c) for c in sol)
 
+    def saturation(self) -> tuple["Sublattice", int]:
+        """The saturation and the index of this sublattice in it, from one pass."""
+        basis, index = intlinalg.saturation(self.basis)
+        return Sublattice._of(self.ambient, basis), index
+
     def saturate(self) -> "Sublattice":
         """The saturation: rational span intersected with the ambient lattice.
 
-        Same rank, torsion-free quotient in the ambient; idempotent.
+        Same rank, torsion-free quotient in the ambient; idempotent.  It comes
+        from one column-echelon pass with no Smith transform.
         """
-        snf = intlinalg.smith_normal_form(self.basis)
-        vinv = intlinalg.invert_unimodular(snf.v)
-        return Sublattice(self.ambient, vinv[: self.rank])
+        return self.saturation()[0]
 
     def saturation_index(self) -> int:
         """Index of this sublattice inside its saturation."""
-        index = 1
-        for d in intlinalg.smith_normal_form(self.basis).diagonal:
-            index *= d
-        return index
+        return self.saturation()[1]
 
     def is_saturated(self) -> bool:
         return self.basis == self.saturate().basis
@@ -232,8 +241,7 @@ class Sublattice:
         if self.rank == 0:
             return Sublattice(self.ambient, intlinalg.identity(self.ambient.rank))
         pairing_rows = tuple(self.ambient.dual_pairings(b) for b in self.basis)
-        kernel = intlinalg.integer_kernel(pairing_rows)
-        return Sublattice(self.ambient, kernel)
+        return Sublattice._of(self.ambient, intlinalg.integer_kernel(pairing_rows))
 
     def __eq__(self, other) -> bool:
         return (

@@ -6,6 +6,12 @@ used for every span: they visit every point of the ``(2B+1)^(rho+2)`` box,
 build a validated ``MukaiVector`` at each one, saturate through the Smith
 form and solve for coordinates over the rationals.  They are slow and
 obviously right, which is what an oracle should be.
+
+The normal forms that ``hermite_basis`` and ``Sublattice.saturation`` used
+to run are here too: the row Hermite form with its unimodular transform,
+which reduces entries above a pivot only once the pivot's column is done,
+the inverse of a unimodular matrix through it, and the saturation through
+the Smith transform ``v`` and its inverse.
 """
 
 from fractions import Fraction
@@ -22,17 +28,95 @@ from mukailat import (
     Sublattice,
     v_perp,
 )
+from mukailat.intlinalg import IntMatrix, freeze_matrix, identity, smith_normal_form, xgcd
+
+
+def hermite_with_transform(mat) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style Hermite normal form ``h`` with unimodular ``t @ mat == h``.
+
+    Pivots are positive, entries above each pivot are reduced into
+    ``[0, pivot)``, and zero rows sink to the bottom.
+    """
+    frozen = freeze_matrix(mat)
+    a = [list(row) for row in frozen]
+    m = len(a)
+    n = len(a[0]) if a else 0
+    t = identity(m)
+    r = 0
+    for j in range(n):
+        if r == m:
+            break
+        pivot_found = False
+        for i in range(r, m):
+            if a[i][j] == 0:
+                continue
+            if not pivot_found:
+                if i != r:
+                    a[r], a[i] = a[i], a[r]
+                    t[r], t[i] = t[i], t[r]
+                pivot_found = True
+            else:
+                p, q = a[r][j], a[i][j]
+                g, x, y = xgcd(p, q)
+                p_, q_ = p // g, q // g
+                a[r], a[i] = (
+                    [x * u + y * w for u, w in zip(a[r], a[i])],
+                    [-q_ * u + p_ * w for u, w in zip(a[r], a[i])],
+                )
+                t[r], t[i] = (
+                    [x * u + y * w for u, w in zip(t[r], t[i])],
+                    [-q_ * u + p_ * w for u, w in zip(t[r], t[i])],
+                )
+        if not pivot_found:
+            continue
+        if a[r][j] < 0:
+            a[r] = [-x for x in a[r]]
+            t[r] = [-x for x in t[r]]
+        p = a[r][j]
+        for i in range(r):
+            q = a[i][j] // p
+            if q:
+                a[i] = [u - q * w for u, w in zip(a[i], a[r])]
+                t[i] = [u - q * w for u, w in zip(t[i], t[r])]
+        r += 1
+    return (
+        tuple(tuple(row) for row in a),
+        tuple(tuple(row) for row in t),
+    )
+
+
+def invert_unimodular(mat) -> IntMatrix:
+    """Inverse of a square integer matrix with determinant +-1."""
+    h, t = hermite_with_transform(mat)
+    n = len(h)
+    if h != tuple(tuple(identity(n)[i]) for i in range(n)):
+        raise LatticeError("not-unimodular", "matrix is not unimodular")
+    return t
+
+
+def saturate_snf(sub: Sublattice) -> tuple[Sublattice, int]:
+    """``Sublattice.saturation`` through the Smith form ``u @ basis @ v == d``.
+
+    The first ``rank`` rows of ``v^-1`` span the saturation, and the index
+    is the product of the diagonal of ``d``.
+    """
+    snf = smith_normal_form(sub.basis)
+    vinv = invert_unimodular(snf.v)
+    index = 1
+    for d in snf.diagonal:
+        index *= d
+    return Sublattice(sub.ambient, vinv[: sub.rank]), index
 
 
 def saturated_span(setup: MukaiSetup, v: MukaiVector, vectors) -> PointedSublattice:
-    """``PointedSublattice.span`` through ``Sublattice.saturate`` and a rational solve."""
+    """``PointedSublattice.span`` through ``saturate_snf`` and a rational solve."""
     setup._check(v)
     rows = []
     for vec in vectors:
         w = vec if isinstance(vec, MukaiVector) else setup.vector_from_coords(vec)
         setup._check(w)
         rows.append(w.coords)
-    sub = Sublattice(setup.ambient, rows).saturate()
+    sub, _ = saturate_snf(Sublattice(setup.ambient, rows))
     if sub.rank != 2:
         raise LatticeError("rank-mismatch", f"span has rank {sub.rank}, expected 2")
     coords = sub.coords(v.coords)

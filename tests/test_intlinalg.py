@@ -6,16 +6,16 @@ from mukailat.errors import LatticeError
 from mukailat.intlinalg import (
     determinant,
     hermite_basis,
-    hermite_with_transform,
     integer_kernel,
-    invert_unimodular,
     mat_mul,
     signature,
+    smith_diagonal,
     smith_normal_form,
     solve_rational,
     transpose,
     xgcd,
 )
+from oracles import hermite_with_transform, invert_unimodular
 
 matrices = st.integers(1, 5).flatmap(
     lambda n: st.integers(1, 5).flatmap(
@@ -26,6 +26,18 @@ matrices = st.integers(1, 5).flatmap(
         )
     )
 )
+
+
+@st.composite
+def matrices_with_relations(draw):
+    """A matrix with zero rows and integer combinations of its rows mixed in."""
+    rows = [list(row) for row in draw(matrices)]
+    width = len(rows[0])
+    for _ in range(draw(st.integers(0, 3))):
+        coefficients = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        extra = [sum(c * row[j] for c, row in zip(coefficients, rows)) for j in range(width)]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
 
 
 @given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
@@ -62,6 +74,7 @@ def _check_certificate(mat):
     assert determinant(result.u) in (1, -1)
     assert determinant(result.v) in (1, -1)
     diag = result.diagonal
+    assert smith_diagonal(mat) == diag
     assert all(x >= 0 for x in diag)
     for i in range(len(diag) - 1):
         if diag[i]:
@@ -87,11 +100,12 @@ def test_smith_deterministic():
 
 
 @settings(max_examples=200)
-@given(matrices)
+@given(matrices_with_relations())
 def test_hermite_certificate(mat):
     h, t = hermite_with_transform(mat)
     frozen = tuple(tuple(row) for row in mat)
     assert mat_mul(t, frozen) == h
+    assert hermite_basis(mat) == tuple(row for row in h if any(row))
     assert determinant(t) in (1, -1)
     pivots = []
     for row in h:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mukailat import DiscriminantGroup, IntegralLattice, LatticeError, Sublattice
+from mukailat.intlinalg import determinant, mat_mul, transpose
 
 
 def hyperbolic():
@@ -75,6 +77,8 @@ def test_saturate_examples():
     sat = z2.span([(1, 1), (1, -1)]).saturate()
     assert sat.basis == ((1, 0), (0, 1))
     assert z2.span([(1, 1), (1, -1)]).saturation_index() == 2
+    empty = z2.span([])
+    assert empty.saturation() == (empty, 1)
 
 
 def test_saturate_idempotent_and_contains():
@@ -126,11 +130,48 @@ def test_saturation_properties(rows):
         assert ambient.is_primitive(vec) == (line.saturate() == line)
 
 
+def test_saturate_near_full_rank_basis():
+    # 28 rows in Z^30, entries within 50, times a mixer with diagonal 1-3.
+    # A Hermite form that reduces the entries above a pivot only once its
+    # column is done takes seconds on this basis, and minutes on other seeds
+    # of this shape.
+    rng = random.Random(6)
+    k, n = 28, 30
+    rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(k)]
+    mixer = [[rng.randint(-2, 2) if j != r else rng.randint(1, 3) for j in range(k)] for r in range(k)]
+    basis = [[sum(mixer[r][j] * rows[j][c] for j in range(k)) for c in range(n)] for r in range(k)]
+    ambient = IntegralLattice([[int(i == j) for j in range(n)] for i in range(n)])
+    sub = ambient.span(basis)
+    sat, index = sub.saturation()
+    assert sat.rank == k
+    assert all(sat.contains(row) for row in basis)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in sat.basis]
+    assert pivots == sorted(set(pivots))
+    for r, (row, j) in enumerate(zip(sat.basis, pivots)):
+        assert row[j] > 0
+        assert all(0 <= above[j] < row[j] for above in sat.basis[:r])
+    volume = determinant(mat_mul(basis, transpose(basis)))
+    assert volume == index**2 * determinant(mat_mul(sat.basis, transpose(sat.basis)))
+    assert index > 1
+
+
 def test_dependent_rows_rejected():
     z2 = IntegralLattice([[1, 0], [0, 1]])
     with pytest.raises(LatticeError) as err:
         z2.span([(1, 2), (2, 4)])
     assert err.value.code == "dependent-rows"
+    # Codes are checked in the order invalid-matrix, dependent-rows,
+    # dimension-mismatch.
+    cases = {
+        "invalid-matrix": [[(1, 2), (3,)], [(1, 2, 3), (2, True, 6)]],
+        "dependent-rows": [[(0, 0)], [(1, 2), (0, 0)], [(1, 2, 3), (2, 4, 6)], [()]],
+        "dimension-mismatch": [[(1, 2, 3)], [(1, 0, 0), (0, 1, 0)]],
+    }
+    for code, bases in cases.items():
+        for rows in bases:
+            with pytest.raises(LatticeError) as err:
+                z2.span(rows)
+            assert err.value.code == code, rows
 
 
 def test_orthogonal_complement_examples():

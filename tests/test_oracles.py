@@ -1,11 +1,12 @@
-"""The closed-form searches and the rank-2 span against the old scans.
+"""The closed-form searches, the rank-2 span and the normal forms against the old code.
 
 ``oracles.py`` keeps the box scans and the generic saturation that
 ``enumerate_p_type``, ``mori_candidates`` and ``PointedSublattice.span``
 replaced.  Each ``v`` is built as a witness plus an isotropic complement, so
 that most enumerations are not empty, and the strategies force the
 branches of the closed form: a witness with ``r = 0``, and a ``v`` with
-``r_v = 0``.
+``r_v = 0``.  Saturation is checked against the route through the Smith
+transform, and discriminant groups against sympy's invariant factors.
 """
 
 from functools import lru_cache
@@ -16,9 +17,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_p_type_scan, line_class_scan, mori_candidates_scan, saturated_span
+from oracles import enumerate_p_type_scan, line_class_scan, mori_candidates_scan, saturate_snf, saturated_span
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from mukailat import (
+    IntegralLattice,
     LatticeError,
     MukaiSetup,
     PointedSublattice,
@@ -28,6 +32,7 @@ from mukailat import (
     mori_candidates,
     theta_dual,
 )
+from mukailat.intlinalg import determinant, smith_normal_form
 
 BOX = 4
 
@@ -200,3 +205,43 @@ def test_span_error_codes():
         with pytest.raises(LatticeError) as err:
             PointedSublattice.span(setup, v, generators)
         assert err.value.code == code
+
+
+@slow(150)
+@given(st.data())
+def test_saturation_matches_the_smith_route(data):
+    n = data.draw(st.integers(1, 8))
+    k = n - data.draw(st.integers(0, min(3, n - 1)))
+    rows = data.draw(st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n), min_size=k, max_size=k))
+    # A mixer with diagonal 1-3 puts most spans at an index above 1.
+    mixer = [[data.draw(st.integers(1, 3) if i == j else st.integers(-2, 2)) for j in range(k)] for i in range(k)]
+    basis = [[sum(m * row[c] for m, row in zip(mix, rows)) for c in range(n)] for mix in mixer]
+    ambient = IntegralLattice([[int(i == j) for j in range(n)] for i in range(n)])
+    try:
+        sub = ambient.span(basis)
+    except LatticeError as exc:
+        assert exc.code == "dependent-rows"
+        assume(False)
+    expected = saturate_snf(sub)
+    assert sub.saturation() == expected
+    assert sub.saturate() == expected[0]
+    assert sub.saturation_index() == expected[1]
+    assert expected[0].saturation() == (expected[0], 1)
+
+
+@slow(150)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_discriminant_group_matches_sympy(mat):
+    n = len(mat)
+    gram = [[mat[i][j] + mat[j][i] for j in range(n)] for i in range(n)]
+    det = determinant(gram)
+    assume(det)
+    group = IntegralLattice(gram).discriminant_group()
+    assert group.invariant_factors == tuple(d for d in smith_normal_form(gram).diagonal if d > 1)
+    sympy_factors = tuple(abs(int(d)) for d in invariant_factors(Matrix(gram), domain=ZZ))
+    assert group.invariant_factors == tuple(d for d in sympy_factors if d > 1)
+    assert group.order == abs(det)
