@@ -235,9 +235,14 @@ def hermite_basis(mat) -> IntMatrix:
     and every entry above a pivot is reduced again after each insertion, the
     order of Kannan and Bachem, so entries stay near the size of the form.
     """
+    return _hermite(freeze_matrix(mat))
+
+
+def _hermite(rows) -> IntMatrix:
+    """``hermite_basis`` of rows already known to be integers of equal length."""
     basis: list[list[int]] = []
     pivots: list[int] = []
-    for row in freeze_matrix(mat):
+    for row in rows:
         x = list(row)
         n = len(x)
         lead = k = 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 
 from . import intlinalg
@@ -57,6 +57,16 @@ class IntegralLattice:
         lattice._det = None
         return lattice
 
+    @cached_property
+    def _entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The ``(j, g)`` with ``g = gram[i][j] != 0``, for each row ``i``.
+
+        The pairings loop over these alone: Mukai Grams are mostly zeros.
+        Built on the first pairing, so a lattice that is never paired (a
+        ``disc`` or ``saturate`` request) does not pay for it.
+        """
+        return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
+
     @property
     def rank(self) -> int:
         return len(self.gram)
@@ -82,13 +92,13 @@ class IntegralLattice:
 
     def pair(self, x, y):
         """Bilinear form ``x^T . gram . y``; symmetric, exact, accepts Fractions."""
-        self._check_length(x)
-        self._check_length(y)
+        if not len(x) == len(y) == len(self._entries):
+            self._check_length(x)
+            self._check_length(y)
         total = 0
-        for i, xi in enumerate(x):
+        for xi, row in zip(x, self._entries):
             if xi:
-                row = self.gram[i]
-                total += xi * sum(g * yj for g, yj in zip(row, y) if g)
+                total += xi * sum(g * y[j] for j, g in row)
         return total
 
     def square(self, x):
@@ -110,13 +120,12 @@ class IntegralLattice:
         if not any(x):
             raise LatticeError("zero-vector", "divisibility is undefined for the zero vector")
         self._require_nondegenerate("divisibility")
-        pairings = [sum(g * xi for g, xi in zip(row, x)) for row in self.gram]
-        return reduce(gcd, pairings, 0)
+        return reduce(gcd, self.dual_pairings(x), 0)
 
     def dual_pairings(self, x) -> tuple:
         """Pairings of ``x`` (integral or rational) against the basis vectors."""
         self._check_length(x)
-        return tuple(sum(g * xi for g, xi in zip(row, x)) for row in self.gram)
+        return tuple(sum(g * x[j] for j, g in row) for row in self._entries)
 
     def in_dual(self, x) -> bool:
         """True iff ``x`` pairs integrally with every lattice vector."""

@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd
 from operator import mul
 
 from .errors import LatticeError
-from .lattice import Sublattice
+from .lattice import IntegralLattice, Sublattice
 from .mukai import MukaiSetup, MukaiVector
 from .ptype import PointedSublattice, construct_p_type
 
@@ -66,31 +66,23 @@ def v_perp(setup: MukaiSetup, v: MukaiVector) -> Sublattice:
     return setup.ambient.span([v.coords]).orthogonal_complement()
 
 
-def _line_class(
-    setup: MukaiSetup,
-    v: MukaiVector,
-    coords: tuple[int, ...],
-    pairing: int,
-    vsq: int,
-) -> LineClass:
-    """The line class of the integral ``a`` with ``(a, v) = pairing``.
+def _line_class(v: MukaiVector, coords: tuple[int, ...], asq: int, pairing: int, vsq: int) -> LineClass:
+    """The line class of the integral ``a`` with ``a^2 = asq`` and ``(a, v) = pairing``.
 
-    ``R = N / v^2`` with the integral numerator ``N = v^2 a - (a, v) v``.
-    ``R`` lies in the dual of ``v_perp`` with no check, because
-    ``(N, w) = v^2 (a, w)`` for every ``w`` orthogonal to ``v``.  That
-    lattice is saturated, so ``m R`` lies in it exactly when ``m R`` is
-    integral: the order of ``R`` in its discriminant group is the lcm of the
-    denominators of the coordinates of ``R``.
+    ``R = N / v^2`` with the integral numerator ``N = v^2 a - (a, v) v``, so
+    ``(R, R) = a^2 - (a, v)^2 / v^2``.  ``R`` lies in the dual of ``v_perp``
+    with no check, because ``(N, w) = v^2 (a, w)`` for every ``w``
+    orthogonal to ``v``.  That lattice is saturated, so ``m R`` lies in it
+    exactly when ``m R`` is integral: the order of ``R`` in its discriminant
+    group is ``v^2 / gcd(v^2, N)``, the lcm of the denominators of ``R``.
     """
     numerators = tuple(vsq * x - pairing * y for x, y in zip(coords, v.coords))
-    r = tuple(Fraction(x, vsq) for x in numerators)
-    square = Fraction(setup.ambient.square(numerators), vsq * vsq)
-    return LineClass(v=v, coords=r, square=square, disc_order=lcm(*(x.denominator for x in r)))
-
-
-def _theta(setup: MukaiSetup, v: MukaiVector, a: MukaiVector, vsq: int) -> LineClass:
-    pairing = setup.ambient.pair(a.coords, v.coords)
-    return _line_class(setup, v, a.coords, pairing, vsq)
+    return LineClass(
+        v=v,
+        coords=tuple(Fraction(x, vsq) for x in numerators),
+        square=Fraction(vsq * asq - pairing * pairing, vsq),
+        disc_order=vsq // gcd(vsq, *numerators),
+    )
 
 
 def theta_dual(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClass:
@@ -102,7 +94,8 @@ def theta_dual(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClass:
     vsq = setup.square(v)
     if vsq <= 0:
         raise LatticeError("nonpositive-square", f"v^2 = {vsq} <= 0")
-    return _theta(setup, v, a, vsq)
+    ambient = setup.ambient
+    return _line_class(v, a.coords, ambient.square(a.coords), ambient.pair(a.coords, v.coords), vsq)
 
 
 def line_class_square(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Fraction:
@@ -140,44 +133,31 @@ class LineClassVerdict:
         return self.square_ok and self.torsion_ok and self.isotropic_witness_ok
 
 
-def _witness(
-    setup: MukaiSetup,
+def _verdict(
     v: MukaiVector,
-    a: MukaiVector,
+    coords: tuple[int, ...],
+    asq: int,
+    pairing: int,
     vsq: int,
-    lc: LineClass,
-) -> tuple[bool, bool, bool, MukaiVector | None]:
-    """The three verdict checks, and the sign-fixed witness ``w`` that spans
-    a P-type lattice (every check passes and ``w``, ``v - w`` are primitive)
-    or None."""
-    square_ok = lc.square == Fraction(-vsq, 4)
-    torsion_ok = lc.two_r is not None
-    pairing = setup.pair(a, v)
-    isotropic_witness_ok = setup.square(a) == 0 and abs(pairing) == vsq // 2
-    witness = None
+    disc_order: int,
+) -> tuple[bool, bool, bool, bool]:
+    """The three verdict checks on integers, and whether the sign-fixed
+    witness ``w`` spans a P-type lattice: every check passes and ``w`` and
+    ``v - w`` are primitive.
+
+    ``(R, R) = -v^2/4`` reads ``4 (v^2 a^2 - (a, v)^2) = -(v^2)^2``, which
+    is ``4 (N, N) = -(v^2)^3`` divided by ``v^2``, and ``2R`` is integral
+    exactly when the order of ``R`` divides 2.
+    """
+    square_ok = 4 * (vsq * asq - pairing * pairing) == -vsq * vsq
+    torsion_ok = disc_order <= 2
+    isotropic_witness_ok = asq == 0 and abs(pairing) == vsq // 2
+    spans = False
     if square_ok and torsion_ok and isotropic_witness_ok:
-        w = a if pairing > 0 else -a
-        if setup.is_primitive(w) and setup.is_primitive(v - w):
-            witness = w
-    return square_ok, torsion_ok, isotropic_witness_ok, witness
-
-
-def _classify(
-    setup: MukaiSetup,
-    v: MukaiVector,
-    a: MukaiVector,
-    vsq: int,
-    lc: LineClass,
-) -> LineClassVerdict:
-    square_ok, torsion_ok, isotropic_witness_ok, witness = _witness(setup, v, a, vsq, lc)
-    return LineClassVerdict(
-        line_class=lc,
-        n=vsq // 2 - 1,
-        square_ok=square_ok,
-        torsion_ok=torsion_ok,
-        isotropic_witness_ok=isotropic_witness_ok,
-        lattice=None if witness is None else construct_p_type(setup, v, witness),
-    )
+        # v - w is v - a for a positive pairing and v + a otherwise.
+        sign = 1 if pairing > 0 else -1
+        spans = gcd(*coords) == 1 and gcd(*(x - sign * y for x, y in zip(v.coords, coords))) == 1
+    return square_ok, torsion_ok, isotropic_witness_ok, spans
 
 
 def classify_line_class(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClassVerdict:
@@ -190,7 +170,19 @@ def classify_line_class(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Li
     vsq = setup.square(v)
     if vsq < 6:
         raise LatticeError("square-too-small", f"v^2 = {vsq} < 6")
-    return _classify(setup, v, a, vsq, _theta(setup, v, a, vsq))
+    asq, pairing = setup.ambient.square(a.coords), setup.ambient.pair(a.coords, v.coords)
+    lc = _line_class(v, a.coords, asq, pairing, vsq)
+    square_ok, torsion_ok, isotropic_witness_ok, spans = _verdict(
+        v, a.coords, asq, pairing, vsq, lc.disc_order
+    )
+    return LineClassVerdict(
+        line_class=lc,
+        n=vsq // 2 - 1,
+        square_ok=square_ok,
+        torsion_ok=torsion_ok,
+        isotropic_witness_ok=isotropic_witness_ok,
+        lattice=construct_p_type(setup, v, a if pairing > 0 else -a) if spans else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -213,10 +205,15 @@ def mori_candidates(
     Finds the integral ``a`` with coordinates in ``[-bound, bound]``
     satisfying ``a^2 >= 0`` and ``|(a, v)| <= v^2/2`` whose projection pairs
     strictly positively with ``h`` (which must lie in ``v_perp`` and have
-    ``h^2 > 0``).  The tests run on integers: ``h`` is orthogonal to ``v``,
-    so ``(R, h) = (a, h)``, and rationals are built only for the candidates
-    kept.  Candidates passing the full line-class criterion and spanning a
-    P-type lattice are flagged ``lagrangian``.  The list is sorted by the
+    ``h^2 > 0``).  ``h`` is orthogonal to ``v``, so ``(R, h) = (a, h)``.
+    For ``a = (r, c, s)`` at fixed ``(r, c)`` each test is linear in ``s``:
+    ``a^2 = c.Nc - 2rs``, ``(a, v)`` and ``(a, h)`` are affine in ``s``, so
+    the kept ``s`` form one interval, found by exact floor and ceiling
+    division, and only ``(r, c)`` is scanned.  Candidates passing the full
+    line-class criterion and spanning a P-type lattice are flagged
+    ``lagrangian``; that verdict is decided on integers, from ``a^2``,
+    ``(a, v)``, the gcd of the numerator of ``R`` with ``v^2`` and the gcds
+    of the witness and its complement.  The list is sorted by the
     coordinates of ``a``; positive-cone generators are not enumerated.
     """
     if not setup.is_primitive(v):
@@ -230,34 +227,49 @@ def mori_candidates(
         raise LatticeError("nonpositive-square", f"h^2 = {setup.square(h)} <= 0")
     if bound < 0:
         raise LatticeError("invalid-matrix", "bound must be nonnegative")
-    ambient = setup.ambient
+    ns = IntegralLattice._of(setup.ns_gram)
     half = vsq // 2
     # (a, w) is the dot product of a with w_row, whose last entry is -r_w.
-    v_row = ambient.dual_pairings(v.coords)
-    h_row = ambient.dual_pairings(h.coords)
+    v_row = setup.ambient.dual_pairings(v.coords)
+    h_row = setup.ambient.dual_pairings(h.coords)
+    v_last, h_last = v_row[-1], h_row[-1]
     box = range(-bound, bound + 1)
+    # a^2 = c.Nc - 2rs, and c.Nc does not depend on r.
+    heads = [
+        (c, ns.square(c), sum(map(mul, c, v_row[1:])), sum(map(mul, c, h_row[1:])))
+        for c in product(box, repeat=setup.rho)
+    ]
     out = []
-    # a = (r, c, s) has a^2 = c.Nc - 2rs; c.Nc does not depend on r, so c
-    # is the outer loop.
-    for c in product(box, repeat=setup.rho):
-        form = ambient.square((0, *c, 0))
-        c_v = sum(map(mul, c, v_row[1:]))
-        c_h = sum(map(mul, c, h_row[1:]))
-        for r in box:
+    # r, then c, then s ascending: the candidates come out sorted.
+    for r in box:
+        for c, form, c_v, c_h in heads:
             head_v = r * v_row[0] + c_v
             head_h = r * h_row[0] + c_h
-            for s in box:
-                # a = 0 fails (a, h) > 0.
-                pairing = head_v + s * v_row[-1]
-                if form < 2 * r * s or abs(pairing) > half or head_h + s * h_row[-1] <= 0:
-                    continue
+            lo, hi = _narrow(-bound, bound, 2 * r, form)
+            lo, hi = _narrow(lo, hi, v_last, half - head_v)
+            lo, hi = _narrow(lo, hi, -v_last, half + head_v)
+            # (a, h) > 0, which also rules out a = 0.
+            lo, hi = _narrow(lo, hi, -h_last, head_h - 1)
+            for s in range(lo, hi + 1):
                 coords = (r, *c, s)
-                lc = _line_class(setup, v, coords, pairing, vsq)
-                a = MukaiVector.from_coords(coords)
-                lagrangian = _witness(setup, v, a, vsq, lc)[3] is not None
-                out.append(MoriCandidate(a=a, line_class=lc, lagrangian=lagrangian))
-    out.sort(key=lambda cand: cand.a.coords)
+                asq = form - 2 * r * s
+                pairing = head_v + s * v_last
+                lc = _line_class(v, coords, asq, pairing, vsq)
+                lagrangian = _verdict(v, coords, asq, pairing, vsq, lc.disc_order)[3]
+                out.append(MoriCandidate(a=MukaiVector._of(r, c, s), line_class=lc, lagrangian=lagrangian))
     return out
+
+
+def _narrow(lo: int, hi: int, coef: int, rhs: int) -> tuple[int, int]:
+    """The ``s`` in ``[lo, hi]`` with ``coef * s <= rhs``, again as an interval.
+
+    An empty result has ``hi < lo``, and stays empty under further narrowing.
+    """
+    if coef > 0:
+        return lo, min(hi, rhs // coef)
+    if coef < 0:
+        return max(lo, -(rhs // -coef)), hi
+    return (lo, hi) if rhs >= 0 else (lo, lo - 1)
 
 
 @dataclass(frozen=True)

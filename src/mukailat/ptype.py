@@ -16,8 +16,8 @@ from math import gcd, isqrt
 from operator import mul
 
 from .errors import LatticeError
-from .intlinalg import IntMatrix, freeze_matrix
-from .lattice import Sublattice
+from .intlinalg import IntMatrix, _hermite, freeze_matrix, saturation
+from .lattice import IntegralLattice, Sublattice
 from .mukai import MukaiSetup, MukaiVector
 
 
@@ -141,14 +141,19 @@ class PointedSublattice:
         sub = Sublattice(setup.ambient, rows)
         if sub.rank != 2:
             raise LatticeError("rank-mismatch", f"span has rank {sub.rank}, expected 2")
+        return cls._of(setup, v, sub.basis)
+
+    @classmethod
+    def _of(cls, setup: MukaiSetup, v: MukaiVector, basis: IntMatrix) -> "PointedSublattice":
+        """The saturation of a rank-2 Hermite basis of ambient rows, pointed at ``v``."""
         # The index of a rank-2 lattice in its saturation is the gcd of the
         # 2x2 minors of a basis; at index 1 the Hermite basis is already the
         # saturated one.
-        b1, b2 = sub.basis
+        b1, b2 = basis
         minors = (b1[i] * b2[j] - b1[j] * b2[i] for i, j in combinations(range(len(b1)), 2))
         if gcd(*minors) != 1:
-            sub = sub.saturate()
-            b1, b2 = sub.basis
+            basis = saturation(basis)[0]
+            b1, b2 = basis
         # Cramer's rule on the pivot columns of the Hermite basis, whose 2x2
         # minor is nonzero, then a check of every coordinate.
         i = next(k for k, x in enumerate(b1) if x)
@@ -159,7 +164,9 @@ class PointedSublattice:
         y, y_rem = divmod(b1[i] * target[j] - b1[j] * target[i], det)
         if x_rem or y_rem or any(x * p + y * q != w for p, q, w in zip(b1, b2, target)):
             raise LatticeError("not-pointed", "v does not lie in the sublattice")
-        return cls(setup, v, sub.basis, sub.gram(), (x, y))
+        pair = setup.ambient.pair
+        off = pair(b1, b2)
+        return cls(setup, v, basis, ((pair(b1, b1), off), (off, pair(b2, b2))), (x, y))
 
     def sublattice(self) -> Sublattice:
         return Sublattice(self.setup.ambient, self.basis)
@@ -238,7 +245,10 @@ def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[Poin
     deduplicated saturated spans of ``{a, t}``, sorted by their Hermite
     bases.  Only ``(r, c)`` is scanned: ``a^2 = c.Nc - 2rs = 0`` fixes ``s``
     when ``r != 0``, and ``(a, v) = v^2/2`` fixes it when ``r = 0`` and
-    ``r_v != 0``.  The result is deterministic and independent of scan order.
+    ``r_v != 0``.  ``c.Nc`` comes from the NS block, and each span is built
+    from the Hermite basis of ``{a, t}`` with no further validation, since
+    both rows are integral vectors of the ambient's length.  The result is
+    deterministic and independent of scan order.
     """
     if bound < 0:
         raise LatticeError("invalid-matrix", "bound must be nonnegative")
@@ -248,16 +258,17 @@ def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[Poin
     if vsq < 6:
         raise LatticeError("square-too-small", f"v^2 = {vsq} < 6")
     half = vsq // 2
-    ambient = setup.ambient
+    ns = IntegralLattice._of(setup.ns_gram)
+    v_coords = v.coords
     # (a, v) is the dot product of a with v_row, whose last entry is -r_v.
-    v_row = ambient.dual_pairings(v.coords)
+    v_row = setup.ambient.dual_pairings(v_coords)
     s_weight = v_row[-1]
     box = range(-bound, bound + 1)
     found = {}
     # a = (r, c, s) has a^2 = c.Nc - 2rs; c.Nc does not depend on r, so c
     # is the outer loop.
     for c in product(box, repeat=setup.rho):
-        form = ambient.square((0, *c, 0))
+        form = ns.square(c)
         c_pairing = sum(map(mul, c, v_row[1:]))
         for r in box:
             pairing = r * v_row[0] + c_pairing
@@ -279,13 +290,13 @@ def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[Poin
                 continue
             for s in choices:
                 a = (r, *c, s)
-                t = tuple(x - y for x, y in zip(v.coords, a))
+                t = tuple(x - y for x, y in zip(v_coords, a))
                 if gcd(*a) != 1 or gcd(*t) != 1:
                     continue
                 # A P-type lattice has exactly the two witnesses a and t; span
                 # it from the smaller one when both lie in the box.
                 if t < a and max(map(abs, t)) <= bound:
                     continue
-                lattice = PointedSublattice.span(setup, v, [a, t])
+                lattice = PointedSublattice._of(setup, v, _hermite((a, t)))
                 found.setdefault(lattice.basis, lattice)
     return [found[key] for key in sorted(found)]

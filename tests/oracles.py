@@ -12,6 +12,9 @@ to run are here too: the row Hermite form with its unimodular transform,
 which reduces entries above a pivot only once the pivot's column is done,
 the inverse of a unimodular matrix through it, and the saturation through
 the Smith transform ``v`` and its inverse.
+
+``dense_pair`` is the bilinear form as the full double loop over the Gram
+matrix, zero entries included, that ``IntegralLattice.pair`` replaced.
 """
 
 from fractions import Fraction
@@ -29,6 +32,12 @@ from mukailat import (
     v_perp,
 )
 from mukailat.intlinalg import IntMatrix, freeze_matrix, identity, smith_normal_form, xgcd
+
+
+def dense_pair(gram, x, y):
+    """``x^T . gram . y`` summed over every entry of ``gram``."""
+    n = len(gram)
+    return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
 
 
 def hermite_with_transform(mat) -> tuple[IntMatrix, IntMatrix]:

@@ -5,7 +5,10 @@
 replaced.  Each ``v`` is built as a witness plus an isotropic complement, so
 that most enumerations are not empty, and the strategies force the
 branches of the closed form: a witness with ``r = 0``, and a ``v`` with
-``r_v = 0``.  Saturation is checked against the route through the Smith
+``r_v = 0``, and for ``mori`` an ``h`` with ``r_h = 0``.  The ``lagrangian``
+candidates of ``mori`` are checked against the witnesses of the P-type
+lattices that ``enumerate_p_type`` finds, and the sparse pairing against the
+dense double loop.  Saturation is checked against the route through the Smith
 transform, and discriminant groups against sympy's invariant factors.
 """
 
@@ -17,7 +20,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_p_type_scan, line_class_scan, mori_candidates_scan, saturate_snf, saturated_span
+from oracles import (
+    dense_pair,
+    enumerate_p_type_scan,
+    line_class_scan,
+    mori_candidates_scan,
+    saturate_snf,
+    saturated_span,
+)
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
@@ -72,11 +82,12 @@ def even_ns(draw, rho):
 
 
 @st.composite
-def pointed(draw, rho):
+def pointed(draw, rho, mode=None):
     """``(setup, v, a)``: ``v = a + t`` with ``a``, ``t`` primitive isotropic and ``v^2 >= 6``."""
     ns = draw(even_ns(rho))
     setup = _setup(ns)
-    mode = draw(st.sampled_from(["any", "witness r = 0", "v r = 0"]))
+    if mode is None:
+        mode = draw(st.sampled_from(["any", "witness r = 0", "v r = 0"]))
     witnesses = [a for a in _isotropic(ns) if mode != "witness r = 0" or a[0] == 0]
     assume(witnesses)
     a = draw(st.sampled_from(witnesses))
@@ -115,24 +126,46 @@ def test_enumerate_matches_the_box_scan_on_kummer_mukai(v):
 
 @st.composite
 def pointed_with_h(draw, rho):
-    setup, v, a = draw(pointed(rho))
+    """``(setup, v, h)``; the modes force ``r_h = 0`` or ``r_v = 0``, where the
+    ``(a, h)`` or the ``(a, v)`` test of ``mori_candidates`` does not depend
+    on ``s``."""
+    mode = draw(st.sampled_from(["any", "h r = 0", "v r = 0"]))
+    setup, v, a = draw(pointed(rho, "v r = 0" if mode == "v r = 0" else None))
     positive = [
         h
         for h in product(range(-3, 4), repeat=setup.rank)
-        if setup.ambient.pair(h, v.coords) == 0 and setup.ambient.square(h) > 0
+        if setup.ambient.pair(h, v.coords) == 0
+        and setup.ambient.square(h) > 0
+        and (mode != "h r = 0" or h[0] == 0)
     ]
     assume(positive)
     return setup, v, setup.vector_from_coords(draw(st.sampled_from(positive)))
 
 
-@slow(25)
+@slow(40)
 @given(st.data())
 def test_mori_matches_the_box_scan(data):
     rho = data.draw(st.sampled_from([1, 2]))
     setup, v, h = data.draw(pointed_with_h(rho))
     # The rank-4 scan of the old code runs about half a second at bound 4.
-    bound = data.draw(st.integers(0, 4 if rho == 1 else 3))
+    bound = data.draw(st.integers(0, 6 if rho == 1 else 3))
     assert mori_candidates(setup, v, h, bound) == mori_candidates_scan(setup, v, h, bound)
+
+
+@slow(40)
+@given(st.data())
+def test_lagrangian_candidates_are_the_enumerated_witnesses(data):
+    rho = data.draw(st.sampled_from([1, 2]))
+    setup, v, h = data.draw(pointed_with_h(rho))
+    bound = data.draw(st.integers(0, 6))
+    lagrangian = {cand.a for cand in mori_candidates(setup, v, h, bound) if cand.lagrangian}
+    witnesses = set()
+    for lattice in enumerate_p_type(setup, v, bound):
+        dec = lattice.decomposition()
+        for w in (dec.s, dec.t, -dec.s, -dec.t):
+            if max(map(abs, w.coords)) <= bound and setup.pair(w, h) > 0:
+                witnesses.add(w)
+    assert lagrangian == witnesses
 
 
 @slow(60)
@@ -245,3 +278,43 @@ def test_discriminant_group_matches_sympy(mat):
     sympy_factors = tuple(abs(int(d)) for d in invariant_factors(Matrix(gram), domain=ZZ))
     assert group.invariant_factors == tuple(d for d in sympy_factors if d > 1)
     assert group.order == abs(det)
+
+
+@slow(150)
+@given(st.data())
+def test_pairing_matches_the_dense_form(data):
+    n = data.draw(st.integers(1, 6))
+    upper = [[data.draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(n)]
+    gram = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    # Zero rows (and so zero columns) leave a row with no entries at all.
+    for i in data.draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for j in range(n):
+            gram[i][j] = gram[j][i] = 0
+    lattice = IntegralLattice(gram)
+    entry = st.integers(-50, 50) | st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    x = tuple(data.draw(entry) for _ in range(n))
+    y = tuple(data.draw(entry) for _ in range(n))
+    assert lattice.pair(x, y) == dense_pair(gram, x, y)
+    assert lattice.square(x) == dense_pair(gram, x, x)
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert lattice.dual_pairings(x) == tuple(dense_pair(gram, e, x) for e in basis)
+    if all(isinstance(c, int) for c in x + y):
+        assert type(lattice.pair(x, y)) is int
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_pairing_rejects_a_wrong_length(n):
+    lattice = IntegralLattice([[2 * int(i == j) for j in range(n)] for i in range(n)])
+    good, long = (1,) * n, (1,) * (n + 1)
+    calls = [
+        (lattice.pair, (long, good), n + 1),
+        (lattice.pair, (good, long), n + 1),
+        (lattice.pair, (good[1:], good[1:]), n - 1),
+        (lattice.square, (long,), n + 1),
+        (lattice.dual_pairings, (good[1:],), n - 1),
+    ]
+    for method, args, length in calls:
+        with pytest.raises(LatticeError) as err:
+            method(*args)
+        assert err.value.code == "dimension-mismatch"
+        assert str(err.value) == f"vector of length {length} in a rank {n} lattice"
