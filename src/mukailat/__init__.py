@@ -20,8 +20,6 @@ from .moduli import (
     classify_line_class,
     contraction_budget,
     jh_feasibility,
-    line_class_from_wall_side,
-    line_class_square,
     mori_candidates,
     theta_dual,
     v_perp,
@@ -73,8 +71,6 @@ __all__ = [
     "jh_feasibility",
     "kummer_bbf_lattice",
     "kummer_mukai_setup",
-    "line_class_from_wall_side",
-    "line_class_square",
     "mori_candidates",
     "rank_one_setup",
     "smith_normal_form",

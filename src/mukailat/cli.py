@@ -5,7 +5,8 @@ stdin and writes one JSON response per request, in input order.  Integers
 may be given as JSON numbers or as decimal strings of up to 4300 digits,
 Python's int-string limit; rational results are rendered as reduced
 strings ``"p/q"`` with positive ``q`` (plain ``"p"`` when integral).  A
-request that fails in an unexpected way gets an ``internal-error`` response.  Output is byte-stable for identical input.
+request that fails in an unexpected way gets an ``internal-error`` response.
+Output is byte-stable for identical input.
 Requests run one after another: ``--jobs`` is accepted for compatibility
 and ignored, because the work is pure Python and holds the interpreter lock.
 
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple
 
 from . import moduli, ptype
 from .errors import LatticeError
-from .intlinalg import smith_normal_form
+from .intlinalg import identity, smith_normal_form
 from .lattice import IntegralLattice
 from .mukai import MukaiSetup, kummer_bbf_lattice, kummer_mukai_setup, rank_one_setup
 
@@ -160,8 +161,10 @@ def _cmd_disc(lattice):
 
 def _cmd_saturate(basis, ambient):
     if ambient is None:
-        width = len(basis[0]) if basis else 0
-        ambient = IntegralLattice([[1 if i == j else 0 for j in range(width)] for i in range(width)])
+        if not basis:
+            # The zero sublattice is saturated, with index 1, in any ambient.
+            return (), 1
+        ambient = IntegralLattice(identity(len(basis[0])))
     saturated, index = ambient.span(basis).saturation()
     return saturated.basis, index
 

@@ -54,15 +54,6 @@ def transpose(mat) -> IntMatrix:
     return tuple(zip(*mat)) if mat else ()
 
 
-def mat_mul(a, b) -> IntMatrix:
-    if a and b and len(a[0]) != len(b):
-        raise LatticeError("dimension-mismatch", "incompatible matrix shapes")
-    cols = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
-
-
 def determinant(mat) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     m = [list(row) for row in mat]
@@ -278,10 +269,6 @@ def _hermite(rows) -> IntMatrix:
     return tuple(tuple(row) for row in basis)
 
 
-def integer_rank(mat) -> int:
-    return len(hermite_basis(mat))
-
-
 def saturation(rows) -> tuple[IntMatrix, int]:
     """Hermite basis of ``Q-span(rows) & Z^n``, and the index of the row span in it.
 
@@ -324,52 +311,18 @@ def saturation(rows) -> tuple[IntMatrix, int]:
 
 
 def integer_kernel(mat) -> IntMatrix:
-    """Hermite basis of ``{x : mat @ x == 0}``; the span is saturated."""
-    snf = smith_normal_form(mat)
-    n = len(snf.v)
-    rank = snf.rank
-    cols = [tuple(snf.v[i][j] for i in range(n)) for j in range(rank, n)]
-    return hermite_basis(cols)
+    """Hermite basis of ``{x : mat @ x == 0}``; the span is saturated.
 
-
-def solve_rational(rows, target):
-    """Coefficients ``c`` with ``sum(c[i] * rows[i]) == target`` over Q.
-
-    Returns a tuple of Fractions, or None when the target is outside the
-    rational row span.  Free coefficients (dependent rows) are set to zero.
+    The rows of ``[mat^T | I]`` span the pairs ``(mat @ x, x)``.  In their
+    Hermite form, the rows that vanish in the first ``k = len(mat)`` columns
+    span the pairs with ``mat @ x == 0``, and with those ``k`` columns
+    dropped they already are the Hermite basis of the kernel.
     """
+    rows = freeze_matrix(mat)
     k = len(rows)
-    if k == 0:
-        return () if not any(target) else None
-    n = len(rows[0])
-    if len(target) != n:
-        raise LatticeError("dimension-mismatch", "target length mismatch")
-    aug = [
-        [Fraction(rows[i][j]) for i in range(k)] + [Fraction(target[j])]
-        for j in range(n)
-    ]
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for idx, c in enumerate(piv_cols):
-        sol[c] = aug[idx][k]
-    return tuple(sol)
+    n = len(rows[0]) if rows else 0
+    stacked = [(*col, *unit) for col, unit in zip(zip(*rows), identity(n))]
+    return tuple(row[k:] for row in _hermite(stacked) if not any(row[:k]))
 
 
 def signature(gram) -> tuple[int, int, int]:

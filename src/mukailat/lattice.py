@@ -10,9 +10,8 @@ operations are pure functions, so everything is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
-from math import gcd, lcm
+from math import gcd
 
 from . import intlinalg
 from .errors import LatticeError
@@ -35,7 +34,7 @@ class DiscriminantGroup:
 class IntegralLattice:
     """A free Z-module with an integer symmetric bilinear form."""
 
-    def __init__(self, gram, *, require_nondegenerate: bool = False):
+    def __init__(self, gram):
         rows = intlinalg.freeze_matrix(gram)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
@@ -46,8 +45,6 @@ class IntegralLattice:
                     raise LatticeError("invalid-matrix", "Gram matrix must be symmetric")
         self.gram: IntMatrix = rows
         self._det: int | None = None
-        if require_nondegenerate and self.det() == 0:
-            raise LatticeError("degenerate-lattice", "Gram matrix has determinant 0")
 
     @classmethod
     def _of(cls, gram: IntMatrix) -> "IntegralLattice":
@@ -76,10 +73,7 @@ class IntegralLattice:
             self._det = intlinalg.determinant(self.gram)
         return self._det
 
-    def is_nondegenerate(self) -> bool:
-        return self.det() != 0
-
-    def _require_nondegenerate(self, op: str) -> None:
+    def _check_nondegenerate(self, op: str) -> None:
         if self.det() == 0:
             raise LatticeError("degenerate-lattice", f"{op} requires a nondegenerate lattice")
 
@@ -119,7 +113,7 @@ class IntegralLattice:
         self._check_length(x)
         if not any(x):
             raise LatticeError("zero-vector", "divisibility is undefined for the zero vector")
-        self._require_nondegenerate("divisibility")
+        self._check_nondegenerate("divisibility")
         return reduce(gcd, self.dual_pairings(x), 0)
 
     def dual_pairings(self, x) -> tuple:
@@ -127,20 +121,9 @@ class IntegralLattice:
         self._check_length(x)
         return tuple(sum(g * x[j] for j, g in row) for row in self._entries)
 
-    def in_dual(self, x) -> bool:
-        """True iff ``x`` pairs integrally with every lattice vector."""
-        return all(Fraction(p).denominator == 1 for p in self.dual_pairings(x))
-
-    def order_in_discriminant(self, x) -> int:
-        """Smallest ``k >= 1`` with ``k*x`` in the lattice, for ``x`` in the dual."""
-        self._require_nondegenerate("order_in_discriminant")
-        if not self.in_dual(x):
-            raise LatticeError("not-in-dual", "not a dual-lattice element")
-        return lcm(*(Fraction(c).denominator for c in x))
-
     def discriminant_group(self) -> DiscriminantGroup:
         """Elementary divisors of the Gram matrix, from a Smith elimination without transforms."""
-        self._require_nondegenerate("discriminant_group")
+        self._check_nondegenerate("discriminant_group")
         diag = intlinalg.smith_diagonal(self.gram)
         factors = tuple(d for d in diag if d > 1)
         order = 1
@@ -213,40 +196,20 @@ class Sublattice:
                 vec = [a - q * b for a, b in zip(vec, row)]
         return not any(vec)
 
-    def rational_coords(self, x):
-        """Coordinates of ``x`` in the stored basis over Q, or None."""
-        return intlinalg.solve_rational(self.basis, x)
-
-    def coords(self, x):
-        """Integer coordinates of ``x`` in the stored basis, or None."""
-        sol = self.rational_coords(x)
-        if sol is None or any(c.denominator != 1 for c in sol):
-            return None
-        return tuple(int(c) for c in sol)
-
     def saturation(self) -> tuple["Sublattice", int]:
-        """The saturation and the index of this sublattice in it, from one pass."""
+        """The saturation and the index of this sublattice in it, from one pass.
+
+        The saturation is the rational span intersected with the ambient
+        lattice: same rank, torsion-free quotient in the ambient, and its own
+        saturation.  It comes from one column-echelon pass with no Smith
+        transform.
+        """
         basis, index = intlinalg.saturation(self.basis)
         return Sublattice._of(self.ambient, basis), index
 
-    def saturate(self) -> "Sublattice":
-        """The saturation: rational span intersected with the ambient lattice.
-
-        Same rank, torsion-free quotient in the ambient; idempotent.  It comes
-        from one column-echelon pass with no Smith transform.
-        """
-        return self.saturation()[0]
-
-    def saturation_index(self) -> int:
-        """Index of this sublattice inside its saturation."""
-        return self.saturation()[1]
-
-    def is_saturated(self) -> bool:
-        return self.basis == self.saturate().basis
-
     def orthogonal_complement(self) -> "Sublattice":
         """Saturated sublattice of everything pairing to zero with this span."""
-        self.ambient._require_nondegenerate("orthogonal_complement")
+        self.ambient._check_nondegenerate("orthogonal_complement")
         if self.rank == 0:
             return Sublattice(self.ambient, intlinalg.identity(self.ambient.rank))
         pairing_rows = tuple(self.ambient.dual_pairings(b) for b in self.basis)

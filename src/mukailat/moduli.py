@@ -25,9 +25,10 @@ from math import gcd
 from operator import mul
 
 from .errors import LatticeError
+from .intlinalg import _hermite
 from .lattice import IntegralLattice, Sublattice
 from .mukai import MukaiSetup, MukaiVector
-from .ptype import PointedSublattice, construct_p_type
+from .ptype import PointedSublattice
 
 # Codimension of the Albanese fibre inside the moduli space:
 # (v^2 + 2) - (v^2 - 2).  This caps the total ext^1 of a contracted
@@ -56,9 +57,6 @@ class LineClass:
         if all(x.denominator == 1 for x in doubled):
             return tuple(int(x) for x in doubled)
         return None
-
-    def __neg__(self) -> "LineClass":
-        return LineClass(self.v, tuple(-x for x in self.coords), self.square, self.disc_order)
 
 
 def v_perp(setup: MukaiSetup, v: MukaiVector) -> Sublattice:
@@ -96,15 +94,6 @@ def theta_dual(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClass:
         raise LatticeError("nonpositive-square", f"v^2 = {vsq} <= 0")
     ambient = setup.ambient
     return _line_class(v, a.coords, ambient.square(a.coords), ambient.pair(a.coords, v.coords), vsq)
-
-
-def line_class_square(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Fraction:
-    """``(R, R) = a^2 - (a, v)^2 / v^2``, computed exactly."""
-    vsq = setup.square(v)
-    if vsq <= 0:
-        raise LatticeError("nonpositive-square", f"v^2 = {vsq} <= 0")
-    pairing = setup.pair(a, v)
-    return Fraction(setup.square(a)) - Fraction(pairing * pairing, vsq)
 
 
 @dataclass(frozen=True)
@@ -164,24 +153,27 @@ def classify_line_class(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Li
     """Run the full line-class criterion for ``R = theta_dual(a)``.
 
     Requires ``v`` primitive with ``v^2 >= 6`` (so ``n = v^2/2 - 1 >= 2``).
+    The lattice is spanned by the sign-fixed witness ``w`` and ``v - w``
+    with no further checks: ``_verdict`` has proved all that
+    ``construct_p_type`` would check.
     """
-    if not setup.is_primitive(v):
-        raise LatticeError("imprimitive", "v must be primitive")
-    vsq = setup.square(v)
-    if vsq < 6:
-        raise LatticeError("square-too-small", f"v^2 = {vsq} < 6")
+    vsq = setup.kummer_dimension(v) + 2
     asq, pairing = setup.ambient.square(a.coords), setup.ambient.pair(a.coords, v.coords)
     lc = _line_class(v, a.coords, asq, pairing, vsq)
     square_ok, torsion_ok, isotropic_witness_ok, spans = _verdict(
         v, a.coords, asq, pairing, vsq, lc.disc_order
     )
+    lattice = None
+    if spans:
+        w = a if pairing > 0 else -a
+        lattice = PointedSublattice._of(setup, v, _hermite((w.coords, (v - w).coords)))
     return LineClassVerdict(
         line_class=lc,
         n=vsq // 2 - 1,
         square_ok=square_ok,
         torsion_ok=torsion_ok,
         isotropic_witness_ok=isotropic_witness_ok,
-        lattice=construct_p_type(setup, v, a if pairing > 0 else -a) if spans else None,
+        lattice=lattice,
     )
 
 
@@ -216,11 +208,7 @@ def mori_candidates(
     of the witness and its complement.  The list is sorted by the
     coordinates of ``a``; positive-cone generators are not enumerated.
     """
-    if not setup.is_primitive(v):
-        raise LatticeError("imprimitive", "v must be primitive")
-    vsq = setup.square(v)
-    if vsq < 6:
-        raise LatticeError("square-too-small", f"v^2 = {vsq} < 6")
+    vsq = setup.kummer_dimension(v) + 2
     if setup.pair(h, v) != 0:
         raise LatticeError("not-orthogonal", "h must be orthogonal to v")
     if setup.square(h) <= 0:
@@ -343,23 +331,3 @@ def contraction_budget(setup: MukaiSetup, v: MukaiVector, parts) -> PartitionRep
         if not setup.is_primitive(p):
             raise LatticeError("imprimitive", f"part {p.coords} is not primitive")
     return _report(setup, v, parts)
-
-
-def line_class_from_wall_side(
-    setup: MukaiSetup,
-    lattice: PointedSublattice,
-    side: str,
-) -> LineClass:
-    """The line class of a P-type wall, from one side or the other.
-
-    ``side="plus"`` projects the canonical ``s`` of the decomposition
-    ``v = s + t``, ``side="minus"`` projects ``t``; the two outputs are
-    exact negatives (crossing the wall flips the sign of the class).
-    """
-    if side not in ("plus", "minus"):
-        raise LatticeError("invalid-side", f"side must be 'plus' or 'minus', got {side!r}")
-    if setup != lattice.setup:
-        raise LatticeError("dimension-mismatch", "lattice belongs to a different setup")
-    decomposition = lattice.decomposition()
-    witness = decomposition.s if side == "plus" else decomposition.t
-    return theta_dual(setup, lattice.v, witness)

@@ -15,8 +15,7 @@ negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
-from math import gcd
+from functools import cache
 
 from .errors import LatticeError
 from .intlinalg import IntMatrix, freeze_matrix, freeze_vector, signature
@@ -136,14 +135,6 @@ class MukaiSetup:
         self._check(v)
         return v
 
-    def from_chern(self, rank: int, c1, ch2: int) -> MukaiVector:
-        """Mukai vector of an object with the given Chern data.
-
-        The square root of the Todd class is 1 on an abelian surface, so the
-        components pass through unchanged.
-        """
-        return self.vector(rank, c1, ch2)
-
     def _check(self, v: MukaiVector) -> None:
         if len(v.c) != self.rho:
             raise LatticeError(
@@ -165,9 +156,7 @@ class MukaiSetup:
 
     def is_primitive(self, v: MukaiVector) -> bool:
         self._check(v)
-        if v.is_zero():
-            raise LatticeError("zero-vector", "primitivity is undefined for the zero vector")
-        return reduce(gcd, v.coords, 0) == 1
+        return self.ambient.is_primitive(v.coords)
 
     def moduli_dimension(self, v: MukaiVector) -> int:
         """Dimension ``v^2 + 2`` of the moduli space of stable objects.
@@ -183,10 +172,11 @@ class MukaiSetup:
     def kummer_dimension(self, v: MukaiVector) -> int:
         """Dimension ``v^2 - 2 = 2n`` of the Albanese fibre, a Kummer-type manifold.
 
-        Requires ``v`` primitive with ``v^2 >= 6``.
+        Requires ``v`` primitive with ``v^2 >= 6``; every search for lagrangian
+        planes checks ``v`` here.
         """
         if not self.is_primitive(v):
-            raise LatticeError("imprimitive", "Kummer fibre needs a primitive Mukai vector")
+            raise LatticeError("imprimitive", "v must be primitive")
         sq = self.square(v)
         if sq < 6:
             raise LatticeError("square-too-small", f"v^2 = {sq} < 6")
@@ -242,4 +232,4 @@ def kummer_bbf_lattice(n: int) -> IntegralLattice:
         raise LatticeError("invalid-matrix", "need n >= 1")
     gram = _u_cubed_block(7)
     gram[6][6] = -(2 * n + 2)
-    return IntegralLattice(gram, require_nondegenerate=True)
+    return IntegralLattice(gram)

@@ -22,20 +22,11 @@ from .mukai import MukaiSetup, MukaiVector
 
 
 def _reduce_line(x: int, y: int) -> tuple[int, int]:
+    """Primitive generator of the line through ``(x, y)``, first nonzero entry positive."""
     g = gcd(x, y)
-    return _canonical_sign((x // g, y // g))
-
-
-def form_value(gram2, xy) -> int:
-    """Value of the binary form ``a*x^2 + 2*b*x*y + c*y^2`` at ``(x, y)``."""
-    x, y = xy
-    return gram2[0][0] * x * x + 2 * gram2[0][1] * x * y + gram2[1][1] * y * y
-
-
-def form_pair(gram2, xy, pq) -> int:
-    x, y = xy
-    p, q = pq
-    return (gram2[0][0] * x + gram2[0][1] * y) * p + (gram2[0][1] * x + gram2[1][1] * y) * q
+    if x < 0 or (x == 0 and y < 0):
+        g = -g
+    return x // g, y // g
 
 
 def isotropic_lines(gram2) -> tuple[tuple[int, int], ...]:
@@ -77,7 +68,8 @@ def is_p_type_form(gram2, v_xy) -> bool:
     Requires ``v^2 > 0`` and primitive coordinates.  An empty isotropic
     census never qualifies (the minimum over the empty set is +infinity).
     """
-    vsq = form_value(gram2, v_xy)
+    form = IntegralLattice(gram2)
+    vsq = form.square(v_xy)
     if vsq <= 0:
         raise LatticeError("nonpositive-square", f"v^2 = {vsq} <= 0")
     if gcd(v_xy[0], v_xy[1]) != 1:
@@ -85,7 +77,7 @@ def is_p_type_form(gram2, v_xy) -> bool:
     lines = isotropic_lines(gram2)
     if not lines:
         return False
-    return min(abs(form_pair(gram2, line, v_xy)) for line in lines) == vsq // 2
+    return min(abs(form.pair(line, v_xy)) for line in lines) == vsq // 2
 
 
 @dataclass(frozen=True)
@@ -105,13 +97,6 @@ class PTypeDecomposition:
 
     s: MukaiVector
     t: MukaiVector
-
-
-def _canonical_sign(coords) -> tuple[int, ...]:
-    first = next((x for x in coords if x), 0)
-    if first < 0:
-        return tuple(-x for x in coords)
-    return tuple(coords)
 
 
 @dataclass(frozen=True)
@@ -168,9 +153,6 @@ class PointedSublattice:
         off = pair(b1, b2)
         return cls(setup, v, basis, ((pair(b1, b1), off), (off, pair(b2, b2))), (x, y))
 
-    def sublattice(self) -> Sublattice:
-        return Sublattice(self.setup.ambient, self.basis)
-
     def member(self, xy) -> MukaiVector:
         """The ambient vector with the given sublattice coordinates."""
         x, y = xy
@@ -178,12 +160,10 @@ class PointedSublattice:
         return MukaiVector.from_coords(coords)
 
     def isotropic_classes(self) -> IsotropicCensus:
-        classes = []
-        for line in isotropic_lines(self.gram2):
-            vec = _canonical_sign(self.member(line).coords)
-            classes.append(MukaiVector.from_coords(vec))
-        classes.sort(key=lambda w: w.coords)
-        return IsotropicCensus(tuple(classes))
+        # The pivot of the first basis row lies left of the second's, and both
+        # pivots are positive, so the sign-fixed, sorted lines map to
+        # sign-fixed, sorted classes.
+        return IsotropicCensus(tuple(self.member(line) for line in isotropic_lines(self.gram2)))
 
     def is_p_type(self) -> bool:
         if not self.setup.is_primitive(self.v):
@@ -219,11 +199,7 @@ def construct_p_type(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Point
     otherwise the saturation contains an isotropic class of strictly smaller
     pairing.  The result is always of P-type.
     """
-    if not setup.is_primitive(v):
-        raise LatticeError("imprimitive", "v must be primitive")
-    vsq = setup.square(v)
-    if vsq < 6:
-        raise LatticeError("square-too-small", f"v^2 = {vsq} < 6")
+    vsq = setup.kummer_dimension(v) + 2
     if setup.square(a) != 0:
         raise LatticeError("not-isotropic", f"a^2 = {setup.square(a)} != 0")
     if not setup.is_primitive(a):
@@ -252,11 +228,7 @@ def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[Poin
     """
     if bound < 0:
         raise LatticeError("invalid-matrix", "bound must be nonnegative")
-    if not setup.is_primitive(v):
-        raise LatticeError("imprimitive", "v must be primitive")
-    vsq = setup.square(v)
-    if vsq < 6:
-        raise LatticeError("square-too-small", f"v^2 = {vsq} < 6")
+    vsq = setup.kummer_dimension(v) + 2
     half = vsq // 2
     ns = IntegralLattice._of(setup.ns_gram)
     v_coords = v.coords

@@ -15,6 +15,13 @@ the Smith transform ``v`` and its inverse.
 
 ``dense_pair`` is the bilinear form as the full double loop over the Gram
 matrix, zero entries included, that ``IntegralLattice.pair`` replaced.
+``kernel_via_smith`` is the integer kernel read off the Smith transform
+``v``, which ``integer_kernel`` replaced with one Hermite form.
+
+``mat_mul``, ``solve_rational``, ``rational_coords`` and ``coords`` are the
+matrix product and the rational and integer coordinate solves that the
+library no longer needs; the certificate tests and the oracles above use
+them.
 """
 
 from fractions import Fraction
@@ -31,7 +38,80 @@ from mukailat import (
     Sublattice,
     v_perp,
 )
-from mukailat.intlinalg import IntMatrix, freeze_matrix, identity, smith_normal_form, xgcd
+from mukailat.intlinalg import (
+    IntMatrix,
+    freeze_matrix,
+    hermite_basis,
+    identity,
+    smith_normal_form,
+    transpose,
+    xgcd,
+)
+
+
+def mat_mul(a, b) -> IntMatrix:
+    if a and b and len(a[0]) != len(b):
+        raise LatticeError("dimension-mismatch", "incompatible matrix shapes")
+    cols = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def solve_rational(rows, target):
+    """Coefficients ``c`` with ``sum(c[i] * rows[i]) == target`` over Q.
+
+    Returns a tuple of Fractions, or None when the target is outside the
+    rational row span.  Free coefficients (dependent rows) are set to zero.
+    """
+    k = len(rows)
+    if k == 0:
+        return () if not any(target) else None
+    n = len(rows[0])
+    if len(target) != n:
+        raise LatticeError("dimension-mismatch", "target length mismatch")
+    aug = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(target[j])] for j in range(n)]
+    piv_cols = []
+    r = 0
+    for c in range(k):
+        pr = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+    for i in range(r, n):
+        if aug[i][k] != 0:
+            return None
+    sol = [Fraction(0)] * k
+    for idx, c in enumerate(piv_cols):
+        sol[c] = aug[idx][k]
+    return tuple(sol)
+
+
+def rational_coords(sub: Sublattice, x):
+    """Coordinates of ``x`` in the basis of ``sub`` over Q, or None."""
+    return solve_rational(sub.basis, x)
+
+
+def coords(sub: Sublattice, x):
+    """Integer coordinates of ``x`` in the basis of ``sub``, or None."""
+    sol = rational_coords(sub, x)
+    if sol is None or any(c.denominator != 1 for c in sol):
+        return None
+    return tuple(int(c) for c in sol)
+
+
+def kernel_via_smith(mat) -> IntMatrix:
+    """``integer_kernel`` through the Smith form: the last columns of ``v`` past the rank."""
+    snf = smith_normal_form(mat)
+    n = len(snf.v)
+    cols = [tuple(snf.v[i][j] for i in range(n)) for j in range(snf.rank, n)]
+    return hermite_basis(cols)
 
 
 def dense_pair(gram, x, y):
@@ -128,10 +208,10 @@ def saturated_span(setup: MukaiSetup, v: MukaiVector, vectors) -> PointedSublatt
     sub, _ = saturate_snf(Sublattice(setup.ambient, rows))
     if sub.rank != 2:
         raise LatticeError("rank-mismatch", f"span has rank {sub.rank}, expected 2")
-    coords = sub.coords(v.coords)
-    if coords is None:
+    v_coords = coords(sub, v.coords)
+    if v_coords is None:
         raise LatticeError("not-pointed", "v does not lie in the sublattice")
-    return PointedSublattice(setup, v, sub.basis, sub.gram(), coords)
+    return PointedSublattice(setup, v, sub.basis, sub.gram(), v_coords)
 
 
 def enumerate_p_type_scan(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[PointedSublattice]:
@@ -169,18 +249,18 @@ def _project(setup, v, coords, vsq):
 
 
 def _line_class(setup, v, a, vsq, perp) -> LineClass:
-    coords = _project(setup, v, a.coords, vsq)
-    square = Fraction(setup.ambient.pair(coords, coords))
-    if not all(Fraction(p).denominator == 1 for p in (setup.ambient.pair(coords, b) for b in perp.basis)):
+    projected = _project(setup, v, a.coords, vsq)
+    square = Fraction(setup.ambient.pair(projected, projected))
+    if not all(Fraction(p).denominator == 1 for p in (setup.ambient.pair(projected, b) for b in perp.basis)):
         raise LatticeError("not-in-dual", "projection left the dual of v_perp")
-    if any(coords):
-        rational = perp.rational_coords(coords)
+    if any(projected):
+        rational = rational_coords(perp, projected)
         if rational is None:
             raise LatticeError("not-in-dual", "projection left the rational span of v_perp")
         disc_order = lcm(*(c.denominator for c in rational))
     else:
         disc_order = 1
-    return LineClass(v=v, coords=coords, square=square, disc_order=disc_order)
+    return LineClass(v=v, coords=projected, square=square, disc_order=disc_order)
 
 
 def line_class_scan(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClass:

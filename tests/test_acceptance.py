@@ -33,8 +33,8 @@ from mukailat import (
     rank_one_setup,
     theta_dual,
 )
-from mukailat.intlinalg import determinant, mat_mul, smith_normal_form
-from mukailat.ptype import form_pair, form_value
+from mukailat.intlinalg import determinant, smith_normal_form
+from oracles import dense_pair, mat_mul
 
 
 @contextmanager
@@ -164,7 +164,7 @@ def test_criterion_4_p_type_iff_decomposition():
             # the scan doubles as an exhaustive census cross-check
             assert set(brute) == set(isotropic_lines(gram))
             for vxy in v_candidates:
-                vsq = form_value(gram, vxy)
+                vsq = dense_pair(gram, vxy, vxy)
                 if vsq not in (6, 8, 10):
                     continue
                 pairs += 1
@@ -174,12 +174,12 @@ def test_criterion_4_p_type_iff_decomposition():
                 witnessed = False
                 for sx0, sy0 in brute:
                     for sx, sy in ((sx0, sy0), (-sx0, -sy0)):
-                        if form_pair(gram, (sx, sy), vxy) != half:
+                        if dense_pair(gram, (sx, sy), vxy) != half:
                             continue
                         tx, ty = vxy[0] - sx, vxy[1] - sy
                         if (tx, ty) == (0, 0) or gcd(tx, ty) != 1:
                             continue
-                        if form_value(gram, (tx, ty)) != 0:
+                        if dense_pair(gram, (tx, ty), (tx, ty)) != 0:
                             continue
                         witnessed = True
                         break

@@ -73,6 +73,9 @@ def test_snf_and_pair_and_saturate():
     assert result["value"] == 2
     result = ok_result('{"command": "saturate", "basis": [[2, 4]]}')
     assert result == {"basis": [[1, 2]], "index": 2}
+    # The zero sublattice is saturated, with index 1, with or without a Gram matrix.
+    assert ok_result('{"command": "saturate", "basis": []}') == {"basis": [], "index": 1}
+    assert ok_result('{"command": "saturate", "gram": [[1]], "basis": []}') == {"basis": [], "index": 1}
 
 
 def test_ptype_commands():

@@ -1,21 +1,19 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mukailat import kummer_mukai_setup
 from mukailat.errors import LatticeError
 from mukailat.intlinalg import (
     determinant,
     hermite_basis,
     integer_kernel,
-    mat_mul,
     signature,
     smith_diagonal,
     smith_normal_form,
-    solve_rational,
-    transpose,
     xgcd,
 )
-from oracles import hermite_with_transform, invert_unimodular
+from oracles import hermite_with_transform, invert_unimodular, kernel_via_smith, mat_mul, solve_rational
 
 matrices = st.integers(1, 5).flatmap(
     lambda n: st.integers(1, 5).flatmap(
@@ -154,17 +152,25 @@ def test_invert_unimodular_rejects_non_unimodular():
     assert err.value.code == "not-unimodular"
 
 
+def _v_perp_row(v):
+    """The pairings of ``v`` with the ``U^4`` Mukai basis, whose kernel is ``v_perp``."""
+    return [kummer_mukai_setup().ambient.dual_pairings(v)]
+
+
 @settings(max_examples=150)
-@given(matrices)
+@given(matrices_with_relations())
+@example(_v_perp_row((1, 0, 0, 0, 0, 0, 0, -3)))
+@example(_v_perp_row((0, 1, 1, 0, 0, 0, 0, 0)))
+@example(_v_perp_row((2, 1, 3, -1, 2, 0, 1, 5)))
+@example(_v_perp_row((0, 0, 0, 0, 0, 0, 3, 1)))
 def test_integer_kernel(mat):
     kernel = integer_kernel(mat)
-    cols = transpose(mat)
+    assert kernel == kernel_via_smith(mat)
     n = len(mat[0])
     for vec in kernel:
         assert len(vec) == n
         assert all(sum(r * x for r, x in zip(row, vec)) == 0 for row in mat)
-    rank = smith_normal_form(mat).rank
-    assert len(kernel) == n - rank
+    assert len(kernel) == n - smith_normal_form(mat).rank
 
 
 def test_solve_rational():

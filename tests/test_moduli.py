@@ -12,8 +12,6 @@ from mukailat import (
     enumerate_p_type,
     jh_feasibility,
     kummer_mukai_setup,
-    line_class_from_wall_side,
-    line_class_square,
     mori_candidates,
     rank_one_setup,
     theta_dual,
@@ -76,11 +74,11 @@ def test_projection_is_idempotent_and_orthogonal(six):
 
 def test_line_class_square(six):
     setup, v = six
-    assert line_class_square(setup, v, setup.vector(1, [0], 0)) == Fraction(-3, 2)
+    assert theta_dual(setup, v, setup.vector(1, [0], 0)).square == Fraction(-3, 2)
     # isotropic witness with (a, v) = v^2/2 always lands on -v^2/4
-    assert line_class_square(setup, v, setup.vector(-1, [1], -3)) == Fraction(-6, 4)
+    assert theta_dual(setup, v, setup.vector(-1, [1], -3)).square == Fraction(-6, 4)
     h = setup.vector(-2, [1], 0)
-    assert line_class_square(setup, v, h) == setup.square(h)
+    assert theta_dual(setup, v, h).square == setup.square(h)
 
 
 def test_classify_worked_example(six):
@@ -140,7 +138,7 @@ def test_v_perp(six):
     perp = v_perp(setup, v)
     assert perp.rank == 2
     assert all(setup.ambient.pair(row, v.coords) == 0 for row in perp.basis)
-    assert perp.is_saturated()
+    assert perp.saturation() == (perp, 1)
 
 
 def test_mori_bound_zero_is_empty(six):
@@ -217,7 +215,7 @@ def test_converse_square_forces_witness_pairing(six):
         a = setup.vector_from_coords(coords)
         if setup.square(a) != 0:
             continue
-        if line_class_square(setup, v, a) != target:
+        if theta_dual(setup, v, a).square != target:
             continue
         pairing = setup.pair(a, v)
         assert pairing * pairing == vsq * vsq // 4
@@ -273,20 +271,15 @@ def test_budget_equality_for_isotropic_pairs(six):
 
 
 def test_wall_sides_are_negatives(six):
+    # the two sides of a P-type wall project s and t = v - s
     setup, v = six
-    lattice = construct_p_type(setup, v, setup.vector(1, [0], 0))
-    plus = line_class_from_wall_side(setup, lattice, "plus")
-    minus = line_class_from_wall_side(setup, lattice, "minus")
+    dec = construct_p_type(setup, v, setup.vector(1, [0], 0)).decomposition()
+    plus = theta_dual(setup, v, dec.s)
+    minus = theta_dual(setup, v, dec.t)
     assert plus.coords == (Fraction(1), Fraction(-1, 2), Fraction(3, 2))
     assert minus.coords == tuple(-x for x in plus.coords)
     assert plus.square == minus.square == Fraction(-3, 2)
     assert plus.disc_order == minus.disc_order == 2
-    with pytest.raises(LatticeError) as err:
-        line_class_from_wall_side(setup, lattice, "up")
-    assert err.value.code == "invalid-side"
-    with pytest.raises(LatticeError) as err:
-        line_class_from_wall_side(rank_one_setup(2), lattice, "plus")
-    assert err.value.code == "dimension-mismatch"
 
 
 def test_pipeline_on_picard_rank_two_setups():
@@ -318,8 +311,8 @@ def test_pipeline_on_picard_rank_two_setups():
                 assert setup.square(dec.s) == 0 == setup.square(dec.t)
                 assert setup.pair(dec.s, v) == vsq // 2 == setup.pair(dec.t, v)
                 assert 2 * (setup.pair(dec.s, dec.t) - 1) == vsq - 2
-                plus = line_class_from_wall_side(setup, lattice, "plus")
-                minus = line_class_from_wall_side(setup, lattice, "minus")
+                plus = theta_dual(setup, v, dec.s)
+                minus = theta_dual(setup, v, dec.t)
                 assert plus.square == Fraction(-(n + 1), 2)
                 assert plus.disc_order == 2
                 assert plus.coords == tuple(-x for x in minus.coords)
@@ -332,14 +325,13 @@ def test_pipeline_on_picard_rank_two_setups():
     assert seen >= 40
 
 
-def test_wall_side_requires_p_type(six):
-    setup, _ = six
+def test_wall_side_requires_p_type():
+    # a lattice that is not of P-type has no wall, so no (s, t) to project
     from mukailat import PointedSublattice
 
-    w = setup.vector(1, [0], -3)
     two = rank_one_setup(2)
     w = two.vector(1, [0], -3)
     lattice = PointedSublattice.span(two, w, [w, two.vector(1, [0], 0)])
     with pytest.raises(LatticeError) as err:
-        line_class_from_wall_side(two, lattice, "plus")
+        lattice.decomposition()
     assert err.value.code == "not-p-type"

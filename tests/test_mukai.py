@@ -74,11 +74,12 @@ def test_euler_pairing(six):
 
 
 def test_from_chern(six):
-    assert six.from_chern(1, [0], 0) == six.vector(1, [0], 0)
-    assert six.from_chern(0, [0], 1) == six.vector(0, [0], 1)
-    # line bundle with c1 = H, H^2 = 6: ch2 = H^2/2 = 3
-    line_bundle = six.from_chern(1, [1], 3)
+    # the Todd class of an abelian surface is trivial, so ``vector`` takes
+    # the Chern data (rank, c1, ch2) verbatim; a line bundle with c1 = H,
+    # H^2 = 6 has ch2 = H^2/2 = 3 and is isotropic
+    line_bundle = six.vector(1, [1], 3)
     assert line_bundle.coords == (1, 1, 3)
+    assert six.square(line_bundle) == 0
 
 
 def test_moduli_dimension(six):
@@ -103,10 +104,10 @@ def test_kummer_dimension(six):
     assert six.kummer_dimension(v) == six.moduli_dimension(v) - 4
     with pytest.raises(LatticeError) as err:
         six.kummer_dimension(six.vector(0, [2], -6))
-    assert err.value.code == "imprimitive"
+    assert (err.value.code, str(err.value)) == ("imprimitive", "v must be primitive")
     with pytest.raises(LatticeError) as err:
         six.kummer_dimension(six.vector(1, [0], 0))
-    assert err.value.code == "square-too-small"
+    assert (err.value.code, str(err.value)) == ("square-too-small", "v^2 = 0 < 6")
 
 
 @pytest.mark.parametrize("n", range(2, 21))

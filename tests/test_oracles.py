@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    coords,
     dense_pair,
     enumerate_p_type_scan,
     line_class_scan,
@@ -216,10 +217,10 @@ def test_span_matches_the_generic_saturation(data):
     got = _outcome(PointedSublattice.span, setup, v, generators)
     assert got == _outcome(saturated_span, setup, v, generators)
     if isinstance(got, PointedSublattice):
-        saturated = Sublattice(setup.ambient, generators).saturate()
+        saturated = Sublattice(setup.ambient, generators).saturation()[0]
         assert got.basis == saturated.basis
         assert got.gram2 == saturated.gram()
-        assert got.v_coords == saturated.coords(v.coords)
+        assert got.v_coords == coords(saturated, v.coords)
 
 
 def test_span_error_codes():
@@ -228,7 +229,7 @@ def test_span_error_codes():
     a = setup.vector(1, [0], 0)
     doubled = PointedSublattice.span(setup, v, [2 * a, v])
     assert doubled == saturated_span(setup, v, [a, v])
-    assert Sublattice(setup.ambient, [(2, 0, 0), v.coords]).saturation_index() == 2
+    assert Sublattice(setup.ambient, [(2, 0, 0), v.coords]).saturation()[1] == 2
     cases = {
         "rank-mismatch": [a],
         "dependent-rows": [a, v, a + v],
@@ -257,8 +258,6 @@ def test_saturation_matches_the_smith_route(data):
         assume(False)
     expected = saturate_snf(sub)
     assert sub.saturation() == expected
-    assert sub.saturate() == expected[0]
-    assert sub.saturation_index() == expected[1]
     assert expected[0].saturation() == (expected[0], 1)
 
 

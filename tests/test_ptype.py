@@ -5,15 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mukailat import (
+    IntegralLattice,
     LatticeError,
+    MukaiSetup,
     PointedSublattice,
+    Sublattice,
     construct_p_type,
     enumerate_p_type,
     is_p_type_form,
     isotropic_lines,
+    kummer_mukai_setup,
     rank_one_setup,
 )
-from mukailat.ptype import form_pair, form_value
+from oracles import coords
 
 
 def brute_lines(a, b, c, box=60):
@@ -52,7 +56,7 @@ def test_isotropic_lines_against_brute_force(a, b, c):
     assert set(lines) == brute_lines(a, b, c)
     assert len(lines) <= 2
     for xy in lines:
-        assert form_value(((a, b), (b, c)), xy) == 0
+        assert a * xy[0] ** 2 + 2 * b * xy[0] * xy[1] + c * xy[1] ** 2 == 0
         assert gcd(*xy) == 1
 
 
@@ -78,8 +82,8 @@ def test_span_saturates(worked):
     setup, v, _ = worked
     doubled = PointedSublattice.span(setup, v, [2 * setup.vector(1, [0], 0), v])
     assert doubled.basis == ((1, 0, 0), (0, 1, -3))
-    sub = doubled.sublattice()
-    assert sub.is_saturated()
+    sub = Sublattice(setup.ambient, doubled.basis)
+    assert sub.saturation() == (sub, 1)
 
 
 def test_span_requires_rank_two_and_membership(worked):
@@ -230,7 +234,46 @@ def test_is_p_type_form_matches_lattice_level(worked):
 def test_form_pair_is_restriction(worked):
     setup, v, lattice = worked
     census = lattice.isotropic_classes().classes
+    sub = Sublattice(setup.ambient, lattice.basis)
     for a in census:
-        coords = lattice.sublattice().coords(a.coords)
-        assert coords is not None
-        assert form_pair(lattice.gram2, coords, lattice.v_coords) == setup.pair(a, v)
+        xy = coords(sub, a.coords)
+        assert xy is not None
+        assert IntegralLattice(lattice.gram2).pair(xy, lattice.v_coords) == setup.pair(a, v)
+
+
+@st.composite
+def spans(draw):
+    """A setup, a primitive ``v`` and a second generator, isotropic half the time.
+
+    ``(1, c, c.Nc/2)`` is isotropic for every ``c``, so those spans have a
+    nonempty census.
+    """
+    setup = draw(
+        st.sampled_from(
+            [rank_one_setup(2), rank_one_setup(6), MukaiSetup([[2, 1], [1, -2]]), kummer_mukai_setup()]
+        )
+    )
+    entries = st.lists(st.integers(-6, 6), min_size=setup.rank, max_size=setup.rank)
+    v = setup.vector_from_coords(draw(entries.filter(lambda x: gcd(*x) == 1)))
+    if draw(st.booleans()):
+        c = draw(st.lists(st.integers(-3, 3), min_size=setup.rho, max_size=setup.rho))
+        w = draw(st.integers(-3, 3)) * setup.vector(1, c, IntegralLattice(setup.ns_gram).square(c) // 2)
+    else:
+        w = setup.vector_from_coords(draw(entries))
+    return setup, v, w
+
+
+@settings(max_examples=300)
+@given(spans())
+def test_census_classes_are_sign_fixed_and_sorted(drawn):
+    setup, v, w = drawn
+    try:
+        census = PointedSublattice.span(setup, v, [v, w]).isotropic_classes()
+    except LatticeError as err:
+        assert err.code in ("dependent-rows", "totally-isotropic")
+        return
+    classes = [a.coords for a in census.classes]
+    assert classes == sorted(set(classes))
+    for a in classes:
+        assert next(x for x in a if x) > 0
+        assert setup.ambient.square(a) == 0 and gcd(*a) == 1
