@@ -27,7 +27,6 @@ from .moduli import (
 from .mukai import (
     MukaiSetup,
     MukaiVector,
-    hyperbolic_gram,
     kummer_bbf_lattice,
     kummer_mukai_setup,
     rank_one_setup,
@@ -65,7 +64,6 @@ __all__ = [
     "contraction_budget",
     "enumerate_p_type",
     "hermite_basis",
-    "hyperbolic_gram",
     "is_p_type_form",
     "isotropic_lines",
     "jh_feasibility",

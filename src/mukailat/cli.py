@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 from typing import Callable, NamedTuple
 
 from . import moduli, ptype
@@ -222,11 +221,16 @@ def _cmd_mori(setup, v, h, bound):
     ]
 
 
-def _cmd_partition(check, setup, v, parts):
-    # ``check`` names a function of ``moduli``.  It is looked up per call, so
-    # a wrapper later bound to that name (as bench/tracing.py does) sees it.
-    report = getattr(moduli, check)(setup, v, parts)
+def _partition_result(report):
     return report.m, report.jh_ok, report.ext1_budget_ok, report.ext1_cross, report.dim_identity_ok
+
+
+def _cmd_jh_check(setup, v, parts):
+    return _partition_result(moduli.jh_feasibility(setup, v, parts))
+
+
+def _cmd_budget_check(setup, v, parts):
+    return _partition_result(moduli.contraction_budget(setup, v, parts))
 
 
 class Command(NamedTuple):
@@ -268,10 +272,8 @@ COMMANDS = {
         ),
     ),
     "mori": Command(_cmd_mori, ("ns|setup", "v", "h", "bound?"), ("count", "candidates")),
-    "jh-check": Command(partial(_cmd_partition, "jh_feasibility"), _PARTITION_PAYLOAD, _PARTITION_RESULT),
-    "budget-check": Command(
-        partial(_cmd_partition, "contraction_budget"), _PARTITION_PAYLOAD, _PARTITION_RESULT
-    ),
+    "jh-check": Command(_cmd_jh_check, _PARTITION_PAYLOAD, _PARTITION_RESULT),
+    "budget-check": Command(_cmd_budget_check, _PARTITION_PAYLOAD, _PARTITION_RESULT),
 }
 
 SCHEMA = {

@@ -1,16 +1,15 @@
-"""Exact linear algebra over the integers and the rationals.
+"""Exact linear algebra over the integers.
 
-Everything here operates on plain Python ints and ``fractions.Fraction``,
-so every result is exact at arbitrary size; no floating point is used
-anywhere in this package.  Matrices are sequences of equal-length rows and
-are returned as immutable tuples of tuples.
+Everything here operates on plain Python ints, so every result is exact at
+arbitrary size; no floating point is used anywhere in this package.
+Matrices are sequences of equal-length rows and are returned as immutable
+tuples of tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from operator import mul
 
 from .errors import LatticeError
 
@@ -212,8 +211,8 @@ def smith_normal_form(mat) -> SNFResult:
 
 
 def smith_diagonal(mat) -> tuple[int, ...]:
-    """``smith_normal_form(mat).diagonal``, by the same elimination without the transforms."""
-    a = [list(row) for row in freeze_matrix(mat)]
+    """``smith_normal_form(mat).diagonal`` of an unchecked ``mat``, without the transforms."""
+    a = [list(row) for row in mat]
     _smith_eliminate(a, None, None)
     return tuple(a[i][i] for i in range(min(len(a), len(a[0]) if a else 0)))
 
@@ -272,13 +271,14 @@ def _hermite(rows) -> IntMatrix:
 def saturation(rows) -> tuple[IntMatrix, int]:
     """Hermite basis of ``Q-span(rows) & Z^n``, and the index of the row span in it.
 
-    ``rows`` (k x n) must be linearly independent.  One column-echelon pass
-    brings them to ``rows @ V = [L | 0]`` with ``L`` lower triangular, and
-    applies the inverse operations to the rows of ``W = V^-1``, so that
-    ``rows = L @ W[:k]``.  The unimodular ``W`` makes ``W[:k]`` a basis of
-    the saturation, and the index is ``|det L|``.  No transform is returned.
+    ``rows`` (k x n, unchecked) must be linearly independent.  One
+    column-echelon pass brings them to ``rows @ V = [L | 0]`` with ``L``
+    lower triangular, and applies the inverse operations to the rows of
+    ``W = V^-1``, so that ``rows = L @ W[:k]``.  The unimodular ``W`` makes
+    ``W[:k]`` a basis of the saturation, and the index is ``|det L|``.  No
+    transform is returned.
     """
-    b = [list(row) for row in freeze_matrix(rows)]
+    b = [list(row) for row in rows]
     k = len(b)
     n = len(b[0]) if b else 0
     w = identity(n)
@@ -307,7 +307,7 @@ def saturation(rows) -> tuple[IntMatrix, int]:
         if not pivot_row[t]:
             raise LatticeError("dependent-rows", "basis rows are linearly dependent")
         index *= pivot_row[t]
-    return hermite_basis(w[:k]), abs(index)
+    return _hermite(w[:k]), abs(index)
 
 
 def integer_kernel(mat) -> IntMatrix:
@@ -316,69 +316,35 @@ def integer_kernel(mat) -> IntMatrix:
     The rows of ``[mat^T | I]`` span the pairs ``(mat @ x, x)``.  In their
     Hermite form, the rows that vanish in the first ``k = len(mat)`` columns
     span the pairs with ``mat @ x == 0``, and with those ``k`` columns
-    dropped they already are the Hermite basis of the kernel.
+    dropped they already are the Hermite basis of the kernel.  ``mat`` is unchecked.
     """
-    rows = freeze_matrix(mat)
-    k = len(rows)
-    n = len(rows[0]) if rows else 0
-    stacked = [(*col, *unit) for col, unit in zip(zip(*rows), identity(n))]
+    k = len(mat)
+    n = len(mat[0]) if mat else 0
+    stacked = [(*col, *unit) for col, unit in zip(zip(*mat), identity(n))]
     return tuple(row[k:] for row in _hermite(stacked) if not any(row[:k]))
 
 
 def signature(gram) -> tuple[int, int, int]:
     """Inertia ``(positive, negative, zero)`` of a symmetric integer matrix.
 
-    Exact symmetric congruence diagonalisation over Q; Sylvester's law makes
-    the diagonal signs an invariant.
+    The Faddeev-LeVerrier recursion gives ``p(x) = det(xI - gram)`` in
+    integers, with exact divisions, in n matrix products: O(n^4), slower than
+    an elimination beyond about n = 16.  The roots are all real, so Descartes'
+    rule of signs is exact: the sign changes of ``p(x)`` and ``p(-x)`` count
+    the positive and negative eigenvalues, and the exponent of the lowest
+    nonzero term counts the zero ones.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = zero = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if swap is not None:
-                i = swap
-                a[k], a[i] = a[i], a[k]
-                for row in a:
-                    row[k], row[i] = row[i], row[k]
-            else:
-                off = next(
-                    (
-                        (i, j)
-                        for i in range(k, n)
-                        for j in range(i + 1, n)
-                        if a[i][j] != 0
-                    ),
-                    None,
-                )
-                if off is None:
-                    zero += n - k
-                    break
-                i, j = off
-                # a[i][i] == a[j][j] == 0, so adding row/col j to row/col i
-                # produces diagonal entry 2*a[i][j] != 0.
-                for col in range(n):
-                    a[i][col] += a[j][col]
-                for row in a:
-                    row[i] += row[j]
-                if i != k:
-                    a[k], a[i] = a[i], a[k]
-                    for row in a:
-                        row[k], row[i] = row[i], row[k]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        col = [a[i][k] for i in range(n)]
-        for i in range(k + 1, n):
-            if col[i] == 0:
-                continue
-            f = col[i] / d
-            for j in range(k + 1, n):
-                a[i][j] -= f * col[j]
-        for i in range(k + 1, n):
-            a[i][k] = Fraction(0)
-            a[k][i] = Fraction(0)
-    return pos, neg, zero
+    p, m = [1], identity(n)  # p ends as the coefficients of x^0, ..., x^n
+    for k in range(1, n + 1):
+        # M_k is a polynomial in the symmetric gram, so its rows are its columns.
+        m = [[sum(map(mul, row, col)) for col in m] for row in gram]
+        p.insert(0, -sum(m[i][i] for i in range(n)) // k)
+        for i in range(n):
+            m[i][i] += p[0]
+    zero = next(i for i, c in enumerate(p) if c)
+    return _sign_changes(p), _sign_changes([-c if i % 2 else c for i, c in enumerate(p)]), zero
+
+def _sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))

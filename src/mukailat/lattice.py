@@ -123,8 +123,9 @@ class IntegralLattice:
 
     def discriminant_group(self) -> DiscriminantGroup:
         """Elementary divisors of the Gram matrix, from a Smith elimination without transforms."""
-        self._check_nondegenerate("discriminant_group")
         diag = intlinalg.smith_diagonal(self.gram)
+        if 0 in diag:
+            raise LatticeError("degenerate-lattice", "discriminant_group requires a nondegenerate lattice")
         factors = tuple(d for d in diag if d > 1)
         order = 1
         for d in diag:
@@ -157,7 +158,7 @@ class Sublattice:
 
     def __init__(self, ambient: IntegralLattice, rows):
         rows = intlinalg.freeze_matrix(rows)
-        basis = intlinalg.hermite_basis(rows)
+        basis = intlinalg._hermite(rows)
         if len(basis) < len(rows):
             raise LatticeError("dependent-rows", "basis rows are linearly dependent")
         for row in basis:

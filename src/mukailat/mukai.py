@@ -52,9 +52,6 @@ class MukaiVector:
             raise LatticeError("dimension-mismatch", "need at least rank and degree-4 parts")
         return cls._of(coords[0], coords[1:-1], coords[-1])
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     # Sums and integer multiples of valid vectors are valid: only the scalar
     # is checked.
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
@@ -81,9 +78,9 @@ class MukaiVector:
 class MukaiSetup:
     """The rank ``rho + 2`` Mukai lattice built from a Neron-Severi Gram matrix.
 
-    The NS matrix must be symmetric and even; by default it must also have
-    the Hodge-index signature ``(1, rho - 1)``, which makes the ambient
-    signature ``(2, rho)``.  Pass ``check_hodge_signature=False`` for
+    The NS matrix must be symmetric, even and nondegenerate; by default it
+    must also have the Hodge-index signature ``(1, rho - 1)``, which makes
+    the ambient signature ``(2, rho)``.  Pass ``check_hodge_signature=False`` for
     abstract presets such as the full ``U^4`` lattice, whose NS block is the
     unimodular ``U^3`` of signature ``(3, 3)``.
     """
@@ -107,15 +104,12 @@ class MukaiSetup:
         ambient.append((-1,) + (0,) * rho + (0,))
         # Square and symmetric because the NS block is.
         self.ambient = IntegralLattice._of(tuple(ambient))
-        if self.ambient.det() == 0:
+        # det(ambient) = -det(ns), so the ambient is degenerate exactly when ns is.
+        sig = signature(ns)
+        if sig[2]:
             raise LatticeError("degenerate-lattice", "Gram matrix has determinant 0")
-        if check_hodge_signature:
-            sig = signature(ns)
-            if sig != (1, rho - 1, 0):
-                raise LatticeError(
-                    "bad-signature",
-                    f"NS signature {sig[:2]} is not (1, {rho - 1})",
-                )
+        if check_hodge_signature and sig != (1, rho - 1, 0):
+            raise LatticeError("bad-signature", f"NS signature {sig[:2]} is not (1, {rho - 1})")
 
     @property
     def rho(self) -> int:
@@ -182,10 +176,6 @@ class MukaiSetup:
             raise LatticeError("square-too-small", f"v^2 = {sq} < 6")
         return sq - 2
 
-    def kummer_n(self, v: MukaiVector) -> int:
-        """Half the fibre dimension: ``n = v^2/2 - 1``."""
-        return self.kummer_dimension(v) // 2
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MukaiSetup) and self.ns_gram == other.ns_gram
 
@@ -194,11 +184,6 @@ class MukaiSetup:
 
     def __repr__(self) -> str:
         return f"MukaiSetup(rho={self.rho})"
-
-
-def hyperbolic_gram() -> IntMatrix:
-    """Gram matrix of the unimodular hyperbolic plane U."""
-    return ((0, 1), (1, 0))
 
 
 def _u_cubed_block(size: int) -> list[list[int]]:

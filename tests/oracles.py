@@ -18,6 +18,9 @@ matrix, zero entries included, that ``IntegralLattice.pair`` replaced.
 ``kernel_via_smith`` is the integer kernel read off the Smith transform
 ``v``, which ``integer_kernel`` replaced with one Hermite form.
 
+``signature_congruence`` is the symmetric congruence diagonalisation over
+``Fraction``s that the integer ``signature`` replaced.
+
 ``mat_mul``, ``solve_rational``, ``rational_coords`` and ``coords`` are the
 matrix product and the rational and integer coordinate solves that the
 library no longer needs; the certificate tests and the oracles above use
@@ -311,3 +314,62 @@ def mori_candidates_scan(setup: MukaiSetup, v: MukaiVector, h: MukaiVector, boun
         out.append(MoriCandidate(a=a, line_class=lc, lagrangian=lagrangian))
     out.sort(key=lambda cand: cand.a.coords)
     return out
+
+
+def signature_congruence(gram) -> tuple[int, int, int]:
+    """Inertia ``(positive, negative, zero)`` of a symmetric integer matrix.
+
+    Exact symmetric congruence diagonalisation over Q; Sylvester's law makes
+    the diagonal signs an invariant.
+    """
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    pos = neg = zero = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if swap is not None:
+                i = swap
+                a[k], a[i] = a[i], a[k]
+                for row in a:
+                    row[k], row[i] = row[i], row[k]
+            else:
+                off = next(
+                    (
+                        (i, j)
+                        for i in range(k, n)
+                        for j in range(i + 1, n)
+                        if a[i][j] != 0
+                    ),
+                    None,
+                )
+                if off is None:
+                    zero += n - k
+                    break
+                i, j = off
+                # a[i][i] == a[j][j] == 0, so adding row/col j to row/col i
+                # produces diagonal entry 2*a[i][j] != 0.
+                for col in range(n):
+                    a[i][col] += a[j][col]
+                for row in a:
+                    row[i] += row[j]
+                if i != k:
+                    a[k], a[i] = a[i], a[k]
+                    for row in a:
+                        row[k], row[i] = row[i], row[k]
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        col = [a[i][k] for i in range(n)]
+        for i in range(k + 1, n):
+            if col[i] == 0:
+                continue
+            f = col[i] / d
+            for j in range(k + 1, n):
+                a[i][j] -= f * col[j]
+        for i in range(k + 1, n):
+            a[i][k] = Fraction(0)
+            a[k][i] = Fraction(0)
+    return pos, neg, zero

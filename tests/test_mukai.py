@@ -100,7 +100,7 @@ def test_moduli_dimension(six):
 def test_kummer_dimension(six):
     v = six.vector(0, [1], -3)
     assert six.kummer_dimension(v) == 4
-    assert six.kummer_n(v) == 2
+    assert six.kummer_dimension(v) // 2 == 2
     assert six.kummer_dimension(v) == six.moduli_dimension(v) - 4
     with pytest.raises(LatticeError) as err:
         six.kummer_dimension(six.vector(0, [2], -6))
@@ -116,7 +116,7 @@ def test_kummer_dimension_identity(n):
     v = setup.vector(0, [1], -(n + 1))
     assert setup.square(v) == 2 * n + 2
     assert setup.kummer_dimension(v) == 2 * n
-    assert setup.kummer_n(v) == n
+    assert setup.kummer_dimension(v) // 2 == n
 
 
 def test_kummer_dimension_needs_square_at_least_six():
@@ -211,8 +211,8 @@ def test_vector_arithmetic(six):
     assert (v + a).coords == (1, 1, -3)
     assert (-v).coords == (0, -1, 3)
     assert (2 * v).coords == (0, 2, -6)
-    assert not v.is_zero()
-    assert (v - v).is_zero()
+    assert any(v.coords)
+    assert not any((v - v).coords)
     assert six.is_primitive(v)
     assert not six.is_primitive(2 * v)
     # The arithmetic builds its results unchecked; they must equal the same

@@ -9,7 +9,10 @@ branches of the closed form: a witness with ``r = 0``, and a ``v`` with
 candidates of ``mori`` are checked against the witnesses of the P-type
 lattices that ``enumerate_p_type`` finds, and the sparse pairing against the
 dense double loop.  Saturation is checked against the route through the Smith
-transform, and discriminant groups against sympy's invariant factors.
+transform, and discriminant groups against sympy's invariant factors.  The
+integer ``signature`` is checked against the ``Fraction`` congruence
+diagonalisation it replaced, and the nondegeneracy checks that read the
+signature or the Smith diagonal against the Bareiss ``determinant``.
 """
 
 from functools import lru_cache
@@ -17,7 +20,7 @@ from itertools import combinations, product
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -28,6 +31,7 @@ from oracles import (
     mori_candidates_scan,
     saturate_snf,
     saturated_span,
+    signature_congruence,
 )
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
@@ -39,11 +43,12 @@ from mukailat import (
     PointedSublattice,
     Sublattice,
     enumerate_p_type,
+    kummer_bbf_lattice,
     kummer_mukai_setup,
     mori_candidates,
     theta_dual,
 )
-from mukailat.intlinalg import determinant, smith_normal_form
+from mukailat.intlinalg import determinant, signature, smith_normal_form
 
 BOX = 4
 
@@ -182,9 +187,9 @@ def test_theta_dual_matches_the_rational_solve(data):
     assert theta_dual(setup, v, a) == line_class_scan(setup, v, a)
 
 
-def _outcome(span, setup, v, generators):
+def _outcome(fn, *args):
     try:
-        return span(setup, v, generators)
+        return fn(*args)
     except LatticeError as exc:
         return exc.code, str(exc)
 
@@ -317,3 +322,46 @@ def test_pairing_rejects_a_wrong_length(n):
             method(*args)
         assert err.value.code == "dimension-mismatch"
         assert str(err.value) == f"vector of length {length} in a rank {n} lattice"
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=8):
+    """A symmetric integer matrix, dense, low-rank ``B^T D B`` or with a zero diagonal."""
+    n = draw(st.integers(1, max_n))
+    mode = draw(st.sampled_from(["dense", "low rank", "zero diagonal"]))
+    if mode == "low rank":
+        r = draw(st.integers(0, n))
+        b = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(r)]
+        d = [draw(st.sampled_from([-2, -1, 1, 2])) for _ in range(r)]
+        return [[sum(b[k][i] * d[k] * b[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
+    upper = [[draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(n)]
+    gram = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if mode == "zero diagonal":
+        for i in range(n):
+            gram[i][i] = 0
+    return gram
+
+
+@slow(300)
+@given(symmetric_matrices())
+@example(kummer_mukai_setup().ns_gram)
+@example(kummer_bbf_lattice(1).gram)
+@example(kummer_bbf_lattice(2).gram)
+@example(kummer_bbf_lattice(3).gram)
+@example(kummer_bbf_lattice(4).gram)
+@example(kummer_mukai_setup().ambient.gram)
+def test_signature_matches_the_congruence_diagonalisation(gram):
+    assert signature(gram) == signature_congruence(gram)
+
+
+@slow(200)
+@given(symmetric_matrices(6))
+def test_degenerate_exactly_when_the_determinant_vanishes(gram):
+    singular = determinant(gram) == 0
+    degenerate = ("degenerate-lattice", "discriminant_group requires a nondegenerate lattice")
+    assert (_outcome(IntegralLattice(gram).discriminant_group) == degenerate) == singular
+    # Doubling keeps the matrix singular or not and makes its diagonal even.
+    ns = [[2 * x for x in row] for row in gram]
+    for check in (True, False):
+        outcome = _outcome(lambda: MukaiSetup(ns, check_hodge_signature=check))
+        assert (outcome == ("degenerate-lattice", "Gram matrix has determinant 0")) == singular

@@ -35,7 +35,6 @@ def test_public_names():
         "contraction_budget",
         "enumerate_p_type",
         "hermite_basis",
-        "hyperbolic_gram",
         "is_p_type_form",
         "isotropic_lines",
         "jh_feasibility",
