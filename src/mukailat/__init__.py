@@ -32,7 +32,6 @@ from .mukai import (
     rank_one_setup,
 )
 from .ptype import (
-    IsotropicCensus,
     PointedSublattice,
     PTypeDecomposition,
     construct_p_type,
@@ -47,7 +46,6 @@ __all__ = [
     "ALBANESE_FIBRE_CODIM",
     "DiscriminantGroup",
     "IntegralLattice",
-    "IsotropicCensus",
     "LatticeError",
     "LineClass",
     "LineClassVerdict",

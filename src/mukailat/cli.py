@@ -174,7 +174,7 @@ def _cmd_pair(lattice, x, y):
 
 def _cmd_ptype_check(setup, v, generators):
     lattice = ptype.PointedSublattice.span(setup, v, generators)
-    census = [a.coords for a in lattice.isotropic_classes().classes]
+    census = [a.coords for a in lattice.isotropic_classes()]
     return lattice.is_p_type(), census, setup.square(v), lattice.basis
 
 

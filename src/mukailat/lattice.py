@@ -44,14 +44,12 @@ class IntegralLattice:
                 if rows[i][j] != rows[j][i]:
                     raise LatticeError("invalid-matrix", "Gram matrix must be symmetric")
         self.gram: IntMatrix = rows
-        self._det: int | None = None
 
     @classmethod
     def _of(cls, gram: IntMatrix) -> "IntegralLattice":
         """A lattice on a Gram matrix already known to be square, symmetric and integral."""
         lattice = cls.__new__(cls)
         lattice.gram = gram
-        lattice._det = None
         return lattice
 
     @cached_property
@@ -69,13 +67,15 @@ class IntegralLattice:
         return len(self.gram)
 
     def det(self) -> int:
-        if self._det is None:
-            self._det = intlinalg.determinant(self.gram)
-        return self._det
+        """The determinant of the Gram matrix, by a Bareiss elimination on every call."""
+        return intlinalg.determinant(self.gram)
 
-    def _check_nondegenerate(self, op: str) -> None:
-        if self.det() == 0:
+    def _smith_diagonal(self, op: str) -> tuple[int, ...]:
+        """The Smith diagonal of the Gram matrix; a 0 on it fails ``op`` as degenerate."""
+        diag = intlinalg.smith_diagonal(self.gram)
+        if 0 in diag:
             raise LatticeError("degenerate-lattice", f"{op} requires a nondegenerate lattice")
+        return diag
 
     def _check_length(self, x) -> None:
         if len(x) != self.rank:
@@ -113,7 +113,7 @@ class IntegralLattice:
         self._check_length(x)
         if not any(x):
             raise LatticeError("zero-vector", "divisibility is undefined for the zero vector")
-        self._check_nondegenerate("divisibility")
+        self._smith_diagonal("divisibility")
         return reduce(gcd, self.dual_pairings(x), 0)
 
     def dual_pairings(self, x) -> tuple:
@@ -123,9 +123,7 @@ class IntegralLattice:
 
     def discriminant_group(self) -> DiscriminantGroup:
         """Elementary divisors of the Gram matrix, from a Smith elimination without transforms."""
-        diag = intlinalg.smith_diagonal(self.gram)
-        if 0 in diag:
-            raise LatticeError("degenerate-lattice", "discriminant_group requires a nondegenerate lattice")
+        diag = self._smith_diagonal("discriminant_group")
         factors = tuple(d for d in diag if d > 1)
         order = 1
         for d in diag:
@@ -210,7 +208,7 @@ class Sublattice:
 
     def orthogonal_complement(self) -> "Sublattice":
         """Saturated sublattice of everything pairing to zero with this span."""
-        self.ambient._check_nondegenerate("orthogonal_complement")
+        self.ambient._smith_diagonal("orthogonal_complement")
         if self.rank == 0:
             return Sublattice(self.ambient, intlinalg.identity(self.ambient.rank))
         pairing_rows = tuple(self.ambient.dual_pairings(b) for b in self.basis)

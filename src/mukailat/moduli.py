@@ -45,7 +45,6 @@ class LineClass:
     group of ``v_perp``.
     """
 
-    v: MukaiVector
     coords: tuple[Fraction, ...]
     square: Fraction
     disc_order: int
@@ -76,7 +75,6 @@ def _line_class(v: MukaiVector, coords: tuple[int, ...], asq: int, pairing: int,
     """
     numerators = tuple(vsq * x - pairing * y for x, y in zip(coords, v.coords))
     return LineClass(
-        v=v,
         coords=tuple(Fraction(x, vsq) for x in numerators),
         square=Fraction(vsq * asq - pairing * pairing, vsq),
         disc_order=vsq // gcd(vsq, *numerators),
@@ -303,7 +301,7 @@ def _report(setup: MukaiSetup, v: MukaiVector, parts: tuple[MukaiVector, ...]) -
 
 def _check_parts(setup: MukaiSetup, v: MukaiVector, parts) -> tuple[MukaiVector, ...]:
     parts = tuple(
-        p if isinstance(p, MukaiVector) else setup.vector_from_coords(p) for p in parts
+        setup._check(p if isinstance(p, MukaiVector) else MukaiVector.from_coords(p)) for p in parts
     )
     if not parts:
         raise LatticeError("empty-partition", "a partition needs at least one part")

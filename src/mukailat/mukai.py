@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import LatticeError
-from .intlinalg import IntMatrix, freeze_matrix, freeze_vector, signature
+from .intlinalg import freeze_vector
 from .lattice import IntegralLattice
 
 
@@ -86,17 +86,11 @@ class MukaiSetup:
     """
 
     def __init__(self, ns_gram, *, check_hodge_signature: bool = True):
-        ns = freeze_matrix(ns_gram)
+        ns_lattice = IntegralLattice(ns_gram)
+        if not ns_lattice.is_even():
+            raise LatticeError("not-even", "NS Gram matrix must have even diagonal")
+        ns = self.ns_gram = ns_lattice.gram
         rho = len(ns)
-        if rho == 0 or any(len(row) != rho for row in ns):
-            raise LatticeError("invalid-matrix", "NS Gram matrix must be square, rank >= 1")
-        for i in range(rho):
-            if ns[i][i] % 2:
-                raise LatticeError("not-even", "NS Gram matrix must have even diagonal")
-            for j in range(i + 1, rho):
-                if ns[i][j] != ns[j][i]:
-                    raise LatticeError("invalid-matrix", "NS Gram matrix must be symmetric")
-        self.ns_gram: IntMatrix = ns
         ambient = []
         ambient.append((0,) + (0,) * rho + (-1,))
         for i in range(rho):
@@ -105,7 +99,7 @@ class MukaiSetup:
         # Square and symmetric because the NS block is.
         self.ambient = IntegralLattice._of(tuple(ambient))
         # det(ambient) = -det(ns), so the ambient is degenerate exactly when ns is.
-        sig = signature(ns)
+        sig = ns_lattice.signature()
         if sig[2]:
             raise LatticeError("degenerate-lattice", "Gram matrix has determinant 0")
         if check_hodge_signature and sig != (1, rho - 1, 0):
@@ -120,36 +114,32 @@ class MukaiSetup:
         return self.rho + 2
 
     def vector(self, r: int, c, s: int) -> MukaiVector:
-        v = MukaiVector(r, tuple(c), s)
-        self._check(v)
-        return v
+        return self._check(MukaiVector(r, tuple(c), s))
 
     def vector_from_coords(self, coords) -> MukaiVector:
-        v = MukaiVector.from_coords(coords)
-        self._check(v)
-        return v
+        return self._check(MukaiVector.from_coords(coords))
 
-    def _check(self, v: MukaiVector) -> None:
+    def _check(self, v: MukaiVector) -> MukaiVector:
+        """``v``, once it is known to have one ``c`` entry per NS generator."""
         if len(v.c) != self.rho:
             raise LatticeError(
                 "dimension-mismatch",
                 f"c has length {len(v.c)}, NS rank is {self.rho}",
             )
+        return v
 
+    # The ambient checks the length of v.coords, which is len(v.c) + 2.
     def pair(self, v: MukaiVector, w: MukaiVector) -> int:
-        self._check(v)
-        self._check(w)
         return self.ambient.pair(v.coords, w.coords)
 
     def square(self, v: MukaiVector) -> int:
-        return self.pair(v, v)
+        return self.ambient.square(v.coords)
 
     def euler_pairing(self, v: MukaiVector, w: MukaiVector) -> int:
         """Euler characteristic of a pair of objects: minus the Mukai pairing."""
         return -self.pair(v, w)
 
     def is_primitive(self, v: MukaiVector) -> bool:
-        self._check(v)
         return self.ambient.is_primitive(v.coords)
 
     def moduli_dimension(self, v: MukaiVector) -> int:

@@ -81,17 +81,6 @@ def is_p_type_form(gram2, v_xy) -> bool:
 
 
 @dataclass(frozen=True)
-class IsotropicCensus:
-    """The primitive isotropic classes of a rank-2 sublattice, up to sign.
-
-    Each class is given in ambient coordinates with the first nonzero
-    coordinate positive; there are never more than two.
-    """
-
-    classes: tuple[MukaiVector, ...]
-
-
-@dataclass(frozen=True)
 class PTypeDecomposition:
     """``v = s + t`` with both parts primitive isotropic, pairing v^2/2 with v."""
 
@@ -118,11 +107,10 @@ class PointedSublattice:
     def span(cls, setup: MukaiSetup, v: MukaiVector, vectors) -> "PointedSublattice":
         """Saturated span of the given vectors, required to be rank 2 and to contain v."""
         setup._check(v)
-        rows = []
-        for vec in vectors:
-            w = vec if isinstance(vec, MukaiVector) else setup.vector_from_coords(vec)
-            setup._check(w)
-            rows.append(w.coords)
+        rows = [
+            setup._check(w if isinstance(w, MukaiVector) else MukaiVector.from_coords(w)).coords
+            for w in vectors
+        ]
         sub = Sublattice(setup.ambient, rows)
         if sub.rank != 2:
             raise LatticeError("rank-mismatch", f"span has rank {sub.rank}, expected 2")
@@ -157,13 +145,18 @@ class PointedSublattice:
         """The ambient vector with the given sublattice coordinates."""
         x, y = xy
         coords = tuple(x * b1 + y * b2 for b1, b2 in zip(self.basis[0], self.basis[1]))
-        return MukaiVector.from_coords(coords)
+        return MukaiVector._of(coords[0], coords[1:-1], coords[-1])
 
-    def isotropic_classes(self) -> IsotropicCensus:
+    def isotropic_classes(self) -> tuple[MukaiVector, ...]:
+        """The primitive isotropic classes of the sublattice, up to sign.
+
+        Each class is given in ambient coordinates with the first nonzero
+        coordinate positive; there are never more than two.
+        """
         # The pivot of the first basis row lies left of the second's, and both
         # pivots are positive, so the sign-fixed, sorted lines map to
         # sign-fixed, sorted classes.
-        return IsotropicCensus(tuple(self.member(line) for line in isotropic_lines(self.gram2)))
+        return tuple(self.member(line) for line in isotropic_lines(self.gram2))
 
     def is_p_type(self) -> bool:
         if not self.setup.is_primitive(self.v):
@@ -182,7 +175,7 @@ class PointedSublattice:
         vsq = self.setup.square(self.v)
         half = vsq // 2
         candidates = []
-        for a in self.isotropic_classes().classes:
+        for a in self.isotropic_classes():
             pairing = self.setup.pair(a, self.v)
             if abs(pairing) == half:
                 candidates.append(a if pairing > 0 else -a)
@@ -209,7 +202,9 @@ def construct_p_type(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Point
         raise LatticeError("pairing-mismatch", f"(a, v) = {pairing}, expected {vsq // 2}")
     if not setup.is_primitive(v - a):
         raise LatticeError("imprimitive", "v - a must be primitive")
-    return PointedSublattice.span(setup, v, [a, v - a])
+    # The checks above length-check both rows, and they are independent:
+    # v - a = k a would give v^2 = (k + 1)^2 a^2 = 0.
+    return PointedSublattice._of(setup, v, _hermite((a.coords, (v - a).coords)))
 
 
 def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[PointedSublattice]:

@@ -263,7 +263,7 @@ def _line_class(setup, v, a, vsq, perp) -> LineClass:
         disc_order = lcm(*(c.denominator for c in rational))
     else:
         disc_order = 1
-    return LineClass(v=v, coords=projected, square=square, disc_order=disc_order)
+    return LineClass(coords=projected, square=square, disc_order=disc_order)
 
 
 def line_class_scan(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClass:

@@ -246,6 +246,16 @@ def test_jh_feasibility(six):
     assert not report.jh_ok
 
 
+def test_a_part_from_another_setup_is_a_dimension_mismatch(six):
+    setup, v = six
+    foreign = kummer_mukai_setup().vector_from_coords([1] + [0] * 7)
+    for check in (jh_feasibility, contraction_budget):
+        for parts in ([foreign, v], [v, foreign], [foreign.coords, v]):
+            with pytest.raises(LatticeError) as err:
+                check(setup, v, parts)
+            assert err.value.code == "dimension-mismatch"
+
+
 def test_contraction_budget_worked_example(six):
     setup, v = six
     report = contraction_budget(setup, v, [(1, 0, 0), (-1, 1, -3)])

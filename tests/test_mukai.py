@@ -9,11 +9,18 @@ from mukailat import (
     LatticeError,
     MukaiSetup,
     MukaiVector,
+    PointedSublattice,
     Sublattice,
+    classify_line_class,
+    construct_p_type,
+    contraction_budget,
+    jh_feasibility,
     kummer_bbf_lattice,
     kummer_mukai_setup,
+    mori_candidates,
     rank_one_setup,
     smith_normal_form,
+    theta_dual,
 )
 
 # A bool, a float and a str where an integer belongs.
@@ -188,8 +195,30 @@ def test_vector_validation(six):
     with pytest.raises(LatticeError) as err:
         six.vector(1, [0, 0], 0)
     assert err.value.code == "dimension-mismatch"
-    with pytest.raises(LatticeError):
-        six.pair(six.vector(1, [0], 0), kummer_mukai_setup().vector_from_coords([0] * 8))
+    # A vector of another setup is rejected at every entry, with one code.
+    kummer = kummer_mukai_setup()
+    for setup, v, foreign in [
+        (six, six.vector(0, [1], -3), kummer.vector_from_coords([1] + [0] * 7)),
+        (kummer, kummer.vector_from_coords([1] + [0] * 6 + [-3]), six.vector(1, [0], 0)),
+    ]:
+        entries = [
+            lambda: setup.pair(v, foreign),
+            lambda: setup.pair(foreign, v),
+            lambda: setup.square(foreign),
+            lambda: setup.is_primitive(foreign),
+            lambda: theta_dual(setup, v, foreign),
+            lambda: classify_line_class(setup, v, foreign),
+            lambda: mori_candidates(setup, v, foreign, 1),
+            lambda: PointedSublattice.span(setup, v, [v, foreign]),
+            lambda: PointedSublattice.span(setup, v, [v, foreign.coords]),
+            lambda: construct_p_type(setup, v, foreign),
+            lambda: jh_feasibility(setup, v, [foreign, v]),
+            lambda: contraction_budget(setup, v, [foreign, v]),
+        ]
+        for entry in entries:
+            with pytest.raises(LatticeError) as err:
+                entry()
+            assert err.value.code == "dimension-mismatch"
     with pytest.raises(LatticeError):
         MukaiVector.from_coords([1])
     for bad in NON_INTEGERS:

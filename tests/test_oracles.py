@@ -12,7 +12,9 @@ dense double loop.  Saturation is checked against the route through the Smith
 transform, and discriminant groups against sympy's invariant factors.  The
 integer ``signature`` is checked against the ``Fraction`` congruence
 diagonalisation it replaced, and the nondegeneracy checks that read the
-signature or the Smith diagonal against the Bareiss ``determinant``.
+signature or the Smith diagonal (``discriminant_group``,
+``orthogonal_complement`` and ``divisibility``) against the Bareiss
+``determinant``.
 """
 
 from functools import lru_cache
@@ -358,8 +360,15 @@ def test_signature_matches_the_congruence_diagonalisation(gram):
 @given(symmetric_matrices(6))
 def test_degenerate_exactly_when_the_determinant_vanishes(gram):
     singular = determinant(gram) == 0
-    degenerate = ("degenerate-lattice", "discriminant_group requires a nondegenerate lattice")
-    assert (_outcome(IntegralLattice(gram).discriminant_group) == degenerate) == singular
+    lattice = IntegralLattice(gram)
+    unit = (1,) + (0,) * (lattice.rank - 1)
+    for op, run in [
+        ("discriminant_group", lattice.discriminant_group),
+        ("orthogonal_complement", lattice.span([unit]).orthogonal_complement),
+        ("divisibility", lambda: lattice.divisibility(unit)),
+    ]:
+        degenerate = ("degenerate-lattice", f"{op} requires a nondegenerate lattice")
+        assert (_outcome(run) == degenerate) == singular
     # Doubling keeps the matrix singular or not and makes its diagonal even.
     ns = [[2 * x for x in row] for row in gram]
     for check in (True, False):

@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from mukailat import (
@@ -99,8 +99,8 @@ def test_span_requires_rank_two_and_membership(worked):
 def test_census_worked_example(worked):
     setup, v, lattice = worked
     census = lattice.isotropic_classes()
-    assert [a.coords for a in census.classes] == [(1, -1, 3), (1, 0, 0)]
-    for a in census.classes:
+    assert [a.coords for a in census] == [(1, -1, 3), (1, 0, 0)]
+    for a in census:
         assert setup.square(a) == 0
         assert setup.is_primitive(a)
         first = next(x for x in a.coords if x)
@@ -118,7 +118,7 @@ def test_is_p_type_false_when_smaller_pairing_exists():
     setup = rank_one_setup(2)
     v = setup.vector(1, [0], -3)
     lattice = PointedSublattice.span(setup, v, [v, setup.vector(1, [0], 0)])
-    census = [a.coords for a in lattice.isotropic_classes().classes]
+    census = [a.coords for a in lattice.isotropic_classes()]
     assert (0, 0, 1) in census
     assert not lattice.is_p_type()
 
@@ -127,7 +127,7 @@ def test_is_p_type_false_on_empty_census():
     setup = rank_one_setup(6)
     v = setup.vector(0, [1], 0)
     lattice = PointedSublattice.span(setup, v, [v, setup.vector(1, [0], 1)])
-    assert lattice.isotropic_classes().classes == ()
+    assert lattice.isotropic_classes() == ()
     assert not lattice.is_p_type()
     with pytest.raises(LatticeError) as err:
         lattice.decomposition()
@@ -233,12 +233,15 @@ def test_is_p_type_form_matches_lattice_level(worked):
 
 def test_form_pair_is_restriction(worked):
     setup, v, lattice = worked
-    census = lattice.isotropic_classes().classes
+    census = lattice.isotropic_classes()
     sub = Sublattice(setup.ambient, lattice.basis)
     for a in census:
         xy = coords(sub, a.coords)
         assert xy is not None
         assert IntegralLattice(lattice.gram2).pair(xy, lattice.v_coords) == setup.pair(a, v)
+
+
+SETUPS = [rank_one_setup(2), rank_one_setup(6), MukaiSetup([[2, 1], [1, -2]]), kummer_mukai_setup()]
 
 
 @st.composite
@@ -248,11 +251,7 @@ def spans(draw):
     ``(1, c, c.Nc/2)`` is isotropic for every ``c``, so those spans have a
     nonempty census.
     """
-    setup = draw(
-        st.sampled_from(
-            [rank_one_setup(2), rank_one_setup(6), MukaiSetup([[2, 1], [1, -2]]), kummer_mukai_setup()]
-        )
-    )
+    setup = draw(st.sampled_from(SETUPS))
     entries = st.lists(st.integers(-6, 6), min_size=setup.rank, max_size=setup.rank)
     v = setup.vector_from_coords(draw(entries.filter(lambda x: gcd(*x) == 1)))
     if draw(st.booleans()):
@@ -272,8 +271,46 @@ def test_census_classes_are_sign_fixed_and_sorted(drawn):
     except LatticeError as err:
         assert err.code in ("dependent-rows", "totally-isotropic")
         return
-    classes = [a.coords for a in census.classes]
+    classes = [a.coords for a in census]
     assert classes == sorted(set(classes))
     for a in classes:
         assert next(x for x in a if x) > 0
         assert setup.ambient.square(a) == 0 and gcd(*a) == 1
+
+
+@st.composite
+def isotropic(draw, setup):
+    """A primitive isotropic ``(r, c, s)``: ``s = c.Nc / 2r``, or ``r = 0`` and ``c.Nc = 0``."""
+    c = draw(st.lists(st.integers(-3, 3), min_size=setup.rho, max_size=setup.rho))
+    form = IntegralLattice(setup.ns_gram).square(c)
+    r = draw(st.integers(-3, 3))
+    if r:
+        assume(form % (2 * r) == 0)
+        s = form // (2 * r)
+    else:
+        assume(form == 0)
+        s = draw(st.integers(-3, 3))
+    assume(gcd(r, *c, s) == 1)
+    return setup.vector(r, c, s)
+
+
+@st.composite
+def witnessed(draw):
+    """``(setup, v, a)`` with ``v = a + t``, both primitive isotropic and ``(a, t) >= 3``."""
+    setup = draw(st.sampled_from(SETUPS))
+    a, t = draw(isotropic(setup)), draw(isotropic(setup))
+    pairing = setup.pair(a, t)
+    assume(abs(pairing) >= 3)
+    v = a + t if pairing > 0 else a - t
+    assume(setup.is_primitive(v))
+    return setup, v, a
+
+
+# Witnesses whose span {a, v - a} has index 5 and 3 in its saturation.
+@settings(max_examples=200, suppress_health_check=[HealthCheck.filter_too_much])
+@given(witnessed())
+@example((SETUPS[1], SETUPS[1].vector(2, [3], 1), SETUPS[1].vector(-1, [1], -3)))
+@example((SETUPS[2], SETUPS[2].vector(-2, [2, 1], 2), SETUPS[2].vector(-1, [1, -1], 1)))
+def test_construct_matches_the_checked_span(drawn):
+    setup, v, a = drawn
+    assert construct_p_type(setup, v, a) == PointedSublattice.span(setup, v, [a, v - a])
