@@ -140,7 +140,7 @@ def _fraction_str(q: Fraction) -> str:
 
 
 def _rational_vector(coords) -> list[str]:
-    return [_fraction_str(Fraction(x)) for x in coords]
+    return [_fraction_str(x) for x in coords]
 
 
 # Each handler takes the parsed payload fields of its command and returns the

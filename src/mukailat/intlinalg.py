@@ -8,8 +8,8 @@ tuples of tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .errors import LatticeError
 
@@ -78,8 +78,7 @@ def determinant(mat) -> int:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(NamedTuple):
     """Smith normal form certificate: ``u @ input @ v == d``.
 
     ``u`` and ``v`` are unimodular; ``d`` is diagonal with nonnegative

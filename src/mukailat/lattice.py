@@ -9,17 +9,16 @@ operations are pure functions, so everything is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd
+from typing import NamedTuple
 
 from . import intlinalg
 from .errors import LatticeError
 from .intlinalg import IntMatrix
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(NamedTuple):
     """The finite abelian group dual/lattice for a nondegenerate lattice.
 
     ``invariant_factors`` are the elementary divisors larger than 1 in

@@ -18,11 +18,11 @@ and positive-cone generators are not produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .errors import LatticeError
 from .intlinalg import _hermite
@@ -36,8 +36,7 @@ from .ptype import PointedSublattice
 ALBANESE_FIBRE_CODIM = 4
 
 
-@dataclass(frozen=True)
-class LineClass:
+class LineClass(NamedTuple):
     """A rational class in ``v_perp`` with its square and torsion order.
 
     ``coords`` are exact ambient coordinates, ``square`` the value of the
@@ -94,8 +93,7 @@ def theta_dual(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClass:
     return _line_class(v, a.coords, ambient.square(a.coords), ambient.pair(a.coords, v.coords), vsq)
 
 
-@dataclass(frozen=True)
-class LineClassVerdict:
+class LineClassVerdict(NamedTuple):
     """Outcome of the line-class criterion for a candidate witness ``a``.
 
     ``square_ok``: (R, R) equals -(n+1)/2.
@@ -175,8 +173,7 @@ def classify_line_class(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Li
     )
 
 
-@dataclass(frozen=True)
-class MoriCandidate:
+class MoriCandidate(NamedTuple):
     """A box-scan candidate generator of the cone of curves."""
 
     a: MukaiVector
@@ -258,8 +255,7 @@ def _narrow(lo: int, hi: int, coef: int, rhs: int) -> tuple[int, int]:
     return (lo, hi) if rhs >= 0 else (lo, lo - 1)
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     """Numerical feasibility of a partition ``v = sum(parts)``.
 
     ``jh_ok`` is the moduli-dimension inequality

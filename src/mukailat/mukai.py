@@ -14,36 +14,43 @@ negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from operator import itemgetter
 
 from .errors import LatticeError
 from .intlinalg import freeze_vector
 from .lattice import IntegralLattice
 
 
-@dataclass(frozen=True)
-class MukaiVector:
-    """An integral class ``(r, c, s)``; ``c`` has one entry per NS generator."""
+class MukaiVector(tuple):
+    """An integral class, the tuple ``(r, c, s)``; ``c`` has one entry per NS generator."""
 
-    r: int
-    c: tuple[int, ...]
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", freeze_vector(self.c))
-        freeze_vector((self.r, self.s))
+    r = property(itemgetter(0))
+    c = property(itemgetter(1))
+    s = property(itemgetter(2))
+
+    def __new__(cls, r: int, c, s: int) -> "MukaiVector":
+        c = freeze_vector(c)
+        freeze_vector((r, s))
+        return tuple.__new__(cls, (r, c, s))
 
     @classmethod
     def _of(cls, r: int, c: tuple[int, ...], s: int) -> "MukaiVector":
         """A vector from components already known to be ints, unchecked."""
-        vec = object.__new__(cls)
-        vec.__dict__.update(r=r, c=c, s=s)
-        return vec
+        return tuple.__new__(cls, (r, c, s))
+
+    # pickle and copy call __new__ with these, as for the named-tuple records.
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"MukaiVector(r={self[0]!r}, c={self[1]!r}, s={self[2]!r})"
 
     @property
     def coords(self) -> tuple[int, ...]:
-        return (self.r, *self.c, self.s)
+        return (self[0], *self[1], self[2])
 
     @classmethod
     def from_coords(cls, coords) -> "MukaiVector":
@@ -114,7 +121,7 @@ class MukaiSetup:
         return self.rho + 2
 
     def vector(self, r: int, c, s: int) -> MukaiVector:
-        return self._check(MukaiVector(r, tuple(c), s))
+        return self._check(MukaiVector(r, c, s))
 
     def vector_from_coords(self, coords) -> MukaiVector:
         return self._check(MukaiVector.from_coords(coords))

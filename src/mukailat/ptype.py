@@ -10,10 +10,10 @@ classes, each pairing to ``v^2/2`` against ``v``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, isqrt
 from operator import mul
+from typing import NamedTuple
 
 from .errors import LatticeError
 from .intlinalg import IntMatrix, _hermite, freeze_matrix, saturation
@@ -80,16 +80,14 @@ def is_p_type_form(gram2, v_xy) -> bool:
     return min(abs(form.pair(line, v_xy)) for line in lines) == vsq // 2
 
 
-@dataclass(frozen=True)
-class PTypeDecomposition:
+class PTypeDecomposition(NamedTuple):
     """``v = s + t`` with both parts primitive isotropic, pairing v^2/2 with v."""
 
     s: MukaiVector
     t: MukaiVector
 
 
-@dataclass(frozen=True)
-class PointedSublattice:
+class PointedSublattice(NamedTuple):
     """A rank-2 saturated sublattice of the Mukai lattice containing ``v``.
 
     ``basis`` is the canonical Hermite-form basis of the saturation,

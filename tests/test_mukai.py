@@ -191,6 +191,14 @@ def test_setup_validation():
         assert_invalid_matrix(lambda: smith_normal_form([[1, bad], [0, 1]]))
 
 
+def test_vector_is_the_tuple_r_c_s():
+    v = MukaiVector(r=1, c=[0], s=0)
+    assert v == (1, (0,), 0) and v.c == (0,)
+    assert repr(v) == "MukaiVector(r=1, c=(0,), s=0)"
+    # A vector is not a coordinate sequence: its middle entry is a tuple.
+    assert_invalid_matrix(lambda: MukaiVector.from_coords(v))
+
+
 def test_vector_validation(six):
     with pytest.raises(LatticeError) as err:
         six.vector(1, [0, 0], 0)

@@ -1,16 +1,30 @@
-"""The public surface: the package's exports and the README's command list.
+"""The public surface: the package's exports, its result records, the
+README's command list and what importing the package loads.
 
-A change to either list has to change this file too, so that it is made on
+A change to any of these has to change this file too, so that it is made on
 purpose.
 """
 
 import json
+import pickle
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mukailat
+from mukailat import (
+    IntegralLattice,
+    classify_line_class,
+    construct_p_type,
+    jh_feasibility,
+    mori_candidates,
+    rank_one_setup,
+    smith_normal_form,
+    theta_dual,
+)
 from mukailat.cli import COMMANDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -60,6 +74,51 @@ def test_public_names():
     ]
 
 
+# Each public result record, by type name, with its fields in order.
+RECORD_FIELDS = {
+    "SNFResult": ("u", "d", "v"),
+    "DiscriminantGroup": ("invariant_factors", "order"),
+    "PTypeDecomposition": ("s", "t"),
+    "PointedSublattice": ("setup", "v", "basis", "gram2", "v_coords"),
+    "LineClass": ("coords", "square", "disc_order"),
+    "LineClassVerdict": ("line_class", "n", "square_ok", "torsion_ok", "isotropic_witness_ok", "lattice"),
+    "MoriCandidate": ("a", "line_class", "lagrangian"),
+    "PartitionReport": ("parts", "m", "jh_ok", "ext1_budget_ok", "ext1_cross", "dim_identity_ok"),
+    "MukaiVector": ("r", "c", "s"),
+}
+
+
+def _records():
+    six = rank_one_setup(6)
+    v, a = six.vector(0, [1], -3), six.vector(1, [0], 0)
+    lattice = construct_p_type(six, v, a)
+    return [
+        smith_normal_form([[2, 0], [0, 4]]),
+        IntegralLattice([[2]]).discriminant_group(),
+        lattice.decomposition(),
+        lattice,
+        theta_dual(six, v, a),
+        classify_line_class(six, v, a),
+        mori_candidates(six, v, six.vector(-2, [1], -1), 1)[0],
+        jh_feasibility(six, v, [a, v - a]),
+        v,
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
+def test_records_are_immutable_tuples_of_their_fields(record):
+    names = RECORD_FIELDS[type(record).__name__]
+    fields = tuple(getattr(record, name) for name in names)
+    # Set and dict order of records, and so output bytes, rest on this hash.
+    assert hash(record) == hash(fields)
+    assert record == type(record)(*fields)
+    assert record == fields
+    assert pickle.loads(pickle.dumps(record)) == record
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
 def test_readme_lists_every_command():
     text = README.read_text(encoding="utf-8")
     paragraph = re.search(r"^Commands: (.*?)\.\s", text, re.MULTILINE | re.DOTALL)
@@ -67,8 +126,18 @@ def test_readme_lists_every_command():
     assert sorted(re.findall(r"`([a-z-]+)`", paragraph.group(1))) == sorted(COMMANDS)
 
 
-def test_the_runtime_imports_only_the_standard_library():
+def _new_modules() -> list[str]:
     done = subprocess.run([sys.executable, "-I", "-c", NEW_MODULES], capture_output=True, check=True)
-    loaded = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    loaded = _new_modules()
     assert "mukailat" in loaded
     assert [name for name in loaded if name != "mukailat" and name not in sys.stdlib_module_names] == []
+
+
+def test_start_up_skips_dataclasses_and_inspect():
+    # Each costs every CLI process several milliseconds of imports.
+    loaded = _new_modules()
+    assert "dataclasses" not in loaded and "inspect" not in loaded
