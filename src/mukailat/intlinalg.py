@@ -118,12 +118,12 @@ def _smallest_pivot(a, t: int):
 
 
 def _smith_eliminate(a: list[list[int]], u, vt) -> None:
-    """Bring ``a`` to Smith form in place.
+    """Bring ``a`` to Smith form in place, by the smallest pivot.
 
-    Each row operation is also applied to ``u``, and each column operation
-    to the rows of ``vt``, the transpose of ``v``, unless they are None.
-    Rows and columns before the current pivot are already zero in ``a`` and
-    are skipped.
+    Each row operation is also applied to the rows of ``u``, and each column
+    operation to the rows of ``vt``, the transpose of ``v``, unless they are
+    None; their rows may be longer than those of ``a``.  Rows and columns
+    before the current pivot are already zero in ``a`` and are skipped.
     """
     m = len(a)
     n = len(a[0]) if a else 0
@@ -154,9 +154,7 @@ def _smith_eliminate(a: list[list[int]], u, vt) -> None:
                     for j in range(t, n):
                         arow[j] -= q * apiv[j]
                     if u is not None:
-                        urow, upiv = u[i], u[t]
-                        for j in range(m):
-                            urow[j] -= q * upiv[j]
+                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                 if arow[t]:
                     dirty = True
         if dirty:
@@ -169,9 +167,7 @@ def _smith_eliminate(a: list[list[int]], u, vt) -> None:
                 if q:
                     apiv[j] -= q * p
                     if vt is not None:
-                        vrow, vpiv = vt[j], vt[t]
-                        for k in range(n):
-                            vrow[k] -= q * vpiv[k]
+                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
                 if apiv[j]:
                     dirty = True
         if dirty:
@@ -196,24 +192,73 @@ def _smith_eliminate(a: list[list[int]], u, vt) -> None:
                 u[i] = [-x for x in u[i]]
 
 
+def _split_units(h, n: int):
+    """The rows of a Hermite form ``h`` with a pivot 1 before column ``n``,
+    their pivot columns, the other rows with a pivot before column ``n``,
+    and the other columns before ``n``.
+
+    A pivot 1 is the only nonzero entry of its column, so column operations
+    with it clear its row and change no other row: the Smith form of the
+    first ``n`` columns of ``h`` is ``I`` beside that of the core, the
+    other rows in the other columns.
+    """
+    units, cols, core = [], [], []
+    for row in h:
+        lead = next(j for j, x in enumerate(row) if x)
+        if lead >= n:
+            break
+        if row[lead] == 1:
+            units.append(row)
+            cols.append(lead)
+        else:
+            core.append(row)
+    return units, cols, core, [j for j in range(n) if j not in cols]
+
+
 def smith_normal_form(mat) -> SNFResult:
-    """Smith normal form with unimodular transforms, ``u @ mat @ v == d``."""
-    a = [list(row) for row in freeze_matrix(mat)]
-    u = identity(len(a))
-    vt = identity(len(a[0]) if a else 0)
-    _smith_eliminate(a, u, vt)
+    """Smith normal form with unimodular transforms, ``u @ mat @ v == d``.
+
+    The Hermite form of the rows ``[mat | I]`` is ``[h | u1]`` with
+    ``u1 @ mat == h``.  Its unit pivots split off (``_split_units``), and
+    the pivoting elimination runs on the small core alone.  The rows of
+    ``h`` that vanish in ``mat``'s columns span the left kernel and come
+    last.  So the transforms stay near the size of the Hermite form; they
+    are deterministic but not canonical.
+    """
+    rows = freeze_matrix(mat)
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    h = _hermite([(*row, *unit) for row, unit in zip(rows, identity(m))])
+    units, cols, core, rest = _split_units(h, n)
+    a = [[row[j] for j in rest] for row in core]
+    u = [row[n:] for row in core]
+    # The column operations that clear the unit rows leave column j of v as
+    # e_j minus the unit rows' entries in column j, at their pivot rows.
+    vt = identity(n)
+    for row, c in zip(units, cols):
+        for j in rest:
+            vt[j][c] = -row[j]
+    core_vt = [vt[j] for j in rest]
+    _smith_eliminate(a, u, core_vt)
+    d = [[0] * n for _ in range(m)]
+    for i, x in enumerate([1] * len(units) + [a[t][t] for t in range(len(a))]):
+        d[i][i] = x
+    kernel = h[len(units) + len(core) :]
     return SNFResult(
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in a),
-        transpose(vt),
+        tuple(row[n:] for row in units) + tuple(map(tuple, u)) + tuple(row[n:] for row in kernel),
+        tuple(map(tuple, d)),
+        transpose([vt[c] for c in cols] + core_vt),
     )
 
 
 def smith_diagonal(mat) -> tuple[int, ...]:
-    """``smith_normal_form(mat).diagonal`` of an unchecked ``mat``, without the transforms."""
-    a = [list(row) for row in mat]
+    """``smith_normal_form(mat).diagonal`` of an unchecked ``mat``, from the Hermite form of ``mat`` alone."""
+    n = len(mat[0]) if mat else 0
+    units, _, core, rest = _split_units(_hermite(mat), n)
+    a = [[row[j] for j in rest] for row in core]
     _smith_eliminate(a, None, None)
-    return tuple(a[i][i] for i in range(min(len(a), len(a[0]) if a else 0)))
+    diag = (1,) * len(units) + tuple(a[i][i] for i in range(len(a)))
+    return diag + (0,) * (min(len(mat), n) - len(diag))
 
 
 def hermite_basis(mat) -> IntMatrix:
@@ -272,15 +317,18 @@ def saturation(rows) -> tuple[IntMatrix, int]:
 
     ``rows`` (k x n, unchecked) must be linearly independent.  One
     column-echelon pass brings them to ``rows @ V = [L | 0]`` with ``L``
-    lower triangular, and applies the inverse operations to the rows of
-    ``W = V^-1``, so that ``rows = L @ W[:k]``.  The unimodular ``W`` makes
-    ``W[:k]`` a basis of the saturation, and the index is ``|det L|``.  No
-    transform is returned.
+    lower triangular, so ``rows = L @ W[:k]`` for the unimodular
+    ``W = V^-1``: ``W[:k]`` is a basis of the saturation, and the index is
+    ``|det L|``.  Row ``t`` of ``W`` follows from rows ``< t`` by forward
+    substitution, once the column operations ``col_s -= c * col_t`` (which
+    add ``c * W[s]`` to ``W[t]`` and change only column ``s`` of ``L`` from
+    row ``t`` down) have reduced ``L[t][s]`` modulo ``L[t][t]``.  So no other
+    row of ``W`` is kept, and the rows found stay near the size of ``rows``.
     """
     b = [list(row) for row in rows]
     k = len(b)
     n = len(b[0]) if b else 0
-    w = identity(n)
+    w = []
     index = 1
     for t in range(k):
         pivot_row = b[t]
@@ -294,19 +342,25 @@ def saturation(rows) -> tuple[IntMatrix, int]:
                 f = q // p
                 for row in below:
                     row[j] -= f * row[t]
-                w[t] = [x + f * y for x, y in zip(w[t], w[j])]
                 continue
             g, x, y = xgcd(p, q)
             p, q = p // g, q // g
             for row in below:
                 row[t], row[j] = x * row[t] + y * row[j], p * row[j] - q * row[t]
-            wt, wj = w[t], w[j]
-            w[t] = [p * c + q * d for c, d in zip(wt, wj)]
-            w[j] = [x * d - y * c for c, d in zip(wt, wj)]
-        if not pivot_row[t]:
+        d = pivot_row[t]
+        if not d:
             raise LatticeError("dependent-rows", "basis rows are linearly dependent")
-        index *= pivot_row[t]
-    return _hermite(w[:k]), abs(index)
+        index *= d
+        found = rows[t]
+        for s in range(t):
+            c = pivot_row[s] // d
+            if c:
+                for row in below:
+                    row[s] -= c * row[t]
+            if pivot_row[s]:
+                found = [x - pivot_row[s] * y for x, y in zip(found, w[s])]
+        w.append([x // d for x in found])
+    return _hermite(w), abs(index)
 
 
 def integer_kernel(mat) -> IntMatrix:

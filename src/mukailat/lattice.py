@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from math import gcd
+from numbers import Rational
 from typing import NamedTuple
 
 from . import intlinalg
@@ -121,7 +122,7 @@ class IntegralLattice:
         return tuple(sum(g * x[j] for j, g in row) for row in self._entries)
 
     def discriminant_group(self) -> DiscriminantGroup:
-        """Elementary divisors of the Gram matrix, from a Smith elimination without transforms."""
+        """Elementary divisors of the Gram matrix, from ``smith_diagonal`` (no transforms)."""
         diag = self._smith_diagonal("discriminant_group")
         factors = tuple(d for d in diag if d > 1)
         order = 1
@@ -183,8 +184,12 @@ class Sublattice:
         )
 
     def contains(self, x) -> bool:
+        """True iff ``x``, of integers or ``Fraction``s, lies in this sublattice."""
         self.ambient._check_length(x)
         vec = list(x)
+        if not all(isinstance(e, Rational) for e in vec):
+            # A MukaiVector ``(r, c, s)`` has the tuple ``c`` as an entry.
+            raise LatticeError("invalid-matrix", "contains needs a vector of integers or Fractions")
         for row in self.basis:
             j = next(i for i, val in enumerate(row) if val)
             if vec[j] % row[j]:

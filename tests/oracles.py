@@ -11,12 +11,16 @@ The normal forms that ``hermite_basis`` and ``Sublattice.saturation`` used
 to run are here too: the row Hermite form with its unimodular transform,
 which reduces entries above a pivot only once the pivot's column is done,
 the inverse of a unimodular matrix through it, and the saturation through
-the Smith transform ``v`` and its inverse.
+the Smith transform ``v`` and its inverse.  ``smith_by_pivoting`` is the
+Smith form that ``smith_normal_form`` computed before it went through one
+Hermite form: the smallest-pivot elimination on the whole matrix, which
+never calls the Hermite form that ``integer_kernel`` and ``saturation`` use.
 
 ``dense_pair`` is the bilinear form as the full double loop over the Gram
 matrix, zero entries included, that ``IntegralLattice.pair`` replaced.
-``kernel_via_smith`` is the integer kernel read off the Smith transform
-``v``, which ``integer_kernel`` replaced with one Hermite form.
+``kernel_via_smith`` is the integer kernel read off the transform ``v`` of
+``smith_by_pivoting``, which ``integer_kernel`` replaced with one Hermite
+form.
 
 ``signature_congruence`` is the symmetric congruence diagonalisation over
 ``Fraction``s that the integer ``signature`` replaced.
@@ -43,10 +47,11 @@ from mukailat import (
 )
 from mukailat.intlinalg import (
     IntMatrix,
+    SNFResult,
+    _smith_eliminate,
     freeze_matrix,
     hermite_basis,
     identity,
-    smith_normal_form,
     transpose,
     xgcd,
 )
@@ -109,9 +114,18 @@ def coords(sub: Sublattice, x):
     return tuple(int(c) for c in sol)
 
 
+def smith_by_pivoting(mat) -> SNFResult:
+    """Smith form with transforms by the smallest-pivot elimination on all of ``mat``."""
+    a = [list(row) for row in freeze_matrix(mat)]
+    u = identity(len(a))
+    vt = identity(len(a[0]) if a else 0)
+    _smith_eliminate(a, u, vt)
+    return SNFResult(tuple(tuple(row) for row in u), tuple(tuple(row) for row in a), transpose(vt))
+
+
 def kernel_via_smith(mat) -> IntMatrix:
     """``integer_kernel`` through the Smith form: the last columns of ``v`` past the rank."""
-    snf = smith_normal_form(mat)
+    snf = smith_by_pivoting(mat)
     n = len(snf.v)
     cols = [tuple(snf.v[i][j] for i in range(n)) for j in range(snf.rank, n)]
     return hermite_basis(cols)
@@ -192,7 +206,7 @@ def saturate_snf(sub: Sublattice) -> tuple[Sublattice, int]:
     The first ``rank`` rows of ``v^-1`` span the saturation, and the index
     is the product of the diagonal of ``d``.
     """
-    snf = smith_normal_form(sub.basis)
+    snf = smith_by_pivoting(sub.basis)
     vinv = invert_unimodular(snf.v)
     index = 1
     for d in snf.diagonal:

@@ -10,6 +10,7 @@ for an intended output change:
 """
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +20,8 @@ import pytest
 
 import mukailat
 from mukailat.cli import DEFAULT_BOUND, main, run_batch
+from mukailat.intlinalg import determinant
+from oracles import mat_mul
 
 GOLDEN = Path(__file__).parent / "golden"
 REQUESTS = GOLDEN / "requests.ndjson"
@@ -49,3 +52,20 @@ def test_golden_batch_through_the_cli(jobs):
 def test_golden_schema(capsys):
     assert main(["--schema"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "schema.json").read_bytes()
+
+
+def test_golden_snf_transforms_are_certificates():
+    # The transforms are deterministic but not canonical: only the diagonal
+    # is, so each recorded ``u`` and ``v`` is checked as a certificate too.
+    requests = [line for line in REQUESTS.read_text(encoding="utf-8").splitlines() if line.strip()]
+    responses = [json.loads(line) for line in EXPECTED.decode("utf-8").splitlines()]
+    checked = 0
+    for request, response in zip(requests, responses, strict=True):
+        if response["command"] != "snf" or response["status"] != "ok":
+            continue
+        result = response["result"]
+        matrix = [[int(x) for x in row] for row in json.loads(request)["matrix"]]
+        assert mat_mul(mat_mul(result["u"], matrix), result["v"]) == tuple(map(tuple, result["d"]))
+        assert determinant(result["u"]) in (1, -1) and determinant(result["v"]) in (1, -1)
+        checked += 1
+    assert checked == 3

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mukailat import DiscriminantGroup, IntegralLattice, LatticeError, Sublattice
+from mukailat import DiscriminantGroup, IntegralLattice, LatticeError, MukaiVector, Sublattice, rank_one_setup
 from mukailat.intlinalg import determinant, hermite_basis, smith_normal_form, transpose
 from oracles import coords, mat_mul
 
@@ -242,3 +242,12 @@ def test_coords_and_membership():
     assert coords(sub, (0, 1, 0)) is None
     assert sub.contains((2, 3, 5))
     assert not sub.contains((0, 1, 0))
+
+
+def test_contains_refuses_a_mukai_vector():
+    sub = rank_one_setup(6).ambient.span([(1, 0, 0), (0, 0, 1)])
+    with pytest.raises(LatticeError) as err:
+        sub.contains(MukaiVector(0, (0,), 0))
+    assert err.value.code == "invalid-matrix"
+    assert sub.contains((Fraction(4, 2), 0, 1))
+    assert not sub.contains((Fraction(1, 2), 0, 1))

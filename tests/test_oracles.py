@@ -10,6 +10,8 @@ candidates of ``mori`` are checked against the witnesses of the P-type
 lattices that ``enumerate_p_type`` finds, and the sparse pairing against the
 dense double loop.  Saturation is checked against the route through the Smith
 transform, and discriminant groups against sympy's invariant factors.  The
+Smith form, which goes through one Hermite form, is checked against the
+smallest-pivot elimination on the whole matrix and against sympy's.  The
 integer ``signature`` is checked against the ``Fraction`` congruence
 diagonalisation it replaced, and the nondegeneracy checks that read the
 signature or the Smith diagonal (``discriminant_group``,
@@ -34,9 +36,10 @@ from oracles import (
     saturate_snf,
     saturated_span,
     signature_congruence,
+    smith_by_pivoting,
 )
 from sympy import ZZ, Matrix
-from sympy.matrices.normalforms import invariant_factors
+from sympy.matrices.normalforms import invariant_factors, smith_normal_form as sympy_smith
 
 from mukailat import (
     IntegralLattice,
@@ -50,7 +53,7 @@ from mukailat import (
     mori_candidates,
     theta_dual,
 )
-from mukailat.intlinalg import determinant, signature, smith_normal_form
+from mukailat.intlinalg import determinant, signature, smith_diagonal, smith_normal_form
 
 BOX = 4
 
@@ -266,6 +269,48 @@ def test_saturation_matches_the_smith_route(data):
     expected = saturate_snf(sub)
     assert sub.saturation() == expected
     assert expected[0].saturation() == (expected[0], 1)
+
+
+@st.composite
+def smith_inputs(draw):
+    """A square or non-square matrix with entries up to 50, or a rank-deficient product."""
+    shape = draw(st.sampled_from(("square", "non-square", "rank-deficient")))
+    m = draw(st.integers(1, 7))
+    if shape == "square":
+        n = m
+    elif shape == "non-square":
+        n = draw(st.integers(1, 7).filter(lambda c: c != m))
+    else:
+        n = draw(st.integers(1, 7))
+
+    def matrix(rows, cols, entry):
+        cell = st.integers(-entry, entry)
+        return draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    if shape != "rank-deficient":
+        return matrix(m, n, 50)
+    # A product through an inner dimension below min(m, n); 0 gives the zero matrix.
+    inner = draw(st.integers(0, min(m, n) - 1))
+    if not inner:
+        return [[0] * n for _ in range(m)]
+    left, right = matrix(m, inner, 3), matrix(inner, n, 16)
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+@slow(200)
+@given(smith_inputs())
+def test_smith_form_matches_the_pivoting_route(mat):
+    snf = smith_normal_form(mat)
+    assert snf.d == smith_by_pivoting(mat).d
+    assert smith_diagonal(tuple(map(tuple, mat))) == snf.diagonal
+
+
+@slow(100)
+@given(smith_inputs())
+def test_smith_diagonal_matches_sympy(mat):
+    m, n = len(mat), len(mat[0])
+    expected = sympy_smith(Matrix(mat), domain=ZZ)
+    assert smith_normal_form(mat).diagonal == tuple(abs(int(expected[i, i])) for i in range(min(m, n)))
 
 
 @slow(150)
