@@ -1,11 +1,11 @@
 """Exact-arithmetic lattice toolkit for Mukai-lattice numerics.
 
-Integer and rational linear algebra (Smith/Hermite normal forms,
-saturation, orthogonal complements, discriminant groups), the Mukai lattice
-of an abelian surface, P-type rank-2 sublattices, and the line-class
-criterion for lagrangian planes on Kummer-type holomorphic symplectic
-manifolds.  All arithmetic is exact; every object is immutable and every
-operation a pure function.
+Integer linear algebra (Smith/Hermite normal forms, saturation, orthogonal
+complements, discriminant groups), the Mukai lattice of an abelian surface,
+P-type rank-2 sublattices, and the line-class criterion for lagrangian
+planes on Kummer-type holomorphic symplectic manifolds.  All arithmetic is
+exact and in integers; every object is immutable and every operation a pure
+function.
 """
 
 from .errors import LatticeError

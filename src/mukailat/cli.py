@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from math import gcd
 from typing import Callable, NamedTuple
 
 from . import moduli, ptype
@@ -133,14 +133,10 @@ def _arguments(fields, payload, bound) -> list:
     return args
 
 
-def _fraction_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _rational_vector(coords) -> list[str]:
-    return [_fraction_str(x) for x in coords]
+def _ratio(p: int, q: int) -> str:
+    """The rational ``p / q``, for ``q >= 1``, as ``"p/q"`` in lowest terms, or ``"p"``."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 # Each handler takes the parsed payload fields of its command and returns the
@@ -190,14 +186,15 @@ def _cmd_ptype_enumerate(setup, v, bound):
 
 def _cmd_line_class(setup, v, a):
     lc = moduli.theta_dual(setup, v, a)
-    return _rational_vector(lc.coords), _fraction_str(lc.square), lc.disc_order, lc.two_r
+    q = lc.denominator
+    return [_ratio(p, q) for p in lc.numerators], _ratio(lc.square_numerator, q), lc.disc_order, lc.two_r
 
 
 def _cmd_classify(setup, v, a):
     verdict = moduli.classify_line_class(setup, v, a)
     return (
         verdict.n,
-        _fraction_str(verdict.line_class.square),
+        _ratio(verdict.line_class.square_numerator, verdict.line_class.denominator),
         verdict.line_class.disc_order,
         verdict.square_ok,
         verdict.torsion_ok,
@@ -211,13 +208,13 @@ def _cmd_mori(setup, v, h, bound):
     candidates = moduli.mori_candidates(setup, v, h, bound)
     return len(candidates), [
         {
-            "a": cand.a.coords,
-            "r": _rational_vector(cand.line_class.coords),
-            "square": _fraction_str(cand.line_class.square),
-            "disc_order": cand.line_class.disc_order,
-            "lagrangian": cand.lagrangian,
+            "a": a.coords,
+            "r": [_ratio(p, lc.denominator) for p in lc.numerators],
+            "square": _ratio(lc.square_numerator, lc.denominator),
+            "disc_order": lc.disc_order,
+            "lagrangian": lagrangian,
         }
-        for cand in candidates
+        for a, lc, lagrangian in candidates
     ]
 
 

@@ -2,8 +2,8 @@
 
 An :class:`IntegralLattice` is a free Z-module of finite rank carrying an
 integer symmetric bilinear form (its Gram matrix in a fixed basis).  Vectors
-are plain tuples of integers, or of :class:`fractions.Fraction` where an
-operation extends to the rational span.  All values are immutable and all
+are plain tuples of integers; ``pair`` and ``Sublattice.contains`` also
+take rationals such as ``Fraction``s.  All values are immutable and all
 operations are pure functions, so everything is safe to share across threads.
 """
 

@@ -11,6 +11,9 @@ and order 2 in the discriminant group of ``v_perp``; the classification
 verdict checks exactly these conditions and reconstructs the witnessing
 P-type lattice.  No basis of ``v_perp`` is needed to place ``R`` in its
 dual: for ``w`` orthogonal to ``v``, ``(R, w) = (a, w)`` is an integer.
+``R`` is kept as the integer numerator ``v^2 a - (a, v) v`` over ``v^2``,
+and both conditions are decided on integers; rationals are reduced only
+where the CLI prints them.
 Extremality of a ray is never decided here: candidate generators of the
 cone of curves are merely enumerated against a chosen positive class ``h``,
 and positive-cone generators are not produced.
@@ -18,7 +21,6 @@ and positive-cone generators are not produced.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import mul
@@ -37,24 +39,28 @@ ALBANESE_FIBRE_CODIM = 4
 
 
 class LineClass(NamedTuple):
-    """A rational class in ``v_perp`` with its square and torsion order.
+    """A class ``R = N / v^2`` in the dual of ``v_perp``, kept in integers.
 
-    ``coords`` are exact ambient coordinates, ``square`` the value of the
-    form, and ``disc_order`` the order of the class in the discriminant
-    group of ``v_perp``.
+    ``numerators`` are the ambient coordinates of ``N`` and ``denominator``
+    is ``v^2``; neither is reduced.  ``(R, R)`` is ``square_numerator /
+    denominator``, and ``disc_order`` is the order of ``R`` in the
+    discriminant group of ``v_perp``.
     """
 
-    coords: tuple[Fraction, ...]
-    square: Fraction
+    numerators: tuple[int, ...]
+    denominator: int
+    square_numerator: int
     disc_order: int
 
     @property
     def two_r(self) -> tuple[int, ...] | None:
-        """``2R`` as an integral vector when it lies in ``v_perp``, else None."""
-        doubled = [2 * x for x in self.coords]
-        if all(x.denominator == 1 for x in doubled):
-            return tuple(int(x) for x in doubled)
-        return None
+        """``2R`` as an integral vector when it lies in ``v_perp``, else None.
+
+        ``2R`` is integral exactly when the order of ``R`` divides 2.
+        """
+        if self.disc_order > 2:
+            return None
+        return tuple(2 * x // self.denominator for x in self.numerators)
 
 
 def v_perp(setup: MukaiSetup, v: MukaiVector) -> Sublattice:
@@ -66,18 +72,14 @@ def _line_class(v: MukaiVector, coords: tuple[int, ...], asq: int, pairing: int,
     """The line class of the integral ``a`` with ``a^2 = asq`` and ``(a, v) = pairing``.
 
     ``R = N / v^2`` with the integral numerator ``N = v^2 a - (a, v) v``, so
-    ``(R, R) = a^2 - (a, v)^2 / v^2``.  ``R`` lies in the dual of ``v_perp``
+    ``v^2 (R, R) = v^2 a^2 - (a, v)^2``.  ``R`` lies in the dual of ``v_perp``
     with no check, because ``(N, w) = v^2 (a, w)`` for every ``w``
     orthogonal to ``v``.  That lattice is saturated, so ``m R`` lies in it
     exactly when ``m R`` is integral: the order of ``R`` in its discriminant
     group is ``v^2 / gcd(v^2, N)``, the lcm of the denominators of ``R``.
     """
     numerators = tuple(vsq * x - pairing * y for x, y in zip(coords, v.coords))
-    return LineClass(
-        coords=tuple(Fraction(x, vsq) for x in numerators),
-        square=Fraction(vsq * asq - pairing * pairing, vsq),
-        disc_order=vsq // gcd(vsq, *numerators),
-    )
+    return LineClass(numerators, vsq, vsq * asq - pairing * pairing, vsq // gcd(vsq, *numerators))
 
 
 def theta_dual(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClass:
@@ -296,9 +298,7 @@ def _report(setup: MukaiSetup, v: MukaiVector, parts: tuple[MukaiVector, ...]) -
 
 
 def _check_parts(setup: MukaiSetup, v: MukaiVector, parts) -> tuple[MukaiVector, ...]:
-    parts = tuple(
-        setup._check(p if isinstance(p, MukaiVector) else MukaiVector.from_coords(p)) for p in parts
-    )
+    parts = tuple(setup._check(p) for p in parts)
     if not parts:
         raise LatticeError("empty-partition", "a partition needs at least one part")
     total = parts[0]

@@ -124,10 +124,13 @@ class MukaiSetup:
         return self._check(MukaiVector(r, c, s))
 
     def vector_from_coords(self, coords) -> MukaiVector:
-        return self._check(MukaiVector.from_coords(coords))
+        return self._check(coords)
 
-    def _check(self, v: MukaiVector) -> MukaiVector:
-        """``v``, once it is known to have one ``c`` entry per NS generator."""
+    def _check(self, v) -> MukaiVector:
+        """``v``, a ``MukaiVector`` or its coordinates, as a ``MukaiVector``
+        once it is known to have one ``c`` entry per NS generator."""
+        if not isinstance(v, MukaiVector):
+            v = MukaiVector.from_coords(v)
         if len(v.c) != self.rho:
             raise LatticeError(
                 "dimension-mismatch",

@@ -105,10 +105,7 @@ class PointedSublattice(NamedTuple):
     def span(cls, setup: MukaiSetup, v: MukaiVector, vectors) -> "PointedSublattice":
         """Saturated span of the given vectors, required to be rank 2 and to contain v."""
         setup._check(v)
-        rows = [
-            setup._check(w if isinstance(w, MukaiVector) else MukaiVector.from_coords(w)).coords
-            for w in vectors
-        ]
+        rows = [setup._check(w).coords for w in vectors]
         sub = Sublattice(setup.ambient, rows)
         if sub.rank != 2:
             raise LatticeError("rank-mismatch", f"span has rank {sub.rank}, expected 2")

@@ -265,7 +265,9 @@ def _project(setup, v, coords, vsq):
     return tuple(Fraction(a) - weight * b for a, b in zip(coords, v.coords))
 
 
-def _line_class(setup, v, a, vsq, perp) -> LineClass:
+def _line_class(setup, v, a, vsq, perp):
+    """The projection ``R`` of ``a`` and its square as ``Fraction``s, and
+    the integer ``LineClass`` they make."""
     projected = _project(setup, v, a.coords, vsq)
     square = Fraction(setup.ambient.pair(projected, projected))
     if not all(Fraction(p).denominator == 1 for p in (setup.ambient.pair(projected, b) for b in perp.basis)):
@@ -277,18 +279,22 @@ def _line_class(setup, v, a, vsq, perp) -> LineClass:
         disc_order = lcm(*(c.denominator for c in rational))
     else:
         disc_order = 1
-    return LineClass(coords=projected, square=square, disc_order=disc_order)
+    numerators = [vsq * x for x in projected]
+    assert all(x.denominator == 1 for x in numerators)
+    assert (vsq * square).denominator == 1
+    lc = LineClass(tuple(int(x) for x in numerators), vsq, int(vsq * square), disc_order)
+    return lc, projected, square
 
 
 def line_class_scan(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClass:
     """``theta_dual`` through a rational solve in the basis of ``v_perp``."""
-    return _line_class(setup, v, a, setup.square(v), v_perp(setup, v))
+    return _line_class(setup, v, a, setup.square(v), v_perp(setup, v))[0]
 
 
-def _lagrangian(setup, v, a, vsq, lc) -> bool:
+def _lagrangian(setup, v, a, vsq, projected, square) -> bool:
     n = vsq // 2 - 1
-    square_ok = lc.square == Fraction(-(n + 1), 2)
-    torsion_ok = lc.two_r is not None
+    square_ok = square == Fraction(-(n + 1), 2)
+    torsion_ok = all((2 * x).denominator == 1 for x in projected)
     pairing = setup.pair(a, v)
     isotropic_witness_ok = setup.square(a) == 0 and abs(pairing) == vsq // 2
     lattice = None
@@ -321,10 +327,10 @@ def mori_candidates_scan(setup: MukaiSetup, v: MukaiVector, h: MukaiVector, boun
         a = MukaiVector.from_coords(coords)
         if setup.square(a) < 0 or abs(setup.pair(a, v)) > half:
             continue
-        lc = _line_class(setup, v, a, vsq, perp)
-        if setup.ambient.pair(lc.coords, h.coords) <= 0:
+        lc, projected, square = _line_class(setup, v, a, vsq, perp)
+        if setup.ambient.pair(projected, h.coords) <= 0:
             continue
-        lagrangian = _lagrangian(setup, v, a, vsq, lc)
+        lagrangian = _lagrangian(setup, v, a, vsq, projected, square)
         out.append(MoriCandidate(a=a, line_class=lc, lagrangian=lagrangian))
     out.sort(key=lambda cand: cand.a.coords)
     return out

@@ -66,7 +66,7 @@ def test_criterion_1_kummer_fourfold_constant():
         setup = rank_one_setup(6)
         v = setup.vector(0, [1], -3)
         lc = theta_dual(setup, v, setup.vector(1, [0], 0))
-        assert lc.square == Fraction(-3, 2)
+        assert Fraction(lc.square_numerator, lc.denominator) == Fraction(-3, 2)
         assert lc.disc_order == 2
 
 
@@ -79,7 +79,7 @@ def test_criterion_2_corollary_sweep():
             assert setup.square(v) == 2 * n + 2
             assert setup.pair(a, v) == n + 1
             lc = theta_dual(setup, v, a)
-            assert lc.square == Fraction(-(n + 1), 2)
+            assert Fraction(lc.square_numerator, lc.denominator) == Fraction(-(n + 1), 2)
             assert lc.two_r is not None
             assert lc.disc_order == 2
             count += 1
@@ -310,13 +310,13 @@ def test_criterion_8_cross_module_consistency():
         projections = {}
         for lattice in lattices:
             lc = theta_dual(setup, v, lattice.decomposition().s)
-            projections[tuple(lc.coords)] = lattice
-            projections[tuple(-x for x in lc.coords)] = lattice
+            projections[lc.numerators] = lattice
+            projections[tuple(-x for x in lc.numerators)] = lattice
         assert flagged and lattices
         # every flagged candidate is (up to sign) a projected census class
         covered = set()
         for cand in flagged:
-            key = tuple(cand.line_class.coords)
+            key = cand.line_class.numerators
             assert key in projections
             covered.add(projections[key])
         # and every enumerated lattice is hit by some flagged candidate

@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mukailat
-from mukailat.cli import DEFAULT_BOUND, canonical_json, handle_line, main, run_batch
+from mukailat.cli import DEFAULT_BOUND, _ratio, canonical_json, handle_line, main, run_batch
 
 # ``python -m mukailat`` in a child process imports the package under test.
 CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(mukailat.__file__).parents[1])}
@@ -203,14 +206,15 @@ def test_batch_concurrency_preserves_bytes():
     _, sequential = run_lines(lines, jobs=1)
     _, threaded = run_lines(lines, jobs=4)
     assert sequential == threaded
-    from fractions import Fraction
-
-    from mukailat.cli import _fraction_str
-
     for n, line in zip(range(2, 12), sequential):
         doc = json.loads(line)
-        assert doc["result"]["square"] == _fraction_str(Fraction(-(n + 1), 2))
+        assert doc["result"]["square"] == str(Fraction(-(n + 1), 2))
         assert doc["result"]["all_ok"] is True
+
+
+@given(st.integers(), st.integers(min_value=1))
+def test_ratio_prints_as_a_reduced_fraction(p, q):
+    assert _ratio(p, q) == str(Fraction(p, q))
 
 
 def test_round_trip_canonicalisation():

@@ -19,6 +19,15 @@ from mukailat import (
 )
 
 
+def _coords(lc):
+    """The ambient coordinates of the line class ``R`` as ``Fraction``s."""
+    return tuple(Fraction(x, lc.denominator) for x in lc.numerators)
+
+
+def _square(lc):
+    return Fraction(lc.square_numerator, lc.denominator)
+
+
 @pytest.fixture
 def six():
     setup = rank_one_setup(6)
@@ -28,11 +37,11 @@ def six():
 def test_theta_dual_worked_example(six):
     setup, v = six
     lc = theta_dual(setup, v, setup.vector(1, [0], 0))
-    assert lc.coords == (Fraction(1), Fraction(-1, 2), Fraction(3, 2))
-    assert lc.square == Fraction(-3, 2)
+    assert _coords(lc) == (Fraction(1), Fraction(-1, 2), Fraction(3, 2))
+    assert _square(lc) == Fraction(-3, 2)
     assert lc.disc_order == 2
     assert lc.two_r == (2, -1, 3)
-    assert setup.ambient.pair(lc.coords, v.coords) == 0
+    assert setup.ambient.pair(_coords(lc), v.coords) == 0
 
 
 def test_theta_dual_fixes_v_perp(six):
@@ -40,16 +49,16 @@ def test_theta_dual_fixes_v_perp(six):
     h = setup.vector(-2, [1], 0)
     assert setup.pair(h, v) == 0
     lc = theta_dual(setup, v, h)
-    assert lc.coords == tuple(Fraction(x) for x in h.coords)
-    assert lc.square == setup.square(h)
+    assert _coords(lc) == tuple(Fraction(x) for x in h.coords)
+    assert _square(lc) == setup.square(h)
     assert lc.disc_order == 1
 
 
 def test_theta_dual_kills_v(six):
     setup, v = six
     lc = theta_dual(setup, v, v)
-    assert all(x == 0 for x in lc.coords)
-    assert lc.square == 0 and lc.disc_order == 1
+    assert all(x == 0 for x in _coords(lc))
+    assert _square(lc) == 0 and lc.disc_order == 1
 
 
 def test_theta_dual_requires_positive_square(six):
@@ -65,20 +74,20 @@ def test_projection_is_idempotent_and_orthogonal(six):
     vsq = setup.square(v)
     for _ in range(200):
         a = setup.vector_from_coords([rng.randint(-30, 30) for _ in range(3)])
-        coords = theta_dual(setup, v, a).coords
+        coords = _coords(theta_dual(setup, v, a))
         assert setup.ambient.pair(coords, v.coords) == 0
         # by linearity, projecting the integral v^2 R gives back v^2 R
         again = theta_dual(setup, v, setup.vector_from_coords([int(vsq * x) for x in coords]))
-        assert again.coords == tuple(vsq * x for x in coords)
+        assert _coords(again) == tuple(vsq * x for x in coords)
 
 
 def test_line_class_square(six):
     setup, v = six
-    assert theta_dual(setup, v, setup.vector(1, [0], 0)).square == Fraction(-3, 2)
+    assert _square(theta_dual(setup, v, setup.vector(1, [0], 0))) == Fraction(-3, 2)
     # isotropic witness with (a, v) = v^2/2 always lands on -v^2/4
-    assert theta_dual(setup, v, setup.vector(-1, [1], -3)).square == Fraction(-6, 4)
+    assert _square(theta_dual(setup, v, setup.vector(-1, [1], -3))) == Fraction(-6, 4)
     h = setup.vector(-2, [1], 0)
-    assert theta_dual(setup, v, h).square == setup.square(h)
+    assert _square(theta_dual(setup, v, h)) == setup.square(h)
 
 
 def test_classify_worked_example(six):
@@ -89,7 +98,7 @@ def test_classify_worked_example(six):
     assert verdict.all_ok
     assert verdict.lattice is not None
     assert verdict.lattice.basis == ((1, 0, 0), (0, 1, -3))
-    assert verdict.line_class.square == Fraction(-3, 2)
+    assert _square(verdict.line_class) == Fraction(-3, 2)
 
 
 def test_classify_failure_modes(six):
@@ -121,7 +130,7 @@ def test_classify_imprimitive_witness_has_no_lattice():
     assert setup.pair(a, v) == 4
     verdict = classify_line_class(setup, v, a)
     assert verdict.all_ok
-    assert verdict.line_class.square == Fraction(-2)
+    assert _square(verdict.line_class) == Fraction(-2)
     assert verdict.lattice is None
 
 
@@ -178,7 +187,7 @@ def test_mori_filters(six):
     for cand in candidates:
         assert setup.square(cand.a) >= 0
         assert abs(setup.pair(cand.a, v)) <= half
-        assert setup.ambient.pair(cand.line_class.coords, h.coords) > 0
+        assert setup.ambient.pair(_coords(cand.line_class), h.coords) > 0
         assert cand.a.coords not in seen
         seen.add(cand.a.coords)
     assert [c.a.coords for c in candidates] == sorted(c.a.coords for c in candidates)
@@ -190,11 +199,11 @@ def test_mori_lagrangian_flags_match_enumeration(six):
     flagged = [c for c in mori_candidates(setup, v, h, 6) if c.lagrangian]
     assert len(flagged) == 4
     projections = {
-        tuple(theta_dual(setup, v, lat.decomposition().s).coords)
+        _coords(theta_dual(setup, v, lat.decomposition().s))
         for lat in enumerate_p_type(setup, v, 6)
     }
     for cand in flagged:
-        coords = tuple(cand.line_class.coords)
+        coords = _coords(cand.line_class)
         negated = tuple(-x for x in coords)
         assert coords in projections or negated in projections
 
@@ -215,7 +224,7 @@ def test_converse_square_forces_witness_pairing(six):
         a = setup.vector_from_coords(coords)
         if setup.square(a) != 0:
             continue
-        if theta_dual(setup, v, a).square != target:
+        if _square(theta_dual(setup, v, a)) != target:
             continue
         pairing = setup.pair(a, v)
         assert pairing * pairing == vsq * vsq // 4
@@ -286,9 +295,9 @@ def test_wall_sides_are_negatives(six):
     dec = construct_p_type(setup, v, setup.vector(1, [0], 0)).decomposition()
     plus = theta_dual(setup, v, dec.s)
     minus = theta_dual(setup, v, dec.t)
-    assert plus.coords == (Fraction(1), Fraction(-1, 2), Fraction(3, 2))
-    assert minus.coords == tuple(-x for x in plus.coords)
-    assert plus.square == minus.square == Fraction(-3, 2)
+    assert _coords(plus) == (Fraction(1), Fraction(-1, 2), Fraction(3, 2))
+    assert _coords(minus) == tuple(-x for x in _coords(plus))
+    assert _square(plus) == _square(minus) == Fraction(-3, 2)
     assert plus.disc_order == minus.disc_order == 2
 
 
@@ -323,9 +332,9 @@ def test_pipeline_on_picard_rank_two_setups():
                 assert 2 * (setup.pair(dec.s, dec.t) - 1) == vsq - 2
                 plus = theta_dual(setup, v, dec.s)
                 minus = theta_dual(setup, v, dec.t)
-                assert plus.square == Fraction(-(n + 1), 2)
+                assert _square(plus) == Fraction(-(n + 1), 2)
                 assert plus.disc_order == 2
-                assert plus.coords == tuple(-x for x in minus.coords)
+                assert _coords(plus) == tuple(-x for x in _coords(minus))
                 verdict = classify_line_class(setup, v, dec.s)
                 assert verdict.all_ok and verdict.lattice == lattice
                 seen += 1

@@ -189,7 +189,11 @@ def test_theta_dual_matches_the_rational_solve(data):
     else:
         setup, v, _ = data.draw(pointed(data.draw(st.sampled_from([1, 2]))))
     a = setup.vector_from_coords(data.draw(st.lists(st.integers(-9, 9), min_size=setup.rank, max_size=setup.rank)))
-    assert theta_dual(setup, v, a) == line_class_scan(setup, v, a)
+    lc = theta_dual(setup, v, a)
+    assert lc == line_class_scan(setup, v, a)
+    assert (lc.two_r is not None) == (lc.disc_order <= 2)
+    if lc.two_r is not None:
+        assert all(x * lc.denominator == 2 * p for x, p in zip(lc.two_r, lc.numerators, strict=True))
 
 
 def _outcome(fn, *args):

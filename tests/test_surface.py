@@ -80,7 +80,7 @@ RECORD_FIELDS = {
     "DiscriminantGroup": ("invariant_factors", "order"),
     "PTypeDecomposition": ("s", "t"),
     "PointedSublattice": ("setup", "v", "basis", "gram2", "v_coords"),
-    "LineClass": ("coords", "square", "disc_order"),
+    "LineClass": ("numerators", "denominator", "square_numerator", "disc_order"),
     "LineClassVerdict": ("line_class", "n", "square_ok", "torsion_ok", "isotropic_witness_ok", "lattice"),
     "MoriCandidate": ("a", "line_class", "lagrangian"),
     "PartitionReport": ("parts", "m", "jh_ok", "ext1_budget_ok", "ext1_cross", "dim_identity_ok"),
@@ -138,6 +138,9 @@ def test_the_runtime_imports_only_the_standard_library():
 
 
 def test_start_up_skips_dataclasses_and_inspect():
-    # Each costs every CLI process several milliseconds of imports.
+    # Each costs every CLI process several milliseconds of imports.  Line
+    # classes are integers until the CLI prints them, so no rational type
+    # is loaded either; ``numbers`` stays, for ``Sublattice.contains``.
     loaded = _new_modules()
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert "fractions" not in loaded and "decimal" not in loaded
