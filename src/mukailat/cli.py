@@ -159,6 +159,8 @@ def _cmd_saturate(basis, ambient):
         if not basis:
             # The zero sublattice is saturated, with index 1, in any ambient.
             return (), 1
+        if not basis[0]:
+            raise LatticeError("invalid-matrix", "basis rows are empty")
         ambient = IntegralLattice(identity(len(basis[0])))
     saturated, index = ambient.span(basis).saturation()
     return saturated.basis, index

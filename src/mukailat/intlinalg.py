@@ -315,7 +315,10 @@ def _hermite(rows) -> IntMatrix:
 def saturation(rows) -> tuple[IntMatrix, int]:
     """Hermite basis of ``Q-span(rows) & Z^n``, and the index of the row span in it.
 
-    ``rows`` (k x n, unchecked) must be linearly independent.  One
+    ``rows`` (k x n, unchecked) must be linearly independent, and should be
+    a Hermite basis (``_hermite``), as every library caller passes: on other
+    rows the entries of the working rows can reach hundreds of thousands of
+    bits (757 656 on one raw 29 x 32 basis).  One
     column-echelon pass brings them to ``rows @ V = [L | 0]`` with ``L``
     lower triangular, so ``rows = L @ W[:k]`` for the unimodular
     ``W = V^-1``: ``W[:k]`` is a basis of the saturation, and the index is

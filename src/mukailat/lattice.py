@@ -12,7 +12,8 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from math import gcd
 from numbers import Rational
-from typing import NamedTuple
+from operator import mul
+from typing import Iterator, NamedTuple
 
 from . import intlinalg
 from .errors import LatticeError
@@ -32,7 +33,12 @@ class DiscriminantGroup(NamedTuple):
 
 
 class IntegralLattice:
-    """A free Z-module with an integer symmetric bilinear form."""
+    """A free Z-module with an integer symmetric bilinear form.
+
+    ``pair``, ``square`` and ``dual_pairings`` sum over one table of the
+    nonzero Gram entries; the box searches take their squares from
+    ``_box_squares``, which pairs no point from scratch.
+    """
 
     def __init__(self, gram):
         rows = intlinalg.freeze_matrix(gram)
@@ -53,14 +59,14 @@ class IntegralLattice:
         return lattice
 
     @cached_property
-    def _entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The ``(j, g)`` with ``g = gram[i][j] != 0``, for each row ``i``.
+    def _terms(self) -> tuple[tuple[int, int, int], ...]:
+        """The ``(i, j, g)`` with ``g = gram[i][j] != 0``, row by row.
 
-        The pairings loop over these alone: Mukai Grams are mostly zeros.
-        Built on the first pairing, so a lattice that is never paired (a
-        ``disc`` or ``saturate`` request) does not pay for it.
+        Every pairing is one sum over these alone: Mukai Grams are mostly
+        zeros.  Built on the first pairing, so a lattice that is never paired
+        (a ``disc`` or ``saturate`` request) does not pay for it.
         """
-        return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
+        return tuple((i, j, g) for i, row in enumerate(self.gram) for j, g in enumerate(row) if g)
 
     @property
     def rank(self) -> int:
@@ -86,17 +92,35 @@ class IntegralLattice:
 
     def pair(self, x, y):
         """Bilinear form ``x^T . gram . y``; symmetric, exact, accepts Fractions."""
-        if not len(x) == len(y) == len(self._entries):
+        if not len(x) == len(y) == len(self.gram):
             self._check_length(x)
             self._check_length(y)
-        total = 0
-        for xi, row in zip(x, self._entries):
-            if xi:
-                total += xi * sum(g * y[j] for j, g in row)
-        return total
+        return sum([x[i] * g * y[j] for i, j, g in self._terms])
 
     def square(self, x):
         return self.pair(x, x)
+
+    def _box_squares(self, bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        """``(c, c.Gc)`` for each ``c`` of ``product(range(-bound, bound + 1), repeat=rank)``.
+
+        The points come lazily, in ``product`` order.  Each square grows one
+        coordinate at a time: appending ``x`` to a prefix ``c`` of length
+        ``k`` adds ``x * (2 * gram[k][:k].c + gram[k][k] * x)``, so each
+        prefix costs one dot product and no point is paired from scratch.
+        """
+        box = range(-bound, bound + 1)
+
+        # head and diag are arguments, so each stage keeps its own row.
+        def extend(points, head, diag):
+            for c, q in points:
+                lin = 2 * sum(map(mul, head, c))
+                for x in box:
+                    yield (*c, x), q + x * (lin + diag * x)
+
+        points = [((), 0)]
+        for k, row in enumerate(self.gram):
+            points = extend(points, row[:k], row[k])
+        return points
 
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -119,7 +143,10 @@ class IntegralLattice:
     def dual_pairings(self, x) -> tuple:
         """Pairings of ``x`` (integral or rational) against the basis vectors."""
         self._check_length(x)
-        return tuple(sum(g * x[j] for j, g in row) for row in self._entries)
+        out = [0] * len(self.gram)
+        for i, j, g in self._terms:
+            out[i] += g * x[j]
+        return tuple(out)
 
     def discriminant_group(self) -> DiscriminantGroup:
         """Elementary divisors of the Gram matrix, from ``smith_diagonal`` (no transforms)."""

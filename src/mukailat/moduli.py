@@ -21,7 +21,6 @@ and positive-cone generators are not produced.
 
 from __future__ import annotations
 
-from itertools import product
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -198,7 +197,8 @@ def mori_candidates(
     For ``a = (r, c, s)`` at fixed ``(r, c)`` each test is linear in ``s``:
     ``a^2 = c.Nc - 2rs``, ``(a, v)`` and ``(a, h)`` are affine in ``s``, so
     the kept ``s`` form one interval, found by exact floor and ceiling
-    division, and only ``(r, c)`` is scanned.  Candidates passing the full
+    division, and only ``(r, c)`` is scanned, with each ``c`` and ``c.Nc``
+    from the box of squares of the NS block.  Candidates passing the full
     line-class criterion and spanning a P-type lattice are flagged
     ``lagrangian``; that verdict is decided on integers, from ``a^2``,
     ``(a, v)``, the gcd of the numerator of ``R`` with ``v^2`` and the gcds
@@ -221,8 +221,8 @@ def mori_candidates(
     box = range(-bound, bound + 1)
     # a^2 = c.Nc - 2rs, and c.Nc does not depend on r.
     heads = [
-        (c, ns.square(c), sum(map(mul, c, v_row[1:])), sum(map(mul, c, h_row[1:])))
-        for c in product(box, repeat=setup.rho)
+        (c, form, sum(map(mul, c, v_row[1:])), sum(map(mul, c, h_row[1:])))
+        for c, form in ns._box_squares(bound)
     ]
     out = []
     # r, then c, then s ascending: the candidates come out sorted.

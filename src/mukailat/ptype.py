@@ -10,7 +10,7 @@ classes, each pairing to ``v^2/2`` against ``v``.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, isqrt
 from operator import mul
 from typing import NamedTuple
@@ -116,20 +116,24 @@ class PointedSublattice(NamedTuple):
         """The saturation of a rank-2 Hermite basis of ambient rows, pointed at ``v``."""
         # The index of a rank-2 lattice in its saturation is the gcd of the
         # 2x2 minors of a basis; at index 1 the Hermite basis is already the
-        # saturated one.
+        # saturated one.  Both rows vanish left of b1's pivot i and b2[i] = 0,
+        # so the minors through column i are b1[i] * b2[l], with gcd
+        # b1[i] * gcd(b2), and the others lie right of i.  The pivot columns
+        # depend only on the rational span, so saturating keeps them.
         b1, b2 = basis
-        minors = (b1[i] * b2[j] - b1[j] * b2[i] for i, j in combinations(range(len(b1)), 2))
-        if gcd(*minors) != 1:
-            basis = saturation(basis)[0]
-            b1, b2 = basis
-        # Cramer's rule on the pivot columns of the Hermite basis, whose 2x2
-        # minor is nonzero, then a check of every coordinate.
         i = next(k for k, x in enumerate(b1) if x)
+        lead = b1[i] * gcd(*b2)
+        if lead != 1:
+            right = combinations(range(i + 1, len(b1)), 2)
+            if gcd(lead, *(b1[k] * b2[l] - b1[l] * b2[k] for k, l in right)) != 1:
+                basis = saturation(basis)[0]
+                b1, b2 = basis
+        # Back substitution on the pivot columns i < j of the echelon basis,
+        # then a check of every coordinate.
         j = next(k for k, x in enumerate(b2) if x)
-        det = b1[i] * b2[j] - b1[j] * b2[i]
         target = v.coords
-        x, x_rem = divmod(target[i] * b2[j] - target[j] * b2[i], det)
-        y, y_rem = divmod(b1[i] * target[j] - b1[j] * target[i], det)
+        x, x_rem = divmod(target[i], b1[i])
+        y, y_rem = divmod(target[j] - x * b1[j], b2[j])
         if x_rem or y_rem or any(x * p + y * q != w for p, q, w in zip(b1, b2, target)):
             raise LatticeError("not-pointed", "v does not lie in the sublattice")
         pair = setup.ambient.pair
@@ -211,9 +215,11 @@ def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[Poin
     deduplicated saturated spans of ``{a, t}``, sorted by their Hermite
     bases.  Only ``(r, c)`` is scanned: ``a^2 = c.Nc - 2rs = 0`` fixes ``s``
     when ``r != 0``, and ``(a, v) = v^2/2`` fixes it when ``r = 0`` and
-    ``r_v != 0``.  ``c.Nc`` comes from the NS block, and each span is built
+    ``r_v != 0``.  Each ``c`` comes with ``c.Nc`` from the box of squares of
+    the NS block, grown one coordinate at a time, and each span is built
     from the Hermite basis of ``{a, t}`` with no further validation, since
-    both rows are integral vectors of the ambient's length.  The result is
+    both rows are integral vectors of the ambient's length; the span is
+    saturated only when its minors say it is not.  The result is
     deterministic and independent of scan order.
     """
     if bound < 0:
@@ -229,8 +235,7 @@ def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[Poin
     found = {}
     # a = (r, c, s) has a^2 = c.Nc - 2rs; c.Nc does not depend on r, so c
     # is the outer loop.
-    for c in product(box, repeat=setup.rho):
-        form = ns.square(c)
+    for c, form in ns._box_squares(bound):
         c_pairing = sum(map(mul, c, v_row[1:]))
         for r in box:
             pairing = r * v_row[0] + c_pairing

@@ -79,6 +79,9 @@ def test_snf_and_pair_and_saturate():
     # The zero sublattice is saturated, with index 1, with or without a Gram matrix.
     assert ok_result('{"command": "saturate", "basis": []}') == {"basis": [], "index": 1}
     assert ok_result('{"command": "saturate", "gram": [[1]], "basis": []}') == {"basis": [], "index": 1}
+    # Empty rows with no Gram matrix name the rows, not a Gram the request never sent.
+    doc = response('{"command": "saturate", "basis": [[]]}')
+    assert (doc["code"], doc["diagnostics"]) == ("invalid-matrix", ["basis rows are empty"])
 
 
 def test_ptype_commands():

@@ -7,9 +7,10 @@ that most enumerations are not empty, and the strategies force the
 branches of the closed form: a witness with ``r = 0``, and a ``v`` with
 ``r_v = 0``, and for ``mori`` an ``h`` with ``r_h = 0``.  The ``lagrangian``
 candidates of ``mori`` are checked against the witnesses of the P-type
-lattices that ``enumerate_p_type`` finds, and the sparse pairing against the
-dense double loop.  Saturation is checked against the route through the Smith
-transform, and discriminant groups against sympy's invariant factors.  The
+lattices that ``enumerate_p_type`` finds, and the sparse pairing and the box
+of squares the searches scan against the dense double loop.  Saturation is
+checked against the route through the Smith transform, and discriminant
+groups against sympy's invariant factors.  The
 Smith form, which goes through one Hermite form, is checked against the
 smallest-pivot elimination on the whole matrix and against sympy's.  The
 integer ``signature`` is checked against the ``Fraction`` congruence
@@ -161,6 +162,21 @@ def test_mori_matches_the_box_scan(data):
     # The rank-4 scan of the old code runs about half a second at bound 4.
     bound = data.draw(st.integers(0, 6 if rho == 1 else 3))
     assert mori_candidates(setup, v, h, bound) == mori_candidates_scan(setup, v, h, bound)
+
+
+def test_mori_matches_the_box_scan_on_kummer_mukai():
+    # rho = 6: the heads come from the box of squares of the rank-6 NS block.
+    setup = kummer_mukai_setup()
+    v = setup.vector_from_coords((1, 1, 1, 1, 1, 0, 0, -1))
+    h = next(
+        h
+        for h in product(range(-1, 2), repeat=setup.rank)
+        if setup.ambient.pair(h, v.coords) == 0 and setup.ambient.square(h) > 0
+    )
+    h = setup.vector_from_coords(h)
+    found = mori_candidates(setup, v, h, 1)
+    assert any(cand.lagrangian for cand in found)
+    assert found == mori_candidates_scan(setup, v, h, 1)
 
 
 @slow(40)
@@ -355,6 +371,11 @@ def test_pairing_matches_the_dense_form(data):
     assert lattice.dual_pairings(x) == tuple(dense_pair(gram, e, x) for e in basis)
     if all(isinstance(c, int) for c in x + y):
         assert type(lattice.pair(x, y)) is int
+    # The squares of a box, grown one coordinate at a time, in product order;
+    # the bound keeps the box to at most 5^5 points.
+    bound = data.draw(st.integers(0, max(b for b in range(4) if (2 * b + 1) ** n <= 5**5)))
+    box = product(range(-bound, bound + 1), repeat=n)
+    assert list(lattice._box_squares(bound)) == [(c, dense_pair(gram, c, c)) for c in box]
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -17,7 +17,7 @@ from mukailat import (
     kummer_mukai_setup,
     rank_one_setup,
 )
-from oracles import coords
+from oracles import coords, saturated_span
 
 
 def brute_lines(a, b, c, box=60):
@@ -314,3 +314,26 @@ def witnessed(draw):
 def test_construct_matches_the_checked_span(drawn):
     setup, v, a = drawn
     assert construct_p_type(setup, v, a) == PointedSublattice.span(setup, v, [a, v - a])
+
+
+# Spans {a, v - a} on each branch of the saturation test of
+# PointedSublattice._of, by the pivot of the first Hermite row times the
+# content of the second: 1 (saturated at once), 3 with coprime minors
+# (saturated), and 5 and 3 at index 5 and 3 (the two spans above).
+@pytest.mark.parametrize(
+    "setup, v, a, lead, index",
+    [
+        (SETUPS[1], SETUPS[1].vector(0, [-1], -3), SETUPS[1].vector(-1, [-1], -3), 1, 1),
+        (SETUPS[1], SETUPS[1].vector(-3, [-1], 0), SETUPS[1].vector(-3, [-1], -1), 3, 1),
+        (SETUPS[1], SETUPS[1].vector(2, [3], 1), SETUPS[1].vector(-1, [1], -3), 5, 5),
+        (SETUPS[2], SETUPS[2].vector(-2, [2, 1], 2), SETUPS[2].vector(-1, [1, -1], 1), 3, 3),
+    ],
+)
+def test_span_matches_the_smith_saturation(setup, v, a, lead, index):
+    sub = Sublattice(setup.ambient, [a.coords, (v - a).coords])
+    b1, b2 = sub.basis
+    assert next(x for x in b1 if x) * gcd(*b2) == lead
+    assert sub.saturation()[1] == index
+    span = PointedSublattice.span(setup, v, [a, v - a])
+    assert span == saturated_span(setup, v, [a, v - a])
+    assert span.is_p_type()
