@@ -299,7 +299,6 @@ SCHEMA = {
     "flags": {
         "--bound": "default box radius for enumerations (10) when the payload has none",
         "--jobs": "accepted for compatibility; batches run sequentially, because the work holds the GIL",
-        "--seed": "accepted for compatibility; results never depend on it",
     },
     "exit_codes": {"0": "all responses ok", "1": "some response failed", "2": "unreadable input"},
 }
@@ -389,7 +388,6 @@ def main(argv=None) -> int:
     parser.add_argument("input", nargs="?", help="request file (defaults to stdin)")
     parser.add_argument("--bound", type=int, default=DEFAULT_BOUND, help="default enumeration box radius")
     parser.add_argument("--jobs", type=int, default=1, help="ignored; batches run sequentially")
-    parser.add_argument("--seed", type=int, default=0, help="ignored; output never depends on it")
     parser.add_argument("--schema", action="store_true", help="print the request/response schema and exit")
     args = parser.parse_args(argv)
 

@@ -99,97 +99,49 @@ class SNFResult(NamedTuple):
         return sum(1 for x in self.diagonal if x != 0)
 
 
-def _smallest_pivot(a, t: int):
-    # Smallest absolute value wins; ties go to the leftmost column, then the
-    # topmost row, which makes the whole reduction deterministic.  Nothing
-    # beats a unit, so the first one found is the pivot.
-    best = None
-    least = 0
-    rows = a[t:]
-    for j in range(t, len(a[0])):
-        for i, row in enumerate(rows, t):
-            x = abs(row[j])
-            if x and (x < least or not least):
-                if x == 1:
-                    return i, j
-                best = (i, j)
-                least = x
-    return best
+def _smith_core(a, u, vt):
+    """Smith form of ``a``, k x r of rank k in row echelon form.
 
-
-def _smith_eliminate(a: list[list[int]], u, vt) -> None:
-    """Bring ``a`` to Smith form in place, by the smallest pivot.
-
-    Each row operation is also applied to the rows of ``u``, and each column
-    operation to the rows of ``vt``, the transpose of ``v``, unless they are
-    None; their rows may be longer than those of ``a``.  Rows and columns
-    before the current pivot are already zero in ``a`` and are skipped.
+    Kannan and Bachem's alternation: the Hermite form of the rows of
+    ``[a^T | vt]`` (column operations on ``a``, applied to the rows of
+    ``vt``, the transpose of ``v``), then of ``[a | u]``, and so on until
+    ``a`` is diagonal.  ``a`` has full row rank and the rows of ``vt`` are
+    independent, so no pass drops a row (without ``vt``, a column pass
+    drops only zero columns of ``a``).  A pair ``d_i, d_j`` off the
+    divisibility chain then becomes ``gcd, lcm`` by one 2 x 2 unimodular
+    operation on each side.  Returns the diagonal and the new rows of ``u``
+    and ``vt``; with ``u`` and ``vt`` None, the diagonal alone.
     """
-    m = len(a)
-    n = len(a[0]) if a else 0
-    size = min(m, n)
-    t = 0
-    while t < size:
-        pivot = _smallest_pivot(a, t)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            if u is not None:
-                u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in a[t:]:
-                row[t], row[pj] = row[pj], row[t]
-            if vt is not None:
-                vt[t], vt[pj] = vt[pj], vt[t]
-        apiv = a[t]
-        p = apiv[t]
-        dirty = False
-        for i in range(t + 1, m):
-            arow = a[i]
-            if arow[t]:
-                q = arow[t] // p
-                if q:
-                    for j in range(t, n):
-                        arow[j] -= q * apiv[j]
-                    if u is not None:
-                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                if arow[t]:
-                    dirty = True
-        if dirty:
-            continue
-        # Column t is zero below the pivot now, so a column operation on
-        # ``a`` changes only the pivot row.
-        for j in range(t + 1, n):
-            if apiv[j]:
-                q = apiv[j] // p
-                if q:
-                    apiv[j] -= q * p
-                    if vt is not None:
-                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
-                if apiv[j]:
-                    dirty = True
-        if dirty:
-            continue
-        # The pivot must divide everything that remains, or the diagonal
-        # would not form a divisibility chain.
-        carrier = None
-        for i in range(t + 1, m):
-            if any(x % p for x in a[i][t + 1 :]):
-                carrier = i
-                break
-        if carrier is not None:
-            apiv[t:] = [x + y for x, y in zip(apiv[t:], a[carrier][t:])]
-            if u is not None:
-                u[t] = [x + y for x, y in zip(u[t], u[carrier])]
-            continue
-        t += 1
-    for i in range(size):
-        if a[i][i] < 0:
-            a[i][i] = -a[i][i]
-            if u is not None:
-                u[i] = [-x for x in u[i]]
+    k = len(a)
+    if u is None:
+        u, vt = [()] * k, [()] * (len(a[0]) if a else 0)
+    # ``a`` is a row Hermite form already, so the column pass comes first.
+    sides = [vt, u]
+    side = 0
+    # An echelon row i is d * e_i when it is zero past column i.
+    while any(any(row[i + 1 :]) for i, row in enumerate(a)):
+        a = transpose(a)
+        w = len(a[0])
+        h = _hermite([(*row, *x) for row, x in zip(a, sides[side])])
+        a, sides[side] = [row[:w] for row in h], [row[w:] for row in h]
+        side ^= 1
+    vt, u = sides
+    d = [a[i][i] for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if d[j] % d[i]:
+                # [[s, t], [-q, p]] @ diag(d_i, d_j) @ [[1, -t*q], [1, s*p]]
+                # is diag(g, lcm); both factors have determinant s*p + t*q = 1.
+                g, s, t = xgcd(d[i], d[j])
+                p, q = d[i] // g, d[j] // g
+                d[i], d[j] = g, d[i] * q
+                ui, uj = u[i], u[j]
+                u[i] = [s * x + t * y for x, y in zip(ui, uj)]
+                u[j] = [p * y - q * x for x, y in zip(ui, uj)]
+                vi, vj = vt[i], vt[j]
+                vt[i] = [x + y for x, y in zip(vi, vj)]
+                vt[j] = [s * p * y - t * q * x for x, y in zip(vi, vj)]
+    return d, u, vt
 
 
 def _split_units(h, n: int):
@@ -220,28 +172,27 @@ def smith_normal_form(mat) -> SNFResult:
 
     The Hermite form of the rows ``[mat | I]`` is ``[h | u1]`` with
     ``u1 @ mat == h``.  Its unit pivots split off (``_split_units``), and
-    the pivoting elimination runs on the small core alone.  The rows of
-    ``h`` that vanish in ``mat``'s columns span the left kernel and come
-    last.  So the transforms stay near the size of the Hermite form; they
-    are deterministic but not canonical.
+    the alternating Hermite forms of ``_smith_core`` run on the small core
+    alone.  The rows of ``h`` that vanish in ``mat``'s columns span the
+    left kernel and come last.  So the transforms stay near the size of the
+    Hermite form; they are deterministic but not canonical.
     """
     rows = freeze_matrix(mat)
     m = len(rows)
     n = len(rows[0]) if rows else 0
     h = _hermite([(*row, *unit) for row, unit in zip(rows, identity(m))])
     units, cols, core, rest = _split_units(h, n)
-    a = [[row[j] for j in rest] for row in core]
-    u = [row[n:] for row in core]
     # The column operations that clear the unit rows leave column j of v as
     # e_j minus the unit rows' entries in column j, at their pivot rows.
     vt = identity(n)
     for row, c in zip(units, cols):
         for j in rest:
             vt[j][c] = -row[j]
-    core_vt = [vt[j] for j in rest]
-    _smith_eliminate(a, u, core_vt)
+    diag, u, core_vt = _smith_core(
+        [[row[j] for j in rest] for row in core], [row[n:] for row in core], [vt[j] for j in rest]
+    )
     d = [[0] * n for _ in range(m)]
-    for i, x in enumerate([1] * len(units) + [a[t][t] for t in range(len(a))]):
+    for i, x in enumerate([1] * len(units) + diag):
         d[i][i] = x
     kernel = h[len(units) + len(core) :]
     return SNFResult(
@@ -255,9 +206,8 @@ def smith_diagonal(mat) -> tuple[int, ...]:
     """``smith_normal_form(mat).diagonal`` of an unchecked ``mat``, from the Hermite form of ``mat`` alone."""
     n = len(mat[0]) if mat else 0
     units, _, core, rest = _split_units(_hermite(mat), n)
-    a = [[row[j] for j in rest] for row in core]
-    _smith_eliminate(a, None, None)
-    diag = (1,) * len(units) + tuple(a[i][i] for i in range(len(a)))
+    diag, _, _ = _smith_core([[row[j] for j in rest] for row in core], None, None)
+    diag = (1,) * len(units) + tuple(diag)
     return diag + (0,) * (min(len(mat), n) - len(diag))
 
 

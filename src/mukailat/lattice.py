@@ -183,12 +183,11 @@ class Sublattice:
 
     def __init__(self, ambient: IntegralLattice, rows):
         rows = intlinalg.freeze_matrix(rows)
+        if rows and len(rows[0]) != ambient.rank:
+            raise LatticeError("dimension-mismatch", "basis row length != ambient rank")
         basis = intlinalg._hermite(rows)
         if len(basis) < len(rows):
             raise LatticeError("dependent-rows", "basis rows are linearly dependent")
-        for row in basis:
-            if len(row) != ambient.rank:
-                raise LatticeError("dimension-mismatch", "basis row length != ambient rank")
         self.ambient = ambient
         self.basis: IntMatrix = basis
 

@@ -11,15 +11,15 @@ The normal forms that ``hermite_basis`` and ``Sublattice.saturation`` used
 to run are here too: the row Hermite form with its unimodular transform,
 which reduces entries above a pivot only once the pivot's column is done,
 the inverse of a unimodular matrix through it, and the saturation through
-the Smith transform ``v`` and its inverse.  ``smith_by_pivoting`` is the
-Smith form that ``smith_normal_form`` computed before it went through one
-Hermite form: the smallest-pivot elimination on the whole matrix, which
-never calls the Hermite form that ``integer_kernel`` and ``saturation`` use.
+the Smith transform ``v`` and its inverse.  ``smith_by_sympy`` is the
+Smith form with transforms from sympy's ``smith_normal_decomp``: it shares
+no elimination with the library, whose Smith form goes through the Hermite
+form that ``integer_kernel`` and ``saturation`` use.
 
 ``dense_pair`` is the bilinear form as the full double loop over the Gram
 matrix, zero entries included, that ``IntegralLattice.pair`` replaced.
 ``kernel_via_smith`` is the integer kernel read off the transform ``v`` of
-``smith_by_pivoting``, which ``integer_kernel`` replaced with one Hermite
+``smith_by_sympy``, which ``integer_kernel`` replaced with one Hermite
 form.
 
 ``signature_congruence`` is the symmetric congruence diagonalisation over
@@ -35,6 +35,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_decomp
+
 from mukailat import (
     LatticeError,
     LineClass,
@@ -48,7 +51,6 @@ from mukailat import (
 from mukailat.intlinalg import (
     IntMatrix,
     SNFResult,
-    _smith_eliminate,
     freeze_matrix,
     hermite_basis,
     identity,
@@ -114,18 +116,25 @@ def coords(sub: Sublattice, x):
     return tuple(int(c) for c in sol)
 
 
-def smith_by_pivoting(mat) -> SNFResult:
-    """Smith form with transforms by the smallest-pivot elimination on all of ``mat``."""
-    a = [list(row) for row in freeze_matrix(mat)]
-    u = identity(len(a))
-    vt = identity(len(a[0]) if a else 0)
-    _smith_eliminate(a, u, vt)
-    return SNFResult(tuple(tuple(row) for row in u), tuple(tuple(row) for row in a), transpose(vt))
+def smith_by_sympy(mat) -> SNFResult:
+    """Smith form with transforms from sympy's ``smith_normal_decomp``.
+
+    Sympy returns ``s == u @ mat @ v``; a row of ``u`` is negated wherever
+    the diagonal entry of ``s`` is negative.
+    """
+    s, u, v = (m.tolist() for m in smith_normal_decomp(Matrix(freeze_matrix(mat)), domain=ZZ))
+    d = [[int(x) for x in row] for row in s]
+    u = [[int(x) for x in row] for row in u]
+    for i in range(min(len(d), len(v))):
+        if d[i][i] < 0:
+            d[i][i] = -d[i][i]
+            u[i] = [-x for x in u[i]]
+    return SNFResult(tuple(map(tuple, u)), tuple(map(tuple, d)), tuple(tuple(int(x) for x in row) for row in v))
 
 
 def kernel_via_smith(mat) -> IntMatrix:
     """``integer_kernel`` through the Smith form: the last columns of ``v`` past the rank."""
-    snf = smith_by_pivoting(mat)
+    snf = smith_by_sympy(mat)
     n = len(snf.v)
     cols = [tuple(snf.v[i][j] for i in range(n)) for j in range(snf.rank, n)]
     return hermite_basis(cols)
@@ -206,7 +215,7 @@ def saturate_snf(sub: Sublattice) -> tuple[Sublattice, int]:
     The first ``rank`` rows of ``v^-1`` span the saturation, and the index
     is the product of the diagonal of ``d``.
     """
-    snf = smith_by_pivoting(sub.basis)
+    snf = smith_by_sympy(sub.basis)
     vinv = invert_unimodular(snf.v)
     index = 1
     for d in snf.diagonal:

@@ -392,7 +392,7 @@ def test_criterion_9_cli_determinism(tmp_path):
 
         first = run("--jobs", "1")
         second = run("--jobs", "1")
-        threaded = run("--jobs", "4", "--seed", "99")
+        threaded = run("--jobs", "4")
         assert first.returncode == 0, first.stderr
         assert first.stdout == second.stdout == threaded.stdout
         responses = [json.loads(line) for line in first.stdout.splitlines()]

@@ -82,6 +82,9 @@ def test_snf_and_pair_and_saturate():
     # Empty rows with no Gram matrix name the rows, not a Gram the request never sent.
     doc = response('{"command": "saturate", "basis": [[]]}')
     assert (doc["code"], doc["diagnostics"]) == ("invalid-matrix", ["basis rows are empty"])
+    # With a Gram matrix, an empty row is too short for the ambient, not dependent.
+    doc = response('{"command": "saturate", "gram": [[2]], "basis": [[]]}')
+    assert (doc["code"], doc["diagnostics"]) == ("dimension-mismatch", ["basis row length != ambient rank"])
 
 
 def test_ptype_commands():
@@ -272,6 +275,10 @@ def test_main_exit_codes(tmp_path):
     missing = run(str(tmp_path / "absent.ndjson"))
     assert missing.returncode == 2
     assert missing.stderr
+    # There is no --seed flag: argparse rejects it as a usage error.
+    seeded = run("--seed", "7", str(good))
+    assert seeded.returncode == 2
+    assert "--seed" in seeded.stderr
 
 
 def test_default_bound_flows_into_enumeration():

@@ -43,7 +43,7 @@ def test_golden_batch_in_process(jobs):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_golden_batch_through_the_cli(jobs):
-    done = run_cli("--jobs", jobs, "--seed", "7", str(REQUESTS))
+    done = run_cli("--jobs", jobs, str(REQUESTS))
     assert done.stdout == EXPECTED
     assert done.returncode == 1
     assert done.stderr == b""

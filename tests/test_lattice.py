@@ -150,12 +150,13 @@ def test_dependent_rows_rejected():
     with pytest.raises(LatticeError) as err:
         z2.span([(1, 2), (2, 4)])
     assert err.value.code == "dependent-rows"
-    # Codes are checked in the order invalid-matrix, dependent-rows,
-    # dimension-mismatch.
+    # Codes are checked in the order invalid-matrix, dimension-mismatch,
+    # dependent-rows: a row of the wrong length, empty or dependent, is
+    # reported as a length mismatch.
     cases = {
         "invalid-matrix": [[(1, 2), (3,)], [(1, 2, 3), (2, True, 6)]],
-        "dependent-rows": [[(0, 0)], [(1, 2), (0, 0)], [(1, 2, 3), (2, 4, 6)], [()]],
-        "dimension-mismatch": [[(1, 2, 3)], [(1, 0, 0), (0, 1, 0)]],
+        "dependent-rows": [[(0, 0)], [(1, 2), (0, 0)]],
+        "dimension-mismatch": [[(1, 2, 3)], [(1, 0, 0), (0, 1, 0)], [(1, 2, 3), (2, 4, 6)], [()]],
     }
     for code, bases in cases.items():
         for rows in bases:

@@ -11,8 +11,8 @@ lattices that ``enumerate_p_type`` finds, and the sparse pairing and the box
 of squares the searches scan against the dense double loop.  Saturation is
 checked against the route through the Smith transform, and discriminant
 groups against sympy's invariant factors.  The
-Smith form, which goes through one Hermite form, is checked against the
-smallest-pivot elimination on the whole matrix and against sympy's.  The
+Smith form, which goes through alternating Hermite forms, is checked
+against sympy's decomposition and its diagonal.  The
 integer ``signature`` is checked against the ``Fraction`` congruence
 diagonalisation it replaced, and the nondegeneracy checks that read the
 signature or the Smith diagonal (``discriminant_group``,
@@ -37,7 +37,7 @@ from oracles import (
     saturate_snf,
     saturated_span,
     signature_congruence,
-    smith_by_pivoting,
+    smith_by_sympy,
 )
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors, smith_normal_form as sympy_smith
@@ -293,8 +293,14 @@ def test_saturation_matches_the_smith_route(data):
 
 @st.composite
 def smith_inputs(draw):
-    """A square or non-square matrix with entries up to 50, or a rank-deficient product."""
-    shape = draw(st.sampled_from(("square", "non-square", "rank-deficient")))
+    """A square or non-square matrix with entries up to 50, a rank-deficient
+    product, or ``A @ diag(d) @ B`` with unimodular ``A`` and ``B``.
+
+    The first three mostly leave one non-unit row after the unit pivots
+    split off; the last, with ``d`` from {0, 1, 2, 3, 4, 6, 12, 36}, leaves
+    several, so the alternating Hermite forms and the gcd/lcm pass both run.
+    """
+    shape = draw(st.sampled_from(("square", "non-square", "rank-deficient", "diagonal")))
     m = draw(st.integers(1, 7))
     if shape == "square":
         n = m
@@ -307,6 +313,23 @@ def smith_inputs(draw):
         cell = st.integers(-entry, entry)
         return draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
 
+    if shape == "diagonal":
+        d = draw(st.lists(st.sampled_from((0, 1, 2, 3, 4, 6, 12, 36)), min_size=min(m, n), max_size=min(m, n)))
+        mat = [[d[i] if i == j else 0 for j in range(n)] for i in range(m)]
+        # Elementary operations: add c times row (column) j to row (column) i.
+        for _ in range(draw(st.integers(0, 12))):
+            axis = draw(st.sampled_from(("row", "column")))
+            size = m if axis == "row" else n
+            if size < 2:
+                continue
+            i, j = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+            c = draw(st.integers(-3, 3))
+            if axis == "row":
+                mat[i] = [x + c * y for x, y in zip(mat[i], mat[j])]
+            else:
+                for row in mat:
+                    row[i] += c * row[j]
+        return mat
     if shape != "rank-deficient":
         return matrix(m, n, 50)
     # A product through an inner dimension below min(m, n); 0 gives the zero matrix.
@@ -321,7 +344,7 @@ def smith_inputs(draw):
 @given(smith_inputs())
 def test_smith_form_matches_the_pivoting_route(mat):
     snf = smith_normal_form(mat)
-    assert snf.d == smith_by_pivoting(mat).d
+    assert snf.d == smith_by_sympy(mat).d
     assert smith_diagonal(tuple(map(tuple, mat))) == snf.diagonal
 
 
