@@ -2,11 +2,13 @@
 
 Reads newline-delimited JSON requests (one document per line) from a file or
 stdin and writes one JSON response per request, in input order.  Integers
-may be given as JSON numbers or as decimal strings of up to 4300 digits,
-Python's int-string limit; rational results are rendered as reduced
-strings ``"p/q"`` with positive ``q`` (plain ``"p"`` when integral).  A
-request that fails in an unexpected way gets an ``internal-error`` response.
-Output is byte-stable for identical input.
+may be given as JSON numbers or as decimal strings (an optional ``-`` and
+ASCII digits) of up to 4300 digits, Python's int-string limit; rational
+results are rendered as reduced strings ``"p/q"`` with positive ``q``
+(plain ``"p"`` when integral).  A request that fails in an unexpected way
+gets an ``internal-error`` response.  Output is byte-stable for identical
+input.  Mukai setups are built once per process and shared between
+requests; an answer does not depend on the requests before it.
 Requests run one after another: ``--jobs`` is accepted for compatibility
 and ignored, because the work is pure Python and holds the interpreter lock.
 
@@ -26,7 +28,7 @@ from . import moduli, ptype
 from .errors import LatticeError
 from .intlinalg import identity, smith_normal_form
 from .lattice import IntegralLattice
-from .mukai import MukaiSetup, kummer_bbf_lattice, kummer_mukai_setup, rank_one_setup
+from .mukai import MukaiSetup, _setup, kummer_bbf_lattice, kummer_mukai_setup, rank_one_setup
 
 DEFAULT_BOUND = 10
 # A rejected string is echoed in its error message up to this many characters.
@@ -37,17 +39,29 @@ class SchemaError(Exception):
     pass
 
 
+def _echo(text: str) -> str:
+    """``text`` as a message shows it: its repr, cut at ``ECHO_LIMIT`` characters."""
+    if len(text) <= ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:ECHO_LIMIT]!r}... ({len(text)} characters)"
+
+
 def _as_int(value, field):
     if isinstance(value, bool):
         raise SchemaError(f"{field}: expected an integer, got a boolean")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        # int() alone would also take spaces, "_", "+" and non-ASCII digits.
+        digits = value[1:] if value.startswith("-") else value
+        if not (digits.isascii() and digits.isdigit()):
+            raise SchemaError(f"{field}: {_echo(value)} is not a decimal integer")
         try:
             return int(value, 10)
         except ValueError:
-            shown = repr(value) if len(value) <= ECHO_LIMIT else f"{value[:ECHO_LIMIT]!r}... ({len(value)} characters)"
-            raise SchemaError(f"{field}: {shown} is not a decimal integer") from None
+            raise SchemaError(
+                f"{field}: {_echo(value)} has {len(digits)} digits, past Python's int-string limit"
+            ) from None
     raise SchemaError(f"{field}: expected an integer, got {type(value).__name__}")
 
 
@@ -86,7 +100,7 @@ def _parse_preset(name):
 
 def _setup_from(payload) -> MukaiSetup:
     if "ns" in payload:
-        return MukaiSetup(_as_matrix(payload["ns"], "ns"))
+        return _setup(_as_matrix(payload["ns"], "ns"))
     if "setup" in payload:
         kind, value = _parse_preset(payload["setup"])
         if kind != "setup":
@@ -304,8 +318,12 @@ SCHEMA = {
 }
 
 
+# json.dumps with these options would build a new encoder for every response.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return _ENCODER.encode(doc)
 
 
 def _error(command, code, message) -> str:

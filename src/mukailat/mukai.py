@@ -14,12 +14,16 @@ negative.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from operator import itemgetter
 
 from .errors import LatticeError
-from .intlinalg import freeze_vector
+from .intlinalg import IntMatrix, freeze_matrix, freeze_vector
 from .lattice import IntegralLattice
+
+# How many setups (one per NS Gram matrix), and how many Kummer BBF lattices,
+# a process keeps; the least recently used is dropped first.
+MEMO_SIZE = 128
 
 
 class MukaiVector(tuple):
@@ -194,11 +198,28 @@ def _u_cubed_block(size: int) -> list[list[int]]:
     return gram
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _setup(ns_gram: IntMatrix) -> MukaiSetup:
+    """The setup on an NS Gram matrix given as a tuple of int tuples, shared.
+
+    Each Gram is validated and built once per process while it stays among
+    the ``MEMO_SIZE`` most recently used; a ``MukaiSetup`` is never
+    mutated.  The key must already be integers: ``6.0 == 6`` would find the
+    setup of ``[[6]]``.  A Gram that raises is not kept, so it raises the
+    same error on every call.
+    """
+    return MukaiSetup(ns_gram)
+
+
 def rank_one_setup(degree: int) -> MukaiSetup:
-    """Picard rank 1 setup with NS = <degree>; ``degree = 2d > 0`` must be even."""
+    """Picard rank 1 setup with NS = <degree>; ``degree = 2d > 0`` must be even.
+
+    Shared: every call with one degree returns the same setup, and so does
+    the CLI's ``"ns": [[degree]]``.
+    """
     if degree <= 0 or degree % 2:
         raise LatticeError("invalid-matrix", "polarisation degree must be a positive even integer")
-    return MukaiSetup([[degree]])
+    return _setup(freeze_matrix([[degree]]))
 
 
 @cache
@@ -211,8 +232,14 @@ def kummer_mukai_setup() -> MukaiSetup:
     return MukaiSetup(_u_cubed_block(6), check_hodge_signature=False)
 
 
+# typed: 2.0 == 2 must not find the lattice of 2, but fail as it always did.
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
 def kummer_bbf_lattice(n: int) -> IntegralLattice:
-    """Beauville-Bogomolov form of a generalised Kummer 2n-fold: U^3 + <-(2n+2)>."""
+    """Beauville-Bogomolov form of a generalised Kummer 2n-fold: U^3 + <-(2n+2)>.
+
+    Shared, like the setups: each ``n`` is built once per process while it
+    stays among the ``MEMO_SIZE`` most recently used.
+    """
     if n < 1:
         raise LatticeError("invalid-matrix", "need n >= 1")
     gram = _u_cubed_block(7)

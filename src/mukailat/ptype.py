@@ -37,10 +37,20 @@ def isotropic_lines(gram2) -> tuple[tuple[int, int], ...]:
     primitive generator with canonical sign (first nonzero coordinate
     positive), sorted lexicographically.
     """
+    return _isotropic_lines(_binary_gram(gram2))
+
+
+def _binary_gram(gram2) -> IntMatrix:
+    """``gram2`` as nested tuples, once it is known to be a symmetric 2x2 integer matrix."""
     g = freeze_matrix(gram2)
     if len(g) != 2 or len(g[0]) != 2 or g[0][1] != g[1][0]:
         raise LatticeError("invalid-matrix", "need a symmetric 2x2 Gram matrix")
-    a, b, c = g[0][0], g[0][1], g[1][1]
+    return g
+
+
+def _isotropic_lines(gram2: IntMatrix) -> tuple[tuple[int, int], ...]:
+    """``isotropic_lines`` of a Gram already known to be a symmetric 2x2 integer matrix."""
+    (a, b), (_, c) = gram2
     if a == 0 and b == 0 and c == 0:
         raise LatticeError("totally-isotropic", "the form vanishes identically")
     if a == 0:
@@ -68,13 +78,17 @@ def is_p_type_form(gram2, v_xy) -> bool:
     Requires ``v^2 > 0`` and primitive coordinates.  An empty isotropic
     census never qualifies (the minimum over the empty set is +infinity).
     """
-    form = IntegralLattice(gram2)
+    return _is_p_type(IntegralLattice._of(_binary_gram(gram2)), v_xy)
+
+
+def _is_p_type(form: IntegralLattice, v_xy) -> bool:
+    """``is_p_type_form`` on a binary form already known to be a symmetric 2x2 integer Gram."""
     vsq = form.square(v_xy)
     if vsq <= 0:
         raise LatticeError("nonpositive-square", f"v^2 = {vsq} <= 0")
     if gcd(v_xy[0], v_xy[1]) != 1:
         raise LatticeError("imprimitive", "v is not primitive in the sublattice")
-    lines = isotropic_lines(gram2)
+    lines = _isotropic_lines(form.gram)
     if not lines:
         return False
     return min(abs(form.pair(line, v_xy)) for line in lines) == vsq // 2
@@ -92,7 +106,10 @@ class PointedSublattice(NamedTuple):
 
     ``basis`` is the canonical Hermite-form basis of the saturation,
     ``gram2`` the restricted Gram matrix and ``v_coords`` the (integer)
-    coordinates of ``v`` in that basis.
+    coordinates of ``v`` in that basis.  ``gram2`` is made by ``_of`` from
+    ambient pairings, so the census and the P-type test read it as it is,
+    through the helpers behind ``isotropic_lines`` and ``is_p_type_form``,
+    with no second validation.
     """
 
     setup: MukaiSetup
@@ -155,12 +172,12 @@ class PointedSublattice(NamedTuple):
         # The pivot of the first basis row lies left of the second's, and both
         # pivots are positive, so the sign-fixed, sorted lines map to
         # sign-fixed, sorted classes.
-        return tuple(self.member(line) for line in isotropic_lines(self.gram2))
+        return tuple(self.member(line) for line in _isotropic_lines(self.gram2))
 
     def is_p_type(self) -> bool:
         if not self.setup.is_primitive(self.v):
             raise LatticeError("imprimitive", "v must be primitive")
-        return is_p_type_form(self.gram2, self.v_coords)
+        return _is_p_type(IntegralLattice._of(self.gram2), self.v_coords)
 
     def decomposition(self) -> PTypeDecomposition:
         """The canonical splitting ``v = s + t`` of a P-type lattice.

@@ -11,7 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mukailat
-from mukailat.cli import DEFAULT_BOUND, _ratio, canonical_json, handle_line, main, run_batch
+from mukailat import MukaiSetup, kummer_bbf_lattice, rank_one_setup
+from mukailat.cli import DEFAULT_BOUND, _ratio, _setup_from, canonical_json, handle_line, main, run_batch
+from mukailat.mukai import _setup
 
 # ``python -m mukailat`` in a child process imports the package under test.
 CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(mukailat.__file__).parents[1])}
@@ -125,6 +127,21 @@ def test_big_integers_as_strings():
     assert ok_result(line)["value"] == big**2
 
 
+@pytest.mark.parametrize("text", [" 12", "\t3\n", "1_000", "+3", "\u0661\u0662", "", "-", "--3"])
+def test_decimal_strings_are_an_optional_minus_and_ascii_digits(text):
+    doc = response(json.dumps({"command": "pair", "gram": [[1]], "x": [text], "y": [1]}))
+    assert doc["code"] == "schema-error"
+    assert doc["diagnostics"] == [f"x: {text!r} is not a decimal integer"]
+    doc = response(json.dumps({"command": "disc", "setup": f"kummer-bbf:{text}"}))
+    assert doc["diagnostics"] == [f"setup parameter: {text!r} is not a decimal integer"]
+
+
+def test_decimal_strings_keep_signs_and_leading_zeros():
+    line = json.dumps({"command": "pair", "gram": [[1]], "x": ["-12"], "y": ["007"]})
+    assert ok_result(line) == {"value": -84}
+    assert ok_result(json.dumps({"command": "pair", "gram": [[1]], "x": ["-0"], "y": [5]})) == {"value": 0}
+
+
 def test_error_codes_are_distinct():
     doc = response("not json")
     assert doc["status"] == "error" and doc["code"] == "parse-error"
@@ -184,6 +201,10 @@ def test_hostile_requests_never_abort_the_batch():
         # No response echoes a long input back in full.
         assert len(output[1]) < 300
         assert docs[0]["result"] == docs[2]["result"] == {"value": 6}
+    # The long decimal string is a decimal integer, past the digit limit.
+    assert json.loads(handle_line(HOSTILE[1][1], DEFAULT_BOUND)[0])["diagnostics"] == [
+        f"x: {'7' * 40!r}... (5000 characters) has 5000 digits, past Python's int-string limit"
+    ]
     done = subprocess.run(
         [sys.executable, "-m", "mukailat"],
         input="\n".join([line for _, line in HOSTILE] + [ok]),
@@ -221,6 +242,19 @@ def test_batch_concurrency_preserves_bytes():
 @given(st.integers(), st.integers(min_value=1))
 def test_ratio_prints_as_a_reduced_fraction(p, q):
     assert _ratio(p, q) == str(Fraction(p, q))
+
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**80), 10**80) | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(JSON_DOCS)
+def test_canonical_json_is_json_dumps(doc):
+    expected = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    assert canonical_json(doc) == expected
 
 
 def test_round_trip_canonicalisation():
@@ -287,3 +321,52 @@ def test_default_bound_flows_into_enumeration():
     wide = response(line, bound=6)
     assert narrow["result"]["count"] == 0
     assert wide["result"]["count"] == 2
+
+
+GOLDEN_REQUESTS = Path(__file__).parent / "golden" / "requests.ndjson"
+
+
+def test_answers_do_not_depend_on_earlier_requests():
+    # The setups are shared within a process: the golden batch answered
+    # backwards, on setups the forward pass built, gives the same answers.
+    lines = [line for line in GOLDEN_REQUESTS.read_text(encoding="utf-8").splitlines() if line.strip()]
+    _setup.cache_clear()
+    kummer_bbf_lattice.cache_clear()
+    forward = [handle_line(line, DEFAULT_BOUND) for line in lines]
+    backward = [handle_line(line, DEFAULT_BOUND) for line in reversed(lines)]
+    assert backward[::-1] == forward
+
+
+@pytest.mark.parametrize("ns, code", [([[3]], "not-even"), ([[2, 0], [0, 2]], "bad-signature")])
+def test_a_bad_ns_fails_the_same_way_every_time(ns, code):
+    line = json.dumps({"command": "line-class", "ns": ns, "v": [0, 1, -3], "a": [1, 0, 0]})
+    misses = _setup.cache_info().misses
+    answers = [handle_line(line, DEFAULT_BOUND) for _ in range(3)]
+    assert answers[0] == answers[1] == answers[2]
+    assert json.loads(answers[0][0])["code"] == code
+    # An error is never kept: each request builds and fails again.
+    assert _setup.cache_info().misses == misses + 3
+
+
+def test_a_batch_builds_each_setup_once(monkeypatch):
+    built = []
+    init = MukaiSetup.__init__
+
+    def counted(self, ns_gram, **kwargs):
+        built.append(ns_gram)
+        init(self, ns_gram, **kwargs)
+
+    monkeypatch.setattr(MukaiSetup, "__init__", counted)
+    _setup.cache_clear()
+    classify = {"command": "classify", "v": [0, 1, -5], "a": [1, 0, 0]}
+    lines = [json.dumps({**classify, "ns": [[10]]}), json.dumps({**classify, "setup": "ns-rank1:10"})] * 5
+    status, output = run_lines(lines)
+    assert status == 0 and len(set(output)) == 1
+    assert built == [((10,),)]
+
+
+def test_ns_and_presets_share_one_setup():
+    six = rank_one_setup(6)
+    assert rank_one_setup(6) is six
+    assert _setup_from({"ns": [[6]]}) is six
+    assert _setup_from({"setup": "ns-rank1:6"}) is six

@@ -22,6 +22,7 @@ from mukailat import (
     smith_normal_form,
     theta_dual,
 )
+from mukailat.mukai import MEMO_SIZE, _setup
 
 # A bool, a float and a str where an integer belongs.
 NON_INTEGERS = [True, 1.0, "1"]
@@ -156,6 +157,24 @@ def test_kummer_bbf_lattice():
     assert lattice.discriminant_group().invariant_factors == (6,)
     with pytest.raises(LatticeError):
         kummer_bbf_lattice(0)
+
+
+def test_factories_share_their_results():
+    assert rank_one_setup(6) is rank_one_setup(6)
+    assert _setup(((6,),)) is rank_one_setup(6)
+    assert kummer_bbf_lattice(2) is kummer_bbf_lattice(2)
+    assert kummer_mukai_setup() is kummer_mukai_setup()
+    # A number equal to a cached key but of another type still fails.
+    assert_invalid_matrix(lambda: rank_one_setup(6.0))
+    assert_invalid_matrix(lambda: kummer_bbf_lattice(2.0))
+
+
+def test_the_memos_are_bounded():
+    for k in range(1, MEMO_SIZE + 11):
+        rank_one_setup(2 * k)
+        kummer_bbf_lattice(k)
+    assert _setup.cache_info().currsize <= MEMO_SIZE
+    assert kummer_bbf_lattice.cache_info().currsize <= MEMO_SIZE
 
 
 def test_setup_validation():

@@ -306,6 +306,41 @@ def witnessed(draw):
     return setup, v, a
 
 
+def _outcome(call):
+    """What ``call()`` returns, or the code of the ``LatticeError`` it raises."""
+    try:
+        return call()
+    except LatticeError as err:
+        return err.code
+
+
+# Spans of either kind: P-type ones from a witness, most others not.
+@settings(max_examples=300, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.one_of(spans(), witnessed()))
+@example((SETUPS[1], SETUPS[1].vector(0, [1], -3), SETUPS[1].vector(1, [0], 0)))
+def test_the_lattice_level_census_and_test_match_the_form_level(drawn):
+    setup, v, w = drawn
+    try:
+        lattice = PointedSublattice.span(setup, v, [v, w])
+    except LatticeError as err:
+        assert err.code == "dependent-rows"
+        return
+    lines = _outcome(lambda: isotropic_lines(lattice.gram2))
+    expected = lines if isinstance(lines, str) else tuple(lattice.member(xy) for xy in lines)
+    assert _outcome(lattice.isotropic_classes) == expected
+    assert _outcome(lattice.is_p_type) == _outcome(lambda: is_p_type_form(lattice.gram2, lattice.v_coords))
+
+
+@pytest.mark.parametrize(
+    "gram", [[[0, 1], [2, 0]], [[2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 2]], [], [[1, 0], [0]], [[1.5, 0], [0, 1]]]
+)
+def test_the_form_functions_need_a_symmetric_binary_gram(gram):
+    for call in (lambda: isotropic_lines(gram), lambda: is_p_type_form(gram, (1, 0))):
+        with pytest.raises(LatticeError) as err:
+            call()
+        assert err.value.code == "invalid-matrix"
+
+
 # Witnesses whose span {a, v - a} has index 5 and 3 in its saturation.
 @settings(max_examples=200, suppress_health_check=[HealthCheck.filter_too_much])
 @given(witnessed())

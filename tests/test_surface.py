@@ -127,7 +127,9 @@ def test_readme_lists_every_command():
 
 
 def _new_modules() -> list[str]:
-    done = subprocess.run([sys.executable, "-I", "-c", NEW_MODULES], capture_output=True, check=True)
+    # -I ignores PYTHONDONTWRITEBYTECODE; -B keeps the probe from writing
+    # src/mukailat/__pycache__, which would make later spawns start faster.
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", NEW_MODULES], capture_output=True, check=True)
     return json.loads(done.stdout)
 
 
