@@ -53,31 +53,6 @@ def transpose(mat) -> IntMatrix:
     return tuple(zip(*mat)) if mat else ()
 
 
-def determinant(mat) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    m = [list(row) for row in mat]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise LatticeError("invalid-matrix", "determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 class SNFResult(NamedTuple):
     """Smith normal form certificate: ``u @ input @ v == d``.
 
@@ -93,10 +68,6 @@ class SNFResult(NamedTuple):
     def diagonal(self) -> tuple[int, ...]:
         k = min(len(self.d), len(self.d[0]) if self.d else 0)
         return tuple(self.d[i][i] for i in range(k))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x != 0)
 
 
 def _smith_core(a, u, vt):
@@ -267,10 +238,9 @@ def saturation(rows) -> tuple[IntMatrix, int]:
 
     ``rows`` (k x n, unchecked) must be linearly independent, and should be
     a Hermite basis (``_hermite``), as every library caller passes: on other
-    rows the entries of the working rows can reach hundreds of thousands of
-    bits (757 656 on one raw 29 x 32 basis).  One
-    column-echelon pass brings them to ``rows @ V = [L | 0]`` with ``L``
-    lower triangular, so ``rows = L @ W[:k]`` for the unimodular
+    rows the entries of the working rows can grow to hundreds of thousands
+    of bits.  One column-echelon pass brings them to ``rows @ V = [L | 0]``
+    with ``L`` lower triangular, so ``rows = L @ W[:k]`` for the unimodular
     ``W = V^-1``: ``W[:k]`` is a basis of the saturation, and the index is
     ``|det L|``.  Row ``t`` of ``W`` follows from rows ``< t`` by forward
     substitution, once the column operations ``col_s -= c * col_t`` (which

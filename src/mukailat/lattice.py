@@ -2,16 +2,15 @@
 
 An :class:`IntegralLattice` is a free Z-module of finite rank carrying an
 integer symmetric bilinear form (its Gram matrix in a fixed basis).  Vectors
-are plain tuples of integers; ``pair`` and ``Sublattice.contains`` also
-take rationals such as ``Fraction``s.  All values are immutable and all
-operations are pure functions, so everything is safe to share across threads.
+are plain tuples of integers; ``pair`` also takes rationals such as
+``Fraction``s.  All values are immutable and all operations are pure
+functions, so everything is safe to share across threads.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, reduce
 from math import gcd
-from numbers import Rational
 from operator import mul
 from typing import Iterator, NamedTuple
 
@@ -33,12 +32,7 @@ class DiscriminantGroup(NamedTuple):
 
 
 class IntegralLattice:
-    """A free Z-module with an integer symmetric bilinear form.
-
-    ``pair``, ``square`` and ``dual_pairings`` sum over one table of the
-    nonzero Gram entries; the box searches take their squares from
-    ``_box_squares``, which pairs no point from scratch.
-    """
+    """A free Z-module with an integer symmetric bilinear form, given by its Gram matrix ``gram``."""
 
     def __init__(self, gram):
         rows = intlinalg.freeze_matrix(gram)
@@ -71,10 +65,6 @@ class IntegralLattice:
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    def det(self) -> int:
-        """The determinant of the Gram matrix, by a Bareiss elimination on every call."""
-        return intlinalg.determinant(self.gram)
 
     def _smith_diagonal(self, op: str) -> tuple[int, ...]:
         """The Smith diagonal of the Gram matrix; a 0 on it fails ``op`` as degenerate."""
@@ -131,14 +121,6 @@ class IntegralLattice:
         if not any(x):
             raise LatticeError("zero-vector", "primitivity is undefined for the zero vector")
         return reduce(gcd, x, 0) == 1
-
-    def divisibility(self, x) -> int:
-        """gcd of the pairings of ``x`` against the basis; always positive."""
-        self._check_length(x)
-        if not any(x):
-            raise LatticeError("zero-vector", "divisibility is undefined for the zero vector")
-        self._smith_diagonal("divisibility")
-        return reduce(gcd, self.dual_pairings(x), 0)
 
     def dual_pairings(self, x) -> tuple:
         """Pairings of ``x`` (integral or rational) against the basis vectors."""
@@ -202,28 +184,6 @@ class Sublattice:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def gram(self) -> IntMatrix:
-        """Gram matrix of the form restricted to the stored basis."""
-        return tuple(
-            tuple(self.ambient.pair(b1, b2) for b2 in self.basis) for b1 in self.basis
-        )
-
-    def contains(self, x) -> bool:
-        """True iff ``x``, of integers or ``Fraction``s, lies in this sublattice."""
-        self.ambient._check_length(x)
-        vec = list(x)
-        if not all(isinstance(e, Rational) for e in vec):
-            # A MukaiVector ``(r, c, s)`` has the tuple ``c`` as an entry.
-            raise LatticeError("invalid-matrix", "contains needs a vector of integers or Fractions")
-        for row in self.basis:
-            j = next(i for i, val in enumerate(row) if val)
-            if vec[j] % row[j]:
-                return False
-            q = vec[j] // row[j]
-            if q:
-                vec = [a - q * b for a, b in zip(vec, row)]
-        return not any(vec)
 
     def saturation(self) -> tuple["Sublattice", int]:
         """The saturation and the index of this sublattice in it, from one pass.

@@ -194,16 +194,12 @@ def mori_candidates(
     satisfying ``a^2 >= 0`` and ``|(a, v)| <= v^2/2`` whose projection pairs
     strictly positively with ``h`` (which must lie in ``v_perp`` and have
     ``h^2 > 0``).  ``h`` is orthogonal to ``v``, so ``(R, h) = (a, h)``.
-    For ``a = (r, c, s)`` at fixed ``(r, c)`` each test is linear in ``s``:
-    ``a^2 = c.Nc - 2rs``, ``(a, v)`` and ``(a, h)`` are affine in ``s``, so
-    the kept ``s`` form one interval, found by exact floor and ceiling
-    division, and only ``(r, c)`` is scanned, with each ``c`` and ``c.Nc``
-    from the box of squares of the NS block.  Candidates passing the full
-    line-class criterion and spanning a P-type lattice are flagged
-    ``lagrangian``; that verdict is decided on integers, from ``a^2``,
-    ``(a, v)``, the gcd of the numerator of ``R`` with ``v^2`` and the gcds
-    of the witness and its complement.  The list is sorted by the
-    coordinates of ``a``; positive-cone generators are not enumerated.
+    For ``a = (r, c, s)`` at fixed ``(r, c)``, ``a^2 = c.Nc - 2rs``, ``(a, v)``
+    and ``(a, h)`` are affine in ``s``, so only ``(r, c)`` is scanned and the
+    kept ``s`` form one interval.  Candidates passing the full line-class
+    criterion and spanning a P-type lattice are flagged ``lagrangian``.  The
+    list is sorted by the coordinates of ``a``; positive-cone generators are
+    not enumerated.
     """
     vsq = setup.kummer_dimension(v) + 2
     if setup.pair(h, v) != 0:

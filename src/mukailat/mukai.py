@@ -8,8 +8,7 @@ Mukai-vector components verbatim.  The pairing is
     ((r, c, s), (r', c', s')) = c.c' - r*s' - s*r'
 
 which is even, symmetric and of signature ``(2, rho)`` on the rank
-``rho + 2`` ambient lattice.  The Euler pairing of two objects is its
-negative.
+``rho + 2`` ambient lattice.
 """
 
 from __future__ import annotations
@@ -89,32 +88,38 @@ class MukaiVector(tuple):
 class MukaiSetup:
     """The rank ``rho + 2`` Mukai lattice built from a Neron-Severi Gram matrix.
 
-    The NS matrix must be symmetric, even and nondegenerate; by default it
-    must also have the Hodge-index signature ``(1, rho - 1)``, which makes
-    the ambient signature ``(2, rho)``.  Pass ``check_hodge_signature=False`` for
-    abstract presets such as the full ``U^4`` lattice, whose NS block is the
-    unimodular ``U^3`` of signature ``(3, 3)``.
+    The NS matrix must be symmetric, even, nondegenerate and of the
+    Hodge-index signature ``(1, rho - 1)``, which makes the ambient
+    signature ``(2, rho)``.
     """
 
-    def __init__(self, ns_gram, *, check_hodge_signature: bool = True):
+    def __init__(self, ns_gram):
         ns_lattice = IntegralLattice(ns_gram)
         if not ns_lattice.is_even():
             raise LatticeError("not-even", "NS Gram matrix must have even diagonal")
-        ns = self.ns_gram = ns_lattice.gram
-        rho = len(ns)
-        ambient = []
-        ambient.append((0,) + (0,) * rho + (-1,))
-        for i in range(rho):
-            ambient.append((0,) + ns[i] + (0,))
-        ambient.append((-1,) + (0,) * rho + (0,))
-        # Square and symmetric because the NS block is.
-        self.ambient = IntegralLattice._of(tuple(ambient))
+        rho = ns_lattice.rank
         # det(ambient) = -det(ns), so the ambient is degenerate exactly when ns is.
         sig = ns_lattice.signature()
         if sig[2]:
             raise LatticeError("degenerate-lattice", "Gram matrix has determinant 0")
-        if check_hodge_signature and sig != (1, rho - 1, 0):
+        if sig != (1, rho - 1, 0):
             raise LatticeError("bad-signature", f"NS signature {sig[:2]} is not (1, {rho - 1})")
+        self._build(ns_lattice.gram)
+
+    @classmethod
+    def _of(cls, ns_gram: IntMatrix) -> "MukaiSetup":
+        """A setup on an even NS Gram of any signature, unchecked."""
+        setup = cls.__new__(cls)
+        setup._build(ns_gram)
+        return setup
+
+    def _build(self, ns: IntMatrix) -> None:
+        rho = len(ns)
+        self.ns_gram = ns
+        # Square and symmetric because the NS block is.
+        self.ambient = IntegralLattice._of(
+            ((0,) * (rho + 1) + (-1,), *((0, *row, 0) for row in ns), (-1,) + (0,) * (rho + 1))
+        )
 
     @property
     def rho(self) -> int:
@@ -149,23 +154,8 @@ class MukaiSetup:
     def square(self, v: MukaiVector) -> int:
         return self.ambient.square(v.coords)
 
-    def euler_pairing(self, v: MukaiVector, w: MukaiVector) -> int:
-        """Euler characteristic of a pair of objects: minus the Mukai pairing."""
-        return -self.pair(v, w)
-
     def is_primitive(self, v: MukaiVector) -> bool:
         return self.ambient.is_primitive(v.coords)
-
-    def moduli_dimension(self, v: MukaiVector) -> int:
-        """Dimension ``v^2 + 2`` of the moduli space of stable objects.
-
-        The space is nonempty exactly when this is nonnegative; below that
-        threshold an ``empty-moduli`` error is raised.
-        """
-        sq = self.square(v)
-        if sq + 2 < 0:
-            raise LatticeError("empty-moduli", f"v^2 + 2 = {sq + 2} < 0: empty moduli")
-        return sq + 2
 
     def kummer_dimension(self, v: MukaiVector) -> int:
         """Dimension ``v^2 - 2 = 2n`` of the Albanese fibre, a Kummer-type manifold.
@@ -226,10 +216,11 @@ def rank_one_setup(degree: int) -> MukaiSetup:
 def kummer_mukai_setup() -> MukaiSetup:
     """The full Mukai lattice of an abelian surface, isometric to U^4.
 
-    The NS block is U^3, so the Hodge-index check does not apply.  It is
-    built once per process and shared; a ``MukaiSetup`` is never mutated.
+    The NS block is the unimodular U^3 of signature ``(3, 3)``, so the
+    Hodge-index check does not apply.  It is built once per process and
+    shared; a ``MukaiSetup`` is never mutated.
     """
-    return MukaiSetup(_u_cubed_block(6), check_hodge_signature=False)
+    return MukaiSetup._of(freeze_matrix(_u_cubed_block(6)))
 
 
 # typed: 2.0 == 2 must not find the lattice of 2, but fail as it always did.

@@ -78,20 +78,25 @@ def is_p_type_form(gram2, v_xy) -> bool:
     Requires ``v^2 > 0`` and primitive coordinates.  An empty isotropic
     census never qualifies (the minimum over the empty set is +infinity).
     """
-    return _is_p_type(IntegralLattice._of(_binary_gram(gram2)), v_xy)
+    return bool(_witnesses(IntegralLattice._of(_binary_gram(gram2)), v_xy))
 
 
-def _is_p_type(form: IntegralLattice, v_xy) -> bool:
-    """``is_p_type_form`` on a binary form already known to be a symmetric 2x2 integer Gram."""
+def _witnesses(form: IntegralLattice, v_xy) -> list[tuple[tuple[int, int], int]]:
+    """``(line, (line, v))`` for each isotropic line with ``|(line, v)| = v^2/2``.
+
+    Empty unless the form, a symmetric 2x2 integer Gram, is of P-type; the
+    checks and errors are those of ``is_p_type_form``.
+    """
     vsq = form.square(v_xy)
     if vsq <= 0:
         raise LatticeError("nonpositive-square", f"v^2 = {vsq} <= 0")
     if gcd(v_xy[0], v_xy[1]) != 1:
         raise LatticeError("imprimitive", "v is not primitive in the sublattice")
-    lines = _isotropic_lines(form.gram)
-    if not lines:
-        return False
-    return min(abs(form.pair(line, v_xy)) for line in lines) == vsq // 2
+    half = vsq // 2
+    pairings = [(line, form.pair(line, v_xy)) for line in _isotropic_lines(form.gram)]
+    if any(abs(p) < half for _, p in pairings):
+        return []
+    return [(line, p) for line, p in pairings if abs(p) == half]
 
 
 class PTypeDecomposition(NamedTuple):
@@ -106,10 +111,7 @@ class PointedSublattice(NamedTuple):
 
     ``basis`` is the canonical Hermite-form basis of the saturation,
     ``gram2`` the restricted Gram matrix and ``v_coords`` the (integer)
-    coordinates of ``v`` in that basis.  ``gram2`` is made by ``_of`` from
-    ambient pairings, so the census and the P-type test read it as it is,
-    through the helpers behind ``isotropic_lines`` and ``is_p_type_form``,
-    with no second validation.
+    coordinates of ``v`` in that basis.
     """
 
     setup: MukaiSetup
@@ -174,10 +176,14 @@ class PointedSublattice(NamedTuple):
         # sign-fixed, sorted classes.
         return tuple(self.member(line) for line in _isotropic_lines(self.gram2))
 
-    def is_p_type(self) -> bool:
+    def _witnesses(self) -> list[tuple[tuple[int, int], int]]:
+        """``_witnesses`` of ``gram2`` and ``v_coords``, once ``v`` is primitive."""
         if not self.setup.is_primitive(self.v):
             raise LatticeError("imprimitive", "v must be primitive")
-        return _is_p_type(IntegralLattice._of(self.gram2), self.v_coords)
+        return _witnesses(IntegralLattice._of(self.gram2), self.v_coords)
+
+    def is_p_type(self) -> bool:
+        return bool(self._witnesses())
 
     def decomposition(self) -> PTypeDecomposition:
         """The canonical splitting ``v = s + t`` of a P-type lattice.
@@ -186,15 +192,10 @@ class PointedSublattice(NamedTuple):
         smallest in the (absolute value, sign) lexicographic order on
         coordinates; ``t = v - s``.
         """
-        if not self.is_p_type():
+        witnesses = self._witnesses()
+        if not witnesses:
             raise LatticeError("not-p-type", "lattice is not of P-type")
-        vsq = self.setup.square(self.v)
-        half = vsq // 2
-        candidates = []
-        for a in self.isotropic_classes():
-            pairing = self.setup.pair(a, self.v)
-            if abs(pairing) == half:
-                candidates.append(a if pairing > 0 else -a)
+        candidates = [self.member(line) if p > 0 else -self.member(line) for line, p in witnesses]
         s = min(candidates, key=lambda w: (tuple(abs(x) for x in w.coords), w.coords))
         return PTypeDecomposition(s=s, t=self.v - s)
 
@@ -232,12 +233,7 @@ def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[Poin
     deduplicated saturated spans of ``{a, t}``, sorted by their Hermite
     bases.  Only ``(r, c)`` is scanned: ``a^2 = c.Nc - 2rs = 0`` fixes ``s``
     when ``r != 0``, and ``(a, v) = v^2/2`` fixes it when ``r = 0`` and
-    ``r_v != 0``.  Each ``c`` comes with ``c.Nc`` from the box of squares of
-    the NS block, grown one coordinate at a time, and each span is built
-    from the Hermite basis of ``{a, t}`` with no further validation, since
-    both rows are integral vectors of the ambient's length; the span is
-    saturated only when its minors say it is not.  The result is
-    deterministic and independent of scan order.
+    ``r_v != 0``.  The result is deterministic and independent of scan order.
     """
     if bound < 0:
         raise LatticeError("invalid-matrix", "bound must be nonnegative")

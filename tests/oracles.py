@@ -28,10 +28,13 @@ form.
 ``mat_mul``, ``solve_rational``, ``rational_coords`` and ``coords`` are the
 matrix product and the rational and integer coordinate solves that the
 library no longer needs; the certificate tests and the oracles above use
-them.
+them.  ``determinant`` (Bareiss elimination), ``restricted_gram`` and
+``contains`` are the Gram determinant, the Gram matrix of a sublattice and
+its membership test, which no library code calls.
 """
 
 from fractions import Fraction
+from numbers import Rational
 from itertools import product
 from math import gcd, lcm
 
@@ -103,6 +106,53 @@ def solve_rational(rows, target):
     return tuple(sol)
 
 
+def determinant(mat) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    m = [list(row) for row in mat]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise LatticeError("invalid-matrix", "determinant needs a square matrix")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def restricted_gram(sub: Sublattice) -> IntMatrix:
+    """Gram matrix of the form restricted to the basis of ``sub``."""
+    return tuple(tuple(sub.ambient.pair(b1, b2) for b2 in sub.basis) for b1 in sub.basis)
+
+
+def contains(sub: Sublattice, x) -> bool:
+    """True iff ``x``, of integers or ``Fraction``s, lies in ``sub``."""
+    sub.ambient._check_length(x)
+    vec = list(x)
+    if not all(isinstance(e, Rational) for e in vec):
+        # A MukaiVector ``(r, c, s)`` has the tuple ``c`` as an entry.
+        raise LatticeError("invalid-matrix", "contains needs a vector of integers or Fractions")
+    for row in sub.basis:
+        j = next(i for i, val in enumerate(row) if val)
+        if vec[j] % row[j]:
+            return False
+        q = vec[j] // row[j]
+        if q:
+            vec = [a - q * b for a, b in zip(vec, row)]
+    return not any(vec)
+
+
 def rational_coords(sub: Sublattice, x):
     """Coordinates of ``x`` in the basis of ``sub`` over Q, or None."""
     return solve_rational(sub.basis, x)
@@ -136,7 +186,8 @@ def kernel_via_smith(mat) -> IntMatrix:
     """``integer_kernel`` through the Smith form: the last columns of ``v`` past the rank."""
     snf = smith_by_sympy(mat)
     n = len(snf.v)
-    cols = [tuple(snf.v[i][j] for i in range(n)) for j in range(snf.rank, n)]
+    rank = sum(1 for x in snf.diagonal if x)
+    cols = [tuple(snf.v[i][j] for i in range(n)) for j in range(rank, n)]
     return hermite_basis(cols)
 
 
@@ -237,7 +288,7 @@ def saturated_span(setup: MukaiSetup, v: MukaiVector, vectors) -> PointedSublatt
     v_coords = coords(sub, v.coords)
     if v_coords is None:
         raise LatticeError("not-pointed", "v does not lie in the sublattice")
-    return PointedSublattice(setup, v, sub.basis, sub.gram(), v_coords)
+    return PointedSublattice(setup, v, sub.basis, restricted_gram(sub), v_coords)
 
 
 def enumerate_p_type_scan(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[PointedSublattice]:

@@ -33,8 +33,8 @@ from mukailat import (
     rank_one_setup,
     theta_dual,
 )
-from mukailat.intlinalg import determinant, smith_normal_form
-from oracles import dense_pair, mat_mul
+from mukailat.intlinalg import smith_normal_form
+from oracles import dense_pair, determinant, mat_mul
 
 
 @contextmanager

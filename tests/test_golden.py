@@ -20,8 +20,7 @@ import pytest
 
 import mukailat
 from mukailat.cli import DEFAULT_BOUND, main, run_batch
-from mukailat.intlinalg import determinant
-from oracles import mat_mul
+from oracles import determinant, mat_mul
 
 GOLDEN = Path(__file__).parent / "golden"
 REQUESTS = GOLDEN / "requests.ndjson"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from mukailat import kummer_mukai_setup
 from mukailat.errors import LatticeError
 from mukailat.intlinalg import (
-    determinant,
     hermite_basis,
     integer_kernel,
     signature,
@@ -15,7 +14,7 @@ from mukailat.intlinalg import (
     smith_normal_form,
     xgcd,
 )
-from oracles import hermite_with_transform, invert_unimodular, kernel_via_smith, mat_mul, solve_rational
+from oracles import determinant, hermite_with_transform, invert_unimodular, kernel_via_smith, mat_mul, solve_rational
 
 matrices = st.integers(1, 5).flatmap(
     lambda n: st.integers(1, 5).flatmap(
@@ -113,7 +112,7 @@ def test_smith_transforms_stay_near_the_hermite_form():
     product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
     for mat, rank in ((product, 22), (draw(16, 14), 14)):
         result = smith_normal_form(mat)
-        assert result.rank == rank
+        assert sum(1 for x in result.diagonal if x) == rank
         assert max(abs(x).bit_length() for t in (result.u, result.v) for row in t for x in row) <= 200
         assert mat_mul(mat_mul(result.u, mat), result.v) == result.d
 
@@ -196,7 +195,7 @@ def test_integer_kernel(mat):
     for vec in kernel:
         assert len(vec) == n
         assert all(sum(r * x for r, x in zip(row, vec)) == 0 for row in mat)
-    assert len(kernel) == n - smith_normal_form(mat).rank
+    assert len(kernel) == n - sum(1 for x in smith_normal_form(mat).diagonal if x)
 
 
 def test_solve_rational():
@@ -209,13 +208,6 @@ def test_solve_rational():
     assert solve_rational(rows, (1, 0, 0)) is None
     assert solve_rational([], (0, 0)) == ()
     assert solve_rational([], (1, 0)) is None
-
-
-def test_determinant_examples():
-    assert determinant([[0, 1], [1, 0]]) == -1
-    assert determinant([[2, 0], [0, 3]]) == 6
-    assert determinant([[1, 2], [2, 4]]) == 0
-    assert determinant([]) == 1
 
 
 def test_signature_examples():

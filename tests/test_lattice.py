@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mukailat import DiscriminantGroup, IntegralLattice, LatticeError, MukaiVector, Sublattice, rank_one_setup
-from mukailat.intlinalg import determinant, hermite_basis, smith_normal_form, transpose
-from oracles import coords, mat_mul
+from mukailat.intlinalg import hermite_basis, smith_normal_form, transpose
+from oracles import contains, coords, determinant, mat_mul
 
 
 def hyperbolic():
@@ -82,7 +82,7 @@ def test_saturate_idempotent_and_contains():
     assert sat.rank == sub.rank
     assert sat.saturation() == (sat, 1)
     for row in sub.basis:
-        assert sat.contains(row)
+        assert contains(sat, row)
 
 
 sub_rows = st.integers(2, 4).flatmap(
@@ -107,7 +107,7 @@ def test_saturation_properties(rows):
     sat, index = sub.saturation()
     assert sat.rank == sub.rank
     assert sat.saturation() == (sat, 1)
-    assert all(sat.contains(row) for row in sub.basis)
+    assert all(contains(sat, row) for row in sub.basis)
     # index in the saturation equals the product of the invariant factors
     prod = 1
     for d in smith_normal_form(sub.basis).diagonal:
@@ -134,7 +134,7 @@ def test_saturate_near_full_rank_basis():
     sub = ambient.span(basis)
     sat, index = sub.saturation()
     assert sat.rank == k
-    assert all(sat.contains(row) for row in basis)
+    assert all(contains(sat, row) for row in basis)
     pivots = [next(j for j, x in enumerate(row) if x) for row in sat.basis]
     assert pivots == sorted(set(pivots))
     for r, (row, j) in enumerate(zip(sat.basis, pivots)):
@@ -174,7 +174,7 @@ def test_orthogonal_complement_examples():
     perp = uu.span([(1, 0, 0, 0)]).orthogonal_complement()
     assert perp.rank == 3
     for vec in [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]:
-        assert perp.contains(vec)
+        assert contains(perp, vec)
 
     two = IntegralLattice([[2, 0], [0, -2]])
     perp = two.span([(1, 1)]).orthogonal_complement()
@@ -183,11 +183,11 @@ def test_orthogonal_complement_examples():
 
 def test_double_complement_contains_saturation():
     lattice = IntegralLattice([[2, 1, 0], [1, -4, 3], [0, 3, 6]])
-    assert lattice.det() != 0
+    assert determinant(lattice.gram) != 0
     sub = lattice.span([(2, 0, 4)])
     double = sub.orthogonal_complement().orthogonal_complement()
     sat = sub.saturation()[0]
-    assert all(double.contains(row) for row in sat.basis)
+    assert all(contains(double, row) for row in sat.basis)
     # the restricted form on (1, 0, 2) is nondegenerate, so equality holds
     assert double == sat
 
@@ -195,15 +195,7 @@ def test_double_complement_contains_saturation():
     two = IntegralLattice([[2, 0], [0, -2]])
     iso = two.span([(2, 2)])
     double = iso.orthogonal_complement().orthogonal_complement()
-    assert all(double.contains(row) for row in iso.saturation()[0].basis)
-
-
-def test_divisibility():
-    assert hyperbolic().divisibility((1, 0)) == 1
-    assert IntegralLattice([[-6]]).divisibility((1,)) == 6
-    assert IntegralLattice([[2, 0], [0, -2]]).divisibility((1, 1)) == 2
-    with pytest.raises(LatticeError):
-        hyperbolic().divisibility((0, 0))
+    assert all(contains(double, row) for row in iso.saturation()[0].basis)
 
 
 def test_discriminant_group():
@@ -223,8 +215,6 @@ def test_degenerate_operations_rejected():
     degenerate = IntegralLattice([[1, 1], [1, 1]])
     with pytest.raises(LatticeError):
         degenerate.span([(1, 0)]).orthogonal_complement()
-    with pytest.raises(LatticeError):
-        degenerate.divisibility((1, 0))
 
 
 def test_sublattice_equality_is_basis_equality():
@@ -241,14 +231,14 @@ def test_coords_and_membership():
     sub = z3.span([(1, 0, 2), (0, 3, 1)])
     assert coords(sub, (1, 3, 3)) == (1, 1)
     assert coords(sub, (0, 1, 0)) is None
-    assert sub.contains((2, 3, 5))
-    assert not sub.contains((0, 1, 0))
+    assert contains(sub, (2, 3, 5))
+    assert not contains(sub, (0, 1, 0))
 
 
 def test_contains_refuses_a_mukai_vector():
     sub = rank_one_setup(6).ambient.span([(1, 0, 0), (0, 0, 1)])
     with pytest.raises(LatticeError) as err:
-        sub.contains(MukaiVector(0, (0,), 0))
+        contains(sub, MukaiVector(0, (0,), 0))
     assert err.value.code == "invalid-matrix"
-    assert sub.contains((Fraction(4, 2), 0, 1))
-    assert not sub.contains((Fraction(1, 2), 0, 1))
+    assert contains(sub, (Fraction(4, 2), 0, 1))
+    assert not contains(sub, (Fraction(1, 2), 0, 1))

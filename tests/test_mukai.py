@@ -47,7 +47,7 @@ def test_pair_worked_examples(six):
 
 
 def test_pair_middle_part_is_ns_form():
-    setup = MukaiSetup([[4, 1], [1, -2]], check_hodge_signature=True)
+    setup = MukaiSetup([[4, 1], [1, -2]])
     c = setup.vector(0, [2, -1], 0)
     # 4*2^2 + 2*1*2*(-1) + (-2)*(-1)^2
     assert setup.square(c) == 10
@@ -72,15 +72,6 @@ def test_ambient_is_even(coords):
     assert setup.square(v) % 2 == 0
 
 
-def test_euler_pairing(six):
-    v = six.vector(0, [1], -3)
-    assert six.euler_pairing(v, v) == -6
-    point = six.vector(1, [0], 0)
-    assert six.euler_pairing(point, point) == 0
-    w = six.vector(2, [1], -1)
-    assert six.euler_pairing(v, w) == six.euler_pairing(w, v)
-
-
 def test_from_chern(six):
     # the Todd class of an abelian surface is trivial, so ``vector`` takes
     # the Chern data (rank, c1, ch2) verbatim; a line bundle with c1 = H,
@@ -90,26 +81,11 @@ def test_from_chern(six):
     assert six.square(line_bundle) == 0
 
 
-def test_moduli_dimension(six):
-    v = six.vector(0, [1], -3)
-    assert six.moduli_dimension(v) == 8
-    isotropic = six.vector(1, [0], 0)
-    assert six.moduli_dimension(isotropic) == 2
-    minus_two = six.vector(1, [0], 1)
-    assert six.square(minus_two) == -2
-    assert six.moduli_dimension(minus_two) == 0
-    below = six.vector(1, [0], 2)
-    assert six.square(below) == -4
-    with pytest.raises(LatticeError) as err:
-        six.moduli_dimension(below)
-    assert err.value.code == "empty-moduli"
-
-
 def test_kummer_dimension(six):
     v = six.vector(0, [1], -3)
     assert six.kummer_dimension(v) == 4
     assert six.kummer_dimension(v) // 2 == 2
-    assert six.kummer_dimension(v) == six.moduli_dimension(v) - 4
+    assert six.kummer_dimension(v) == six.square(v) - 2
     with pytest.raises(LatticeError) as err:
         six.kummer_dimension(six.vector(0, [2], -6))
     assert (err.value.code, str(err.value)) == ("imprimitive", "v must be primitive")
@@ -189,22 +165,19 @@ def test_setup_validation():
     with pytest.raises(LatticeError) as err:
         MukaiSetup([[2, 0], [0, 2]])
     assert err.value.code == "bad-signature"
-    # signature check can be waived for abstract setups
-    MukaiSetup([[2, 0], [0, 2]], check_hodge_signature=False)
     with pytest.raises(LatticeError):
         rank_one_setup(5)
     with pytest.raises(LatticeError):
         rank_one_setup(-2)
     for ns in ([[0]], [[2, 2], [2, 2]]):
-        for check in (True, False):
-            with pytest.raises(LatticeError) as err:
-                MukaiSetup(ns, check_hodge_signature=check)
-            assert err.value.code == "degenerate-lattice"
+        with pytest.raises(LatticeError) as err:
+            MukaiSetup(ns)
+        assert err.value.code == "degenerate-lattice"
     # Every public entry point that takes a matrix rejects non-integer entries.
     plane = IntegralLattice([[0, 1], [1, 0]])
     for bad in NON_INTEGERS:
         assert_invalid_matrix(lambda: MukaiSetup([[bad]]))
-        assert_invalid_matrix(lambda: MukaiSetup([[0, bad], [bad, 0]], check_hodge_signature=False))
+        assert_invalid_matrix(lambda: MukaiSetup([[0, bad], [bad, 0]]))
         assert_invalid_matrix(lambda: IntegralLattice([[2, bad], [bad, 2]]))
         assert_invalid_matrix(lambda: Sublattice(plane, [[1, 0], [0, bad]]))
         assert_invalid_matrix(lambda: smith_normal_form([[1, bad], [0, 1]]))

@@ -16,8 +16,8 @@ against sympy's decomposition and its diagonal.  The
 integer ``signature`` is checked against the ``Fraction`` congruence
 diagonalisation it replaced, and the nondegeneracy checks that read the
 signature or the Smith diagonal (``discriminant_group``,
-``orthogonal_complement`` and ``divisibility``) against the Bareiss
-``determinant``.
+``orthogonal_complement`` and ``MukaiSetup``) against the Bareiss
+``determinant`` of ``oracles.py``.
 """
 
 from functools import lru_cache
@@ -31,9 +31,11 @@ from hypothesis import strategies as st
 from oracles import (
     coords,
     dense_pair,
+    determinant,
     enumerate_p_type_scan,
     line_class_scan,
     mori_candidates_scan,
+    restricted_gram,
     saturate_snf,
     saturated_span,
     signature_congruence,
@@ -54,7 +56,7 @@ from mukailat import (
     mori_candidates,
     theta_dual,
 )
-from mukailat.intlinalg import determinant, signature, smith_diagonal, smith_normal_form
+from mukailat.intlinalg import signature, smith_diagonal, smith_normal_form
 
 BOX = 4
 
@@ -249,7 +251,7 @@ def test_span_matches_the_generic_saturation(data):
     if isinstance(got, PointedSublattice):
         saturated = Sublattice(setup.ambient, generators).saturation()[0]
         assert got.basis == saturated.basis
-        assert got.gram2 == saturated.gram()
+        assert got.gram2 == restricted_gram(saturated)
         assert got.v_coords == coords(saturated, v.coords)
 
 
@@ -458,12 +460,18 @@ def test_degenerate_exactly_when_the_determinant_vanishes(gram):
     for op, run in [
         ("discriminant_group", lattice.discriminant_group),
         ("orthogonal_complement", lattice.span([unit]).orthogonal_complement),
-        ("divisibility", lambda: lattice.divisibility(unit)),
     ]:
         degenerate = ("degenerate-lattice", f"{op} requires a nondegenerate lattice")
         assert (_outcome(run) == degenerate) == singular
     # Doubling keeps the matrix singular or not and makes its diagonal even.
+    # The degeneracy check comes before the signature check.
     ns = [[2 * x for x in row] for row in gram]
-    for check in (True, False):
-        outcome = _outcome(lambda: MukaiSetup(ns, check_hodge_signature=check))
-        assert (outcome == ("degenerate-lattice", "Gram matrix has determinant 0")) == singular
+    outcome = _outcome(lambda: MukaiSetup(ns))
+    assert (outcome == ("degenerate-lattice", "Gram matrix has determinant 0")) == singular
+
+
+def test_determinant_examples():
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[2, 0], [0, 3]]) == 6
+    assert determinant([[1, 2], [2, 4]]) == 0
+    assert determinant([]) == 1

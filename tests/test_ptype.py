@@ -15,6 +15,7 @@ from mukailat import (
     is_p_type_form,
     isotropic_lines,
     kummer_mukai_setup,
+    ptype,
     rank_one_setup,
 )
 from oracles import coords, saturated_span
@@ -137,13 +138,12 @@ def test_is_p_type_false_on_empty_census():
 def test_is_p_type_preconditions(worked):
     setup, v, _ = worked
     negative = PointedSublattice.span(setup, setup.vector(1, [0], 1), [setup.vector(1, [0], 1), setup.vector(0, [0], 1)])
-    with pytest.raises(LatticeError) as err:
-        negative.is_p_type()
-    assert err.value.code == "nonpositive-square"
     imprimitive = PointedSublattice.span(setup, 2 * v, [v, setup.vector(1, [0], 0)])
-    with pytest.raises(LatticeError) as err:
-        imprimitive.is_p_type()
-    assert err.value.code == "imprimitive"
+    for lattice, code in ((negative, "nonpositive-square"), (imprimitive, "imprimitive")):
+        for check in (lattice.is_p_type, lattice.decomposition):
+            with pytest.raises(LatticeError) as err:
+                check()
+            assert err.value.code == code
 
 
 def test_decomposition_worked_example(worked):
@@ -155,6 +155,20 @@ def test_decomposition_worked_example(worked):
     assert setup.square(dec.s) == 0 and setup.square(dec.t) == 0
     assert setup.pair(dec.s, v) == 3 and setup.pair(dec.t, v) == 3
     assert setup.pair(dec.s, dec.t) == 3
+
+
+def test_decomposition_solves_the_census_once(worked, monkeypatch):
+    _, _, lattice = worked
+    calls = []
+    census = ptype._isotropic_lines
+
+    def counted(gram2):
+        calls.append(gram2)
+        return census(gram2)
+
+    monkeypatch.setattr(ptype, "_isotropic_lines", counted)
+    assert lattice.decomposition().s.coords == (1, 0, 0)
+    assert calls == [lattice.gram2]
 
 
 def test_construct_worked_example(worked):
