@@ -26,7 +26,6 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import LatticeError
-from .intlinalg import _hermite
 from .lattice import IntegralLattice, Sublattice
 from .mukai import MukaiSetup, MukaiVector
 from .ptype import PointedSublattice
@@ -163,7 +162,7 @@ def classify_line_class(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Li
     lattice = None
     if spans:
         w = a if pairing > 0 else -a
-        lattice = PointedSublattice._of(setup, v, _hermite((w.coords, (v - w).coords)))
+        lattice = PointedSublattice._of_witness(setup, v, w.coords, (v - w).coords, vsq // 2)
     return LineClassVerdict(
         line_class=lc,
         n=vsq // 2 - 1,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import gcd, isqrt
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import LatticeError
@@ -99,6 +99,22 @@ def _witnesses(form: IntegralLattice, v_xy) -> list[tuple[tuple[int, int], int]]
     return [(line, p) for line, p in pairings if abs(p) == half]
 
 
+def _saturated(b1, b2) -> bool:
+    """Whether a rank-2 Hermite basis of ambient rows is saturated.
+
+    The index of a rank-2 lattice in its saturation is the gcd of the 2x2
+    minors of a basis.  Both rows vanish left of b1's pivot i and b2[i] = 0,
+    so the minors through column i are b1[i] * b2[l], with gcd
+    b1[i] * gcd(b2), and the others lie right of i.
+    """
+    i = next(k for k, x in enumerate(b1) if x)
+    lead = b1[i] * gcd(*b2)
+    if lead == 1:
+        return True
+    right = combinations(range(i + 1, len(b1)), 2)
+    return gcd(lead, *(b1[k] * b2[l] - b1[l] * b2[k] for k, l in right)) == 1
+
+
 class PTypeDecomposition(NamedTuple):
     """``v = s + t`` with both parts primitive isotropic, pairing v^2/2 with v."""
 
@@ -133,22 +149,14 @@ class PointedSublattice(NamedTuple):
     @classmethod
     def _of(cls, setup: MukaiSetup, v: MukaiVector, basis: IntMatrix) -> "PointedSublattice":
         """The saturation of a rank-2 Hermite basis of ambient rows, pointed at ``v``."""
-        # The index of a rank-2 lattice in its saturation is the gcd of the
-        # 2x2 minors of a basis; at index 1 the Hermite basis is already the
-        # saturated one.  Both rows vanish left of b1's pivot i and b2[i] = 0,
-        # so the minors through column i are b1[i] * b2[l], with gcd
-        # b1[i] * gcd(b2), and the others lie right of i.  The pivot columns
-        # depend only on the rational span, so saturating keeps them.
+        # The pivot columns depend only on the rational span, so saturating
+        # keeps them.
+        if not _saturated(*basis):
+            basis = saturation(basis)[0]
         b1, b2 = basis
-        i = next(k for k, x in enumerate(b1) if x)
-        lead = b1[i] * gcd(*b2)
-        if lead != 1:
-            right = combinations(range(i + 1, len(b1)), 2)
-            if gcd(lead, *(b1[k] * b2[l] - b1[l] * b2[k] for k, l in right)) != 1:
-                basis = saturation(basis)[0]
-                b1, b2 = basis
         # Back substitution on the pivot columns i < j of the echelon basis,
         # then a check of every coordinate.
+        i = next(k for k, x in enumerate(b1) if x)
         j = next(k for k, x in enumerate(b2) if x)
         target = v.coords
         x, x_rem = divmod(target[i], b1[i])
@@ -158,6 +166,23 @@ class PointedSublattice(NamedTuple):
         pair = setup.ambient.pair
         off = pair(b1, b2)
         return cls(setup, v, basis, ((pair(b1, b1), off), (off, pair(b2, b2))), (x, y))
+
+    @classmethod
+    def _of_witness(cls, setup: MukaiSetup, v: MukaiVector, w, t, half: int) -> "PointedSublattice":
+        """The saturation of span{w, t} for isotropic ambient rows with ``w + t = v`` and ``(w, t) = half``.
+
+        The Hermite form of ``(w | 1 0; t | 0 1)`` holds the basis ``(b1; b2)``
+        and a unimodular ``U`` with ``U (w; t) = (b1; b2)``.  On a saturated
+        span, the Gram is ``U ((0, half), (half, 0)) U^T`` and ``v`` has the
+        coordinates ``(1, 1) U^-1``, so no ambient pairing is needed.
+        """
+        (*b1, p, q), (*b2, r, s) = _hermite(((*w, 1, 0), (*t, 0, 1)))
+        basis = (tuple(b1), tuple(b2))
+        if not _saturated(*basis):
+            return cls._of(setup, v, basis)
+        e = p * s - q * r
+        off = half * (p * s + q * r)
+        return cls(setup, v, basis, ((2 * half * p * q, off), (off, 2 * half * r * s)), (e * (s - r), e * (p - q)))
 
     def member(self, xy) -> MukaiVector:
         """The ambient vector with the given sublattice coordinates."""
@@ -221,7 +246,7 @@ def construct_p_type(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Point
         raise LatticeError("imprimitive", "v - a must be primitive")
     # The checks above length-check both rows, and they are independent:
     # v - a = k a would give v^2 = (k + 1)^2 a^2 = 0.
-    return PointedSublattice._of(setup, v, _hermite((a.coords, (v - a).coords)))
+    return PointedSublattice._of_witness(setup, v, a.coords, (v - a).coords, vsq // 2)
 
 
 def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[PointedSublattice]:
@@ -231,9 +256,11 @@ def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[Poin
     and all coordinates bounded by ``bound`` whose complement ``t = v - a``
     is primitive (so every span really is of P-type), and returns the
     deduplicated saturated spans of ``{a, t}``, sorted by their Hermite
-    bases.  Only ``(r, c)`` is scanned: ``a^2 = c.Nc - 2rs = 0`` fixes ``s``
-    when ``r != 0``, and ``(a, v) = v^2/2`` fixes it when ``r = 0`` and
-    ``r_v != 0``.  The result is deterministic and independent of scan order.
+    bases.  Only ``c`` is scanned, over ``(2 bound + 1)^rho`` points: the
+    linear ``(a, v) = v^2/2`` and the quadratic ``a^2 = c.Nc - 2rs = 0``
+    leave at most two ``r != 0``, each with one ``s``, except on degenerate
+    ``v`` and ``c`` where every ``r`` or every ``s`` of the box solves them.
+    The result is deterministic and independent of scan order.
     """
     if bound < 0:
         raise LatticeError("invalid-matrix", "bound must be nonnegative")
@@ -241,42 +268,44 @@ def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[Poin
     half = vsq // 2
     ns = IntegralLattice._of(setup.ns_gram)
     v_coords = v.coords
-    # (a, v) is the dot product of a with v_row, whose last entry is -r_v.
+    # (a, v) is the dot product of a with v_row = (-s_v, N c_v, -r_v).
     v_row = setup.ambient.dual_pairings(v_coords)
-    s_weight = v_row[-1]
+    r_weight, c_row, s_weight = v_row[0], v_row[1:-1], v_row[-1]
     box = range(-bound, bound + 1)
     found = {}
-    # a = (r, c, s) has a^2 = c.Nc - 2rs; c.Nc does not depend on r, so c
-    # is the outer loop.
     for c, form in ns._box_squares(bound):
-        c_pairing = sum(map(mul, c, v_row[1:]))
-        for r in box:
-            pairing = r * v_row[0] + c_pairing
-            if r:
-                s, rem = divmod(form, 2 * r)
-                if rem or abs(s) > bound or pairing + s * s_weight != half:
-                    continue
-                choices = (s,)
-            elif form:
+        rest = half - sum(map(mul, c, c_row))
+        # a = (r, c, s) needs r * r_weight + s * s_weight = rest and 2rs =
+        # form.  For r != 0, s = form / 2r, and 2r times the linear equation
+        # is 2 r_weight r^2 - 2 rest r + s_weight form = 0; for r = 0, form
+        # must vanish and s * s_weight = rest.
+        tail = s_weight * form
+        if r_weight:
+            disc = rest * rest - 2 * r_weight * tail
+            k = isqrt(disc) if disc >= 0 else -1
+            roots, den = ({rest + k, rest - k} if k * k == disc else ()), 2 * r_weight
+        elif rest:
+            roots, den = (tail,), 2 * rest
+        else:
+            roots, den = (() if tail else box), 1
+        witnesses = []
+        for x in roots:
+            r, rem = divmod(x, den)
+            if r and not rem and abs(r) <= bound and form % (2 * r) == 0:
+                witnesses.append((r, *c, form // (2 * r)))
+        if not form:
+            if s_weight and rest % s_weight == 0:
+                witnesses.append((0, *c, rest // s_weight))
+            elif not s_weight and not rest:
+                witnesses += [(0, *c, s) for s in box]
+        for a in witnesses:
+            if abs(a[-1]) > bound or gcd(*a) != 1:
                 continue
-            elif s_weight:
-                s, rem = divmod(half - pairing, s_weight)
-                if rem or abs(s) > bound:
-                    continue
-                choices = (s,)
-            elif pairing == half:
-                choices = box
-            else:
+            t = tuple(map(sub, v_coords, a))
+            # A P-type lattice has exactly the two witnesses a and t; span
+            # it from the smaller one when both lie in the box.
+            if gcd(*t) != 1 or (t < a and max(map(abs, t)) <= bound):
                 continue
-            for s in choices:
-                a = (r, *c, s)
-                t = tuple(x - y for x, y in zip(v_coords, a))
-                if gcd(*a) != 1 or gcd(*t) != 1:
-                    continue
-                # A P-type lattice has exactly the two witnesses a and t; span
-                # it from the smaller one when both lie in the box.
-                if t < a and max(map(abs, t)) <= bound:
-                    continue
-                lattice = PointedSublattice._of(setup, v, _hermite((a, t)))
-                found.setdefault(lattice.basis, lattice)
+            lattice = PointedSublattice._of_witness(setup, v, a, t, half)
+            found.setdefault(lattice.basis, lattice)
     return [found[key] for key in sorted(found)]

@@ -7,6 +7,10 @@ build a validated ``MukaiVector`` at each one, saturate through the Smith
 form and solve for coordinates over the rationals.  They are slow and
 obviously right, which is what an oracle should be.
 
+``enumerate_p_type_pairs`` is the loop ``enumerate_p_type`` ran before it
+solved for ``r``: it scans every ``(c, r)`` of the ``(2B+1)^(rho+1)`` box,
+solves only for ``s``, and spans each witness pair through its pairings.
+
 The normal forms that ``hermite_basis`` and ``Sublattice.saturation`` used
 to run are here too: the row Hermite form with its unimodular transform,
 which reduces entries above a pivot only once the pivot's column is done,
@@ -37,11 +41,13 @@ from fractions import Fraction
 from numbers import Rational
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_decomp
 
 from mukailat import (
+    IntegralLattice,
     LatticeError,
     LineClass,
     MoriCandidate,
@@ -54,6 +60,7 @@ from mukailat import (
 from mukailat.intlinalg import (
     IntMatrix,
     SNFResult,
+    _hermite,
     freeze_matrix,
     hermite_basis,
     identity,
@@ -317,6 +324,55 @@ def enumerate_p_type_scan(setup: MukaiSetup, v: MukaiVector, bound: int) -> list
             continue
         lattice = saturated_span(setup, v, [a, v - a])
         found.setdefault(lattice.basis, lattice)
+    return [found[key] for key in sorted(found)]
+
+
+def enumerate_p_type_pairs(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[PointedSublattice]:
+    """``enumerate_p_type`` by a scan of every ``(c, r)`` of the box, solving only ``s``."""
+    if bound < 0:
+        raise LatticeError("invalid-matrix", "bound must be nonnegative")
+    vsq = setup.kummer_dimension(v) + 2
+    half = vsq // 2
+    ns = IntegralLattice._of(setup.ns_gram)
+    v_coords = v.coords
+    # (a, v) is the dot product of a with v_row, whose last entry is -r_v.
+    v_row = setup.ambient.dual_pairings(v_coords)
+    s_weight = v_row[-1]
+    box = range(-bound, bound + 1)
+    found = {}
+    # a = (r, c, s) has a^2 = c.Nc - 2rs; c.Nc does not depend on r, so c
+    # is the outer loop.
+    for c, form in ns._box_squares(bound):
+        c_pairing = sum(map(mul, c, v_row[1:]))
+        for r in box:
+            pairing = r * v_row[0] + c_pairing
+            if r:
+                s, rem = divmod(form, 2 * r)
+                if rem or abs(s) > bound or pairing + s * s_weight != half:
+                    continue
+                choices = (s,)
+            elif form:
+                continue
+            elif s_weight:
+                s, rem = divmod(half - pairing, s_weight)
+                if rem or abs(s) > bound:
+                    continue
+                choices = (s,)
+            elif pairing == half:
+                choices = box
+            else:
+                continue
+            for s in choices:
+                a = (r, *c, s)
+                t = tuple(x - y for x, y in zip(v_coords, a))
+                if gcd(*a) != 1 or gcd(*t) != 1:
+                    continue
+                # A P-type lattice has exactly the two witnesses a and t; span
+                # it from the smaller one when both lie in the box.
+                if t < a and max(map(abs, t)) <= bound:
+                    continue
+                lattice = PointedSublattice._of(setup, v, _hermite((a, t)))
+                found.setdefault(lattice.basis, lattice)
     return [found[key] for key in sorted(found)]
 
 

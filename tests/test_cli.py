@@ -101,6 +101,17 @@ def test_ptype_commands():
     assert result["count"] == 2
 
 
+def test_ptype_enumerate_loops_over_c_only():
+    # The (c, r) scan would visit about 4 * 10^10 pairs at bound 100000; the
+    # loop over c alone visits 200001 points.
+    line = '{"command": "ptype-enumerate", "ns": [[6]], "v": [0, 1, -3], "bound": %d}'
+    status, out = run_lines([line % bound for bound in (1280, 20000, 100000)])
+    assert status == 0
+    results = [json.loads(text)["result"] for text in out]
+    assert results[0]["count"] == 2
+    assert results[1] == results[0] and results[2] == results[0]
+
+
 def test_mori_command():
     result = ok_result('{"command": "mori", "ns": [[6]], "v": [0, 1, -3], "h": [-2, 1, -1], "bound": 6}')
     flagged = [c for c in result["candidates"] if c["lagrangian"]]

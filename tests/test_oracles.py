@@ -2,9 +2,10 @@
 
 ``oracles.py`` keeps the box scans and the generic saturation that
 ``enumerate_p_type``, ``mori_candidates`` and ``PointedSublattice.span``
-replaced.  Each ``v`` is built as a witness plus an isotropic complement, so
-that most enumerations are not empty, and the strategies force the
-branches of the closed form: a witness with ``r = 0``, and a ``v`` with
+replaced, and the ``(c, r)`` loop that ``enumerate_p_type`` ran before it
+solved for ``r``.  Each ``v`` is built as a witness plus an isotropic
+complement, so that most enumerations are not empty, and the strategies
+force the branches of the closed form: a witness with ``r = 0``, and a ``v`` with
 ``r_v = 0``, and for ``mori`` an ``h`` with ``r_h = 0``.  The ``lagrangian``
 candidates of ``mori`` are checked against the witnesses of the P-type
 lattices that ``enumerate_p_type`` finds, and the sparse pairing and the box
@@ -32,6 +33,7 @@ from oracles import (
     coords,
     dense_pair,
     determinant,
+    enumerate_p_type_pairs,
     enumerate_p_type_scan,
     line_class_scan,
     mori_candidates_scan,
@@ -136,6 +138,44 @@ def test_enumerate_matches_the_box_scan_on_kummer_mukai(v):
     found = enumerate_p_type(setup, v, 1)
     assert found
     assert found == enumerate_p_type_scan(setup, v, 1)
+
+
+# The (c, r) loop that enumerate_p_type ran before it solved for r, at
+# bounds past the corners of the strategies' witnesses.
+@pytest.mark.parametrize("mode", ["any", "witness r = 0", "v r = 0"])
+@pytest.mark.parametrize("rho, max_bound", [(1, 30), (2, 8)])
+@slow(60)
+@given(data=st.data())
+def test_enumerate_matches_the_pair_scan(rho, max_bound, mode, data):
+    setup, v, a = data.draw(pointed(rho, mode))
+    bound = data.draw(st.integers(0, max_bound))
+    assert enumerate_p_type(setup, v, bound) == enumerate_p_type_pairs(setup, v, bound)
+
+
+# On U, v = (1, (1, 3), 0) has (a, v) = 3c_1 + c_2 - s, free of r, and
+# v = (0, (1, 3), 1) has (a, v) = 3c_1 + c_2 - r, free of s.  So at c = (1, 0),
+# where c.Nc = 0, every r != 0 (with s = 0), and every s (with r = 0), is a
+# witness.
+@pytest.mark.parametrize("v", [(1, 1, 3, 0), (0, 1, 3, 1)])
+@pytest.mark.parametrize("bound, count", [(1, 4), (2, 8), (3, 11), (5, 21)])
+def test_enumerate_keeps_every_in_box_root_of_a_vanishing_equation(v, bound, count):
+    setup = _setup(((0, 1), (1, 0)))
+    v = setup.vector_from_coords(v)
+    found = enumerate_p_type(setup, v, bound)
+    assert len(found) == count
+    assert found == enumerate_p_type_pairs(setup, v, bound)
+
+
+# Rank 1 cases whose v_perp is isotropic (<6>) or anisotropic (the others).
+@pytest.mark.parametrize(
+    "degree, v, count", [(6, (0, 1, -3), 2), (10, (1, 1, -4), 2), (12, (1, 0, -3), 4), (4, (1, 2, -1), 3)]
+)
+def test_enumerate_matches_the_pair_scan_at_bound_400(degree, v, count):
+    setup = _setup(((degree,),))
+    v = setup.vector_from_coords(v)
+    found = enumerate_p_type(setup, v, 400)
+    assert len(found) == count
+    assert found == enumerate_p_type_pairs(setup, v, 400)
 
 
 @st.composite

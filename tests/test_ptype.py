@@ -18,6 +18,7 @@ from mukailat import (
     ptype,
     rank_one_setup,
 )
+from mukailat.intlinalg import _hermite
 from oracles import coords, saturated_span
 
 
@@ -365,8 +366,8 @@ def test_construct_matches_the_checked_span(drawn):
     assert construct_p_type(setup, v, a) == PointedSublattice.span(setup, v, [a, v - a])
 
 
-# Spans {a, v - a} on each branch of the saturation test of
-# PointedSublattice._of, by the pivot of the first Hermite row times the
+# Spans {a, v - a} on each branch of the saturation test ptype._saturated,
+# by the pivot of the first Hermite row times the
 # content of the second: 1 (saturated at once), 3 with coprime minors
 # (saturated), and 5 and 3 at index 5 and 3 (the two spans above).
 @pytest.mark.parametrize(
@@ -386,3 +387,22 @@ def test_span_matches_the_smith_saturation(setup, v, a, lead, index):
     span = PointedSublattice.span(setup, v, [a, v - a])
     assert span == saturated_span(setup, v, [a, v - a])
     assert span.is_p_type()
+
+
+# The witness span reads its Gram and v's coordinates off the Hermite
+# transform of {a, v - a}, and falls back to the span through pairings on a
+# span that is not saturated.  The examples are the four spans above, one on
+# each branch of the saturation test, and a kummer-mukai witness.
+@settings(max_examples=150, suppress_health_check=[HealthCheck.filter_too_much])
+@given(witnessed())
+@example((SETUPS[1], SETUPS[1].vector(0, [-1], -3), SETUPS[1].vector(-1, [-1], -3)))
+@example((SETUPS[1], SETUPS[1].vector(-3, [-1], 0), SETUPS[1].vector(-3, [-1], -1)))
+@example((SETUPS[1], SETUPS[1].vector(2, [3], 1), SETUPS[1].vector(-1, [1], -3)))
+@example((SETUPS[2], SETUPS[2].vector(-2, [2, 1], 2), SETUPS[2].vector(-1, [1, -1], 1)))
+@example((SETUPS[3], SETUPS[3].vector(1, [1, 1, 1, 1, 0, 0], -1), SETUPS[3].vector(-1, [0, 1, 1, 1, 1, 0], -1)))
+def test_the_witness_span_matches_the_span_through_pairings(drawn):
+    setup, v, a = drawn
+    w, t = a.coords, (v - a).coords
+    span = PointedSublattice._of_witness(setup, v, w, t, setup.square(v) // 2)
+    assert span == PointedSublattice._of(setup, v, _hermite((w, t)))
+    assert span == saturated_span(setup, v, [a, v - a])
