@@ -90,11 +90,11 @@ def _parse_preset(name):
     if head == "kummer-mukai":
         if arg:
             raise SchemaError("setup: kummer-mukai takes no parameter")
-        return ("setup", kummer_mukai_setup())
+        return kummer_mukai_setup()
     if head == "ns-rank1":
-        return ("setup", rank_one_setup(_as_int(arg, "setup parameter")))
+        return rank_one_setup(_as_int(arg, "setup parameter"))
     if head == "kummer-bbf":
-        return ("lattice", kummer_bbf_lattice(_as_int(arg, "setup parameter")))
+        return kummer_bbf_lattice(_as_int(arg, "setup parameter"))
     raise SchemaError(f"setup: unknown preset {name!r}")
 
 
@@ -102,8 +102,8 @@ def _setup_from(payload) -> MukaiSetup:
     if "ns" in payload:
         return _setup(_as_matrix(payload["ns"], "ns"))
     if "setup" in payload:
-        kind, value = _parse_preset(payload["setup"])
-        if kind != "setup":
+        value = _parse_preset(payload["setup"])
+        if not isinstance(value, MukaiSetup):
             raise SchemaError("setup: this command needs a Mukai setup, not a bare lattice")
         return value
     raise SchemaError("need 'ns' (Gram matrix) or 'setup' (preset)")
@@ -113,8 +113,7 @@ def _lattice_from(payload) -> IntegralLattice:
     if "gram" in payload:
         return IntegralLattice(_as_matrix(payload["gram"], "gram"))
     if "setup" in payload:
-        kind, value = _parse_preset(payload["setup"])
-        return value.ambient if kind == "setup" else value
+        return _parse_preset(payload["setup"])
     raise SchemaError("need 'gram' (Gram matrix) or 'setup' (preset)")
 
 
@@ -186,13 +185,12 @@ def _cmd_pair(lattice, x, y):
 
 def _cmd_ptype_check(setup, v, generators):
     lattice = ptype.PointedSublattice.span(setup, v, generators)
-    census = [a.coords for a in lattice.isotropic_classes()]
-    return lattice.is_p_type(), census, setup.square(v), lattice.basis
+    return lattice.is_p_type(), lattice.isotropic_classes(), setup.square(v), lattice.basis
 
 
 def _cmd_ptype_decompose(setup, v, generators):
     dec = ptype.PointedSublattice.span(setup, v, generators).decomposition()
-    return dec.s.coords, dec.t.coords, setup.pair(dec.s, v), setup.pair(dec.s, dec.t)
+    return dec.s, dec.t, setup.pair(dec.s, v), setup.pair(dec.s, dec.t)
 
 
 def _cmd_ptype_enumerate(setup, v, bound):
@@ -224,7 +222,7 @@ def _cmd_mori(setup, v, h, bound):
     candidates = moduli.mori_candidates(setup, v, h, bound)
     return len(candidates), [
         {
-            "a": a.coords,
+            "a": a,
             "r": [_ratio(p, lc.denominator) for p in lc.numerators],
             "square": _ratio(lc.square_numerator, lc.denominator),
             "disc_order": lc.disc_order,

@@ -63,10 +63,10 @@ class LineClass(NamedTuple):
 
 def v_perp(setup: MukaiSetup, v: MukaiVector) -> Sublattice:
     """The saturated orthogonal complement of ``v`` in the ambient lattice."""
-    return setup.ambient.span([v.coords]).orthogonal_complement()
+    return setup.span([v]).orthogonal_complement()
 
 
-def _line_class(v: MukaiVector, coords: tuple[int, ...], asq: int, pairing: int, vsq: int) -> LineClass:
+def _line_class(v: MukaiVector, a: MukaiVector, asq: int, pairing: int, vsq: int) -> LineClass:
     """The line class of the integral ``a`` with ``a^2 = asq`` and ``(a, v) = pairing``.
 
     ``R = N / v^2`` with the integral numerator ``N = v^2 a - (a, v) v``, so
@@ -76,7 +76,7 @@ def _line_class(v: MukaiVector, coords: tuple[int, ...], asq: int, pairing: int,
     exactly when ``m R`` is integral: the order of ``R`` in its discriminant
     group is ``v^2 / gcd(v^2, N)``, the lcm of the denominators of ``R``.
     """
-    numerators = tuple(vsq * x - pairing * y for x, y in zip(coords, v.coords))
+    numerators = tuple(vsq * x - pairing * y for x, y in zip(a, v))
     return LineClass(numerators, vsq, vsq * asq - pairing * pairing, vsq // gcd(vsq, *numerators))
 
 
@@ -89,8 +89,7 @@ def theta_dual(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClass:
     vsq = setup.square(v)
     if vsq <= 0:
         raise LatticeError("nonpositive-square", f"v^2 = {vsq} <= 0")
-    ambient = setup.ambient
-    return _line_class(v, a.coords, ambient.square(a.coords), ambient.pair(a.coords, v.coords), vsq)
+    return _line_class(v, a, setup.square(a), setup.pair(a, v), vsq)
 
 
 class LineClassVerdict(NamedTuple):
@@ -120,7 +119,7 @@ class LineClassVerdict(NamedTuple):
 
 def _verdict(
     v: MukaiVector,
-    coords: tuple[int, ...],
+    a: MukaiVector,
     asq: int,
     pairing: int,
     vsq: int,
@@ -141,7 +140,7 @@ def _verdict(
     if square_ok and torsion_ok and isotropic_witness_ok:
         # v - w is v - a for a positive pairing and v + a otherwise.
         sign = 1 if pairing > 0 else -1
-        spans = gcd(*coords) == 1 and gcd(*(x - sign * y for x, y in zip(v.coords, coords))) == 1
+        spans = gcd(*a) == 1 and gcd(*(x - sign * y for x, y in zip(v, a))) == 1
     return square_ok, torsion_ok, isotropic_witness_ok, spans
 
 
@@ -154,15 +153,13 @@ def classify_line_class(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Li
     ``construct_p_type`` would check.
     """
     vsq = setup.kummer_dimension(v) + 2
-    asq, pairing = setup.ambient.square(a.coords), setup.ambient.pair(a.coords, v.coords)
-    lc = _line_class(v, a.coords, asq, pairing, vsq)
-    square_ok, torsion_ok, isotropic_witness_ok, spans = _verdict(
-        v, a.coords, asq, pairing, vsq, lc.disc_order
-    )
+    asq, pairing = setup.square(a), setup.pair(a, v)
+    lc = _line_class(v, a, asq, pairing, vsq)
+    square_ok, torsion_ok, isotropic_witness_ok, spans = _verdict(v, a, asq, pairing, vsq, lc.disc_order)
     lattice = None
     if spans:
         w = a if pairing > 0 else -a
-        lattice = PointedSublattice._of_witness(setup, v, w.coords, (v - w).coords, vsq // 2)
+        lattice = PointedSublattice._of_witness(setup, v, w, v - w, vsq // 2)
     return LineClassVerdict(
         line_class=lc,
         n=vsq // 2 - 1,
@@ -210,8 +207,8 @@ def mori_candidates(
     ns = IntegralLattice._of(setup.ns_gram)
     half = vsq // 2
     # (a, w) is the dot product of a with w_row, whose last entry is -r_w.
-    v_row = setup.ambient.dual_pairings(v.coords)
-    h_row = setup.ambient.dual_pairings(h.coords)
+    v_row = setup.dual_pairings(v)
+    h_row = setup.dual_pairings(h)
     v_last, h_last = v_row[-1], h_row[-1]
     box = range(-bound, bound + 1)
     # a^2 = c.Nc - 2rs, and c.Nc does not depend on r.
@@ -231,12 +228,12 @@ def mori_candidates(
             # (a, h) > 0, which also rules out a = 0.
             lo, hi = _narrow(lo, hi, -h_last, head_h - 1)
             for s in range(lo, hi + 1):
-                coords = (r, *c, s)
+                a = MukaiVector._of((r, *c, s))
                 asq = form - 2 * r * s
                 pairing = head_v + s * v_last
-                lc = _line_class(v, coords, asq, pairing, vsq)
-                lagrangian = _verdict(v, coords, asq, pairing, vsq, lc.disc_order)[3]
-                out.append(MoriCandidate(a=MukaiVector._of(r, c, s), line_class=lc, lagrangian=lagrangian))
+                lc = _line_class(v, a, asq, pairing, vsq)
+                lagrangian = _verdict(v, a, asq, pairing, vsq, lc.disc_order)[3]
+                out.append(MoriCandidate(a=a, line_class=lc, lagrangian=lagrangian))
     return out
 
 
@@ -318,5 +315,5 @@ def contraction_budget(setup: MukaiSetup, v: MukaiVector, parts) -> PartitionRep
     parts = _check_parts(setup, v, parts)
     for p in parts:
         if not setup.is_primitive(p):
-            raise LatticeError("imprimitive", f"part {p.coords} is not primitive")
+            raise LatticeError("imprimitive", f"part {tuple(p)} is not primitive")
     return _report(setup, v, parts)

@@ -3,7 +3,10 @@
 A vector ``(r, c, s)`` collects the rank, the first Chern class (in a fixed
 basis of the Neron-Severi lattice) and the second Chern character of an
 object; the Todd class of an abelian surface is trivial, so these are the
-Mukai-vector components verbatim.  The pairing is
+Mukai-vector components verbatim.  A ``MukaiVector`` is the flat tuple
+``(r, c_1, ..., c_rho, s)`` of these coordinates, and a ``MukaiSetup`` is
+the ``IntegralLattice`` on them, so every lattice method takes a vector as
+it is.  The pairing is
 
     ((r, c, s), (r', c', s')) = c.c' - r*s' - s*r'
 
@@ -26,71 +29,67 @@ MEMO_SIZE = 128
 
 
 class MukaiVector(tuple):
-    """An integral class, the tuple ``(r, c, s)``; ``c`` has one entry per NS generator."""
+    """An integral class, the flat tuple ``(r, c_1, ..., c_rho, s)`` of its
+    ambient coordinates; ``c`` has one entry per NS generator."""
 
     __slots__ = ()
 
     r = property(itemgetter(0))
-    c = property(itemgetter(1))
-    s = property(itemgetter(2))
+    c = property(itemgetter(slice(1, -1)))
+    s = property(itemgetter(-1))
 
     def __new__(cls, r: int, c, s: int) -> "MukaiVector":
         c = freeze_vector(c)
         freeze_vector((r, s))
-        return tuple.__new__(cls, (r, c, s))
+        return tuple.__new__(cls, (r, *c, s))
 
     @classmethod
-    def _of(cls, r: int, c: tuple[int, ...], s: int) -> "MukaiVector":
-        """A vector from components already known to be ints, unchecked."""
-        return tuple.__new__(cls, (r, c, s))
+    def _of(cls, coords: tuple[int, ...]) -> "MukaiVector":
+        """A vector from coordinates already known to be ints, unchecked."""
+        return tuple.__new__(cls, coords)
 
     # pickle and copy call __new__ with these, as for the named-tuple records.
     def __getnewargs__(self) -> tuple:
-        return tuple(self)
+        return self.r, self.c, self.s
 
     def __repr__(self) -> str:
-        return f"MukaiVector(r={self[0]!r}, c={self[1]!r}, s={self[2]!r})"
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return (self[0], *self[1], self[2])
+        return f"MukaiVector(r={self.r!r}, c={self.c!r}, s={self.s!r})"
 
     @classmethod
     def from_coords(cls, coords) -> "MukaiVector":
         coords = freeze_vector(coords)
         if len(coords) < 2:
             raise LatticeError("dimension-mismatch", "need at least rank and degree-4 parts")
-        return cls._of(coords[0], coords[1:-1], coords[-1])
+        return cls._of(coords)
 
     # Sums and integer multiples of valid vectors are valid: only the scalar
     # is checked.
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector._of(
-            self.r + other.r,
-            tuple(a + b for a, b in zip(self.c, other.c, strict=True)),
-            self.s + other.s,
-        )
+        return MukaiVector._of(tuple(a + b for a, b in zip(self, other, strict=True)))
 
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        return self + (-other)
+        return MukaiVector._of(tuple(a - b for a, b in zip(self, other, strict=True)))
 
     def __neg__(self) -> "MukaiVector":
-        return MukaiVector._of(-self.r, tuple(-x for x in self.c), -self.s)
+        return MukaiVector._of(tuple(-x for x in self))
 
     def __mul__(self, k: int) -> "MukaiVector":
         if not isinstance(k, int):
             raise LatticeError("invalid-matrix", f"non-integer scalar {k!r}")
-        return MukaiVector._of(k * self.r, tuple(k * x for x in self.c), k * self.s)
+        return MukaiVector._of(tuple(k * x for x in self))
 
     __rmul__ = __mul__
 
 
-class MukaiSetup:
+class MukaiSetup(IntegralLattice):
     """The rank ``rho + 2`` Mukai lattice built from a Neron-Severi Gram matrix.
 
-    The NS matrix must be symmetric, even, nondegenerate and of the
-    Hodge-index signature ``(1, rho - 1)``, which makes the ambient
-    signature ``(2, rho)``.
+    A setup *is* that ambient lattice: ``gram`` is the Mukai pairing on the
+    coordinates ``(r, c_1, ..., c_rho, s)``, so a setup equals
+    ``IntegralLattice(setup.gram)`` and pairs ``MukaiVector``s and plain
+    coordinate tuples alike.  The NS matrix must be symmetric, even,
+    nondegenerate and of the Hodge-index signature ``(1, rho - 1)``, which
+    makes the ambient signature ``(2, rho)``.
     """
 
     def __init__(self, ns_gram):
@@ -117,17 +116,11 @@ class MukaiSetup:
         rho = len(ns)
         self.ns_gram = ns
         # Square and symmetric because the NS block is.
-        self.ambient = IntegralLattice._of(
-            ((0,) * (rho + 1) + (-1,), *((0, *row, 0) for row in ns), (-1,) + (0,) * (rho + 1))
-        )
+        self.gram = ((0,) * (rho + 1) + (-1,), *((0, *row, 0) for row in ns), (-1,) + (0,) * (rho + 1))
 
     @property
     def rho(self) -> int:
         return len(self.ns_gram)
-
-    @property
-    def rank(self) -> int:
-        return self.rho + 2
 
     def vector(self, r: int, c, s: int) -> MukaiVector:
         return self._check(MukaiVector(r, c, s))
@@ -140,22 +133,12 @@ class MukaiSetup:
         once it is known to have one ``c`` entry per NS generator."""
         if not isinstance(v, MukaiVector):
             v = MukaiVector.from_coords(v)
-        if len(v.c) != self.rho:
+        if len(v) != self.rank:
             raise LatticeError(
                 "dimension-mismatch",
-                f"c has length {len(v.c)}, NS rank is {self.rho}",
+                f"c has length {len(v) - 2}, NS rank is {self.rho}",
             )
         return v
-
-    # The ambient checks the length of v.coords, which is len(v.c) + 2.
-    def pair(self, v: MukaiVector, w: MukaiVector) -> int:
-        return self.ambient.pair(v.coords, w.coords)
-
-    def square(self, v: MukaiVector) -> int:
-        return self.ambient.square(v.coords)
-
-    def is_primitive(self, v: MukaiVector) -> bool:
-        return self.ambient.is_primitive(v.coords)
 
     def kummer_dimension(self, v: MukaiVector) -> int:
         """Dimension ``v^2 - 2 = 2n`` of the Albanese fibre, a Kummer-type manifold.
@@ -169,12 +152,6 @@ class MukaiSetup:
         if sq < 6:
             raise LatticeError("square-too-small", f"v^2 = {sq} < 6")
         return sq - 2
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MukaiSetup) and self.ns_gram == other.ns_gram
-
-    def __hash__(self) -> int:
-        return hash(self.ns_gram)
 
     def __repr__(self) -> str:
         return f"MukaiSetup(rho={self.rho})"

@@ -140,8 +140,7 @@ class PointedSublattice(NamedTuple):
     def span(cls, setup: MukaiSetup, v: MukaiVector, vectors) -> "PointedSublattice":
         """Saturated span of the given vectors, required to be rank 2 and to contain v."""
         setup._check(v)
-        rows = [setup._check(w).coords for w in vectors]
-        sub = Sublattice(setup.ambient, rows)
+        sub = Sublattice(setup, [setup._check(w) for w in vectors])
         if sub.rank != 2:
             raise LatticeError("rank-mismatch", f"span has rank {sub.rank}, expected 2")
         return cls._of(setup, v, sub.basis)
@@ -158,12 +157,11 @@ class PointedSublattice(NamedTuple):
         # then a check of every coordinate.
         i = next(k for k, x in enumerate(b1) if x)
         j = next(k for k, x in enumerate(b2) if x)
-        target = v.coords
-        x, x_rem = divmod(target[i], b1[i])
-        y, y_rem = divmod(target[j] - x * b1[j], b2[j])
-        if x_rem or y_rem or any(x * p + y * q != w for p, q, w in zip(b1, b2, target)):
+        x, x_rem = divmod(v[i], b1[i])
+        y, y_rem = divmod(v[j] - x * b1[j], b2[j])
+        if x_rem or y_rem or any(x * p + y * q != w for p, q, w in zip(b1, b2, v)):
             raise LatticeError("not-pointed", "v does not lie in the sublattice")
-        pair = setup.ambient.pair
+        pair = setup.pair
         off = pair(b1, b2)
         return cls(setup, v, basis, ((pair(b1, b1), off), (off, pair(b2, b2))), (x, y))
 
@@ -187,8 +185,7 @@ class PointedSublattice(NamedTuple):
     def member(self, xy) -> MukaiVector:
         """The ambient vector with the given sublattice coordinates."""
         x, y = xy
-        coords = tuple(x * b1 + y * b2 for b1, b2 in zip(self.basis[0], self.basis[1]))
-        return MukaiVector._of(coords[0], coords[1:-1], coords[-1])
+        return MukaiVector._of(tuple(x * b1 + y * b2 for b1, b2 in zip(*self.basis)))
 
     def isotropic_classes(self) -> tuple[MukaiVector, ...]:
         """The primitive isotropic classes of the sublattice, up to sign.
@@ -221,7 +218,7 @@ class PointedSublattice(NamedTuple):
         if not witnesses:
             raise LatticeError("not-p-type", "lattice is not of P-type")
         candidates = [self.member(line) if p > 0 else -self.member(line) for line, p in witnesses]
-        s = min(candidates, key=lambda w: (tuple(abs(x) for x in w.coords), w.coords))
+        s = min(candidates, key=lambda w: (tuple(abs(x) for x in w), w))
         return PTypeDecomposition(s=s, t=self.v - s)
 
 
@@ -246,7 +243,7 @@ def construct_p_type(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Point
         raise LatticeError("imprimitive", "v - a must be primitive")
     # The checks above length-check both rows, and they are independent:
     # v - a = k a would give v^2 = (k + 1)^2 a^2 = 0.
-    return PointedSublattice._of_witness(setup, v, a.coords, (v - a).coords, vsq // 2)
+    return PointedSublattice._of_witness(setup, v, a, v - a, vsq // 2)
 
 
 def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[PointedSublattice]:
@@ -267,9 +264,8 @@ def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[Poin
     vsq = setup.kummer_dimension(v) + 2
     half = vsq // 2
     ns = IntegralLattice._of(setup.ns_gram)
-    v_coords = v.coords
     # (a, v) is the dot product of a with v_row = (-s_v, N c_v, -r_v).
-    v_row = setup.ambient.dual_pairings(v_coords)
+    v_row = setup.dual_pairings(v)
     r_weight, c_row, s_weight = v_row[0], v_row[1:-1], v_row[-1]
     box = range(-bound, bound + 1)
     found = {}
@@ -301,7 +297,7 @@ def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[Poin
         for a in witnesses:
             if abs(a[-1]) > bound or gcd(*a) != 1:
                 continue
-            t = tuple(map(sub, v_coords, a))
+            t = tuple(map(sub, v, a))
             # A P-type lattice has exactly the two witnesses a and t; span
             # it from the smaller one when both lie in the box.
             if gcd(*t) != 1 or (t < a and max(map(abs, t)) <= bound):

@@ -148,7 +148,6 @@ def contains(sub: Sublattice, x) -> bool:
     sub.ambient._check_length(x)
     vec = list(x)
     if not all(isinstance(e, Rational) for e in vec):
-        # A MukaiVector ``(r, c, s)`` has the tuple ``c`` as an entry.
         raise LatticeError("invalid-matrix", "contains needs a vector of integers or Fractions")
     for row in sub.basis:
         j = next(i for i, val in enumerate(row) if val)
@@ -288,11 +287,11 @@ def saturated_span(setup: MukaiSetup, v: MukaiVector, vectors) -> PointedSublatt
     for vec in vectors:
         w = vec if isinstance(vec, MukaiVector) else setup.vector_from_coords(vec)
         setup._check(w)
-        rows.append(w.coords)
-    sub, _ = saturate_snf(Sublattice(setup.ambient, rows))
+        rows.append(w)
+    sub, _ = saturate_snf(Sublattice(setup, rows))
     if sub.rank != 2:
         raise LatticeError("rank-mismatch", f"span has rank {sub.rank}, expected 2")
-    v_coords = coords(sub, v.coords)
+    v_coords = coords(sub, v)
     if v_coords is None:
         raise LatticeError("not-pointed", "v does not lie in the sublattice")
     return PointedSublattice(setup, v, sub.basis, restricted_gram(sub), v_coords)
@@ -334,9 +333,8 @@ def enumerate_p_type_pairs(setup: MukaiSetup, v: MukaiVector, bound: int) -> lis
     vsq = setup.kummer_dimension(v) + 2
     half = vsq // 2
     ns = IntegralLattice._of(setup.ns_gram)
-    v_coords = v.coords
     # (a, v) is the dot product of a with v_row, whose last entry is -r_v.
-    v_row = setup.ambient.dual_pairings(v_coords)
+    v_row = setup.dual_pairings(v)
     s_weight = v_row[-1]
     box = range(-bound, bound + 1)
     found = {}
@@ -364,7 +362,7 @@ def enumerate_p_type_pairs(setup: MukaiSetup, v: MukaiVector, bound: int) -> lis
                 continue
             for s in choices:
                 a = (r, *c, s)
-                t = tuple(x - y for x, y in zip(v_coords, a))
+                t = tuple(x - y for x, y in zip(v, a))
                 if gcd(*a) != 1 or gcd(*t) != 1:
                     continue
                 # A P-type lattice has exactly the two witnesses a and t; span
@@ -377,16 +375,16 @@ def enumerate_p_type_pairs(setup: MukaiSetup, v: MukaiVector, bound: int) -> lis
 
 
 def _project(setup, v, coords, vsq):
-    weight = Fraction(setup.ambient.pair(coords, v.coords), vsq)
-    return tuple(Fraction(a) - weight * b for a, b in zip(coords, v.coords))
+    weight = Fraction(setup.pair(coords, v), vsq)
+    return tuple(Fraction(a) - weight * b for a, b in zip(coords, v))
 
 
 def _line_class(setup, v, a, vsq, perp):
     """The projection ``R`` of ``a`` and its square as ``Fraction``s, and
     the integer ``LineClass`` they make."""
-    projected = _project(setup, v, a.coords, vsq)
-    square = Fraction(setup.ambient.pair(projected, projected))
-    if not all(Fraction(p).denominator == 1 for p in (setup.ambient.pair(projected, b) for b in perp.basis)):
+    projected = _project(setup, v, a, vsq)
+    square = Fraction(setup.pair(projected, projected))
+    if not all(Fraction(p).denominator == 1 for p in (setup.pair(projected, b) for b in perp.basis)):
         raise LatticeError("not-in-dual", "projection left the dual of v_perp")
     if any(projected):
         rational = rational_coords(perp, projected)
@@ -444,11 +442,11 @@ def mori_candidates_scan(setup: MukaiSetup, v: MukaiVector, h: MukaiVector, boun
         if setup.square(a) < 0 or abs(setup.pair(a, v)) > half:
             continue
         lc, projected, square = _line_class(setup, v, a, vsq, perp)
-        if setup.ambient.pair(projected, h.coords) <= 0:
+        if setup.pair(projected, h) <= 0:
             continue
         lagrangian = _lagrangian(setup, v, a, vsq, projected, square)
         out.append(MoriCandidate(a=a, line_class=lc, lagrangian=lagrangian))
-    out.sort(key=lambda cand: cand.a.coords)
+    out.sort(key=lambda cand: cand.a)
     return out
 
 

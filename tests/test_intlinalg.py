@@ -179,7 +179,7 @@ def test_invert_unimodular_rejects_non_unimodular():
 
 def _v_perp_row(v):
     """The pairings of ``v`` with the ``U^4`` Mukai basis, whose kernel is ``v_perp``."""
-    return [kummer_mukai_setup().ambient.dual_pairings(v)]
+    return [kummer_mukai_setup().dual_pairings(v)]
 
 
 @settings(max_examples=150)

@@ -235,10 +235,10 @@ def test_coords_and_membership():
     assert not contains(sub, (0, 1, 0))
 
 
-def test_contains_refuses_a_mukai_vector():
-    sub = rank_one_setup(6).ambient.span([(1, 0, 0), (0, 0, 1)])
-    with pytest.raises(LatticeError) as err:
-        contains(sub, MukaiVector(0, (0,), 0))
-    assert err.value.code == "invalid-matrix"
+def test_contains_answers_a_mukai_vector_as_its_coordinates():
+    sub = rank_one_setup(6).span([(1, 0, 0), (0, 0, 1)])
+    for v in (MukaiVector(0, (0,), 0), MukaiVector(2, (0,), -1), MukaiVector(1, (1,), 0)):
+        assert contains(sub, v) == contains(sub, tuple(v))
+    assert contains(sub, MukaiVector(2, (0,), -1)) and not contains(sub, MukaiVector(1, (1,), 0))
     assert contains(sub, (Fraction(4, 2), 0, 1))
     assert not contains(sub, (Fraction(1, 2), 0, 1))

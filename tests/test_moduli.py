@@ -41,7 +41,7 @@ def test_theta_dual_worked_example(six):
     assert _square(lc) == Fraction(-3, 2)
     assert lc.disc_order == 2
     assert lc.two_r == (2, -1, 3)
-    assert setup.ambient.pair(_coords(lc), v.coords) == 0
+    assert setup.pair(_coords(lc), v) == 0
 
 
 def test_theta_dual_fixes_v_perp(six):
@@ -49,7 +49,7 @@ def test_theta_dual_fixes_v_perp(six):
     h = setup.vector(-2, [1], 0)
     assert setup.pair(h, v) == 0
     lc = theta_dual(setup, v, h)
-    assert _coords(lc) == tuple(Fraction(x) for x in h.coords)
+    assert _coords(lc) == tuple(Fraction(x) for x in h)
     assert _square(lc) == setup.square(h)
     assert lc.disc_order == 1
 
@@ -75,7 +75,7 @@ def test_projection_is_idempotent_and_orthogonal(six):
     for _ in range(200):
         a = setup.vector_from_coords([rng.randint(-30, 30) for _ in range(3)])
         coords = _coords(theta_dual(setup, v, a))
-        assert setup.ambient.pair(coords, v.coords) == 0
+        assert setup.pair(coords, v) == 0
         # by linearity, projecting the integral v^2 R gives back v^2 R
         again = theta_dual(setup, v, setup.vector_from_coords([int(vsq * x) for x in coords]))
         assert _coords(again) == tuple(vsq * x for x in coords)
@@ -146,7 +146,7 @@ def test_v_perp(six):
     setup, v = six
     perp = v_perp(setup, v)
     assert perp.rank == 2
-    assert all(setup.ambient.pair(row, v.coords) == 0 for row in perp.basis)
+    assert all(setup.pair(row, v) == 0 for row in perp.basis)
     assert perp.saturation() == (perp, 1)
 
 
@@ -187,10 +187,10 @@ def test_mori_filters(six):
     for cand in candidates:
         assert setup.square(cand.a) >= 0
         assert abs(setup.pair(cand.a, v)) <= half
-        assert setup.ambient.pair(_coords(cand.line_class), h.coords) > 0
-        assert cand.a.coords not in seen
-        seen.add(cand.a.coords)
-    assert [c.a.coords for c in candidates] == sorted(c.a.coords for c in candidates)
+        assert setup.pair(_coords(cand.line_class), h) > 0
+        assert cand.a not in seen
+        seen.add(cand.a)
+    assert [c.a for c in candidates] == sorted(c.a for c in candidates)
 
 
 def test_mori_lagrangian_flags_match_enumeration(six):
@@ -259,7 +259,7 @@ def test_a_part_from_another_setup_is_a_dimension_mismatch(six):
     setup, v = six
     foreign = kummer_mukai_setup().vector_from_coords([1] + [0] * 7)
     for check in (jh_feasibility, contraction_budget):
-        for parts in ([foreign, v], [v, foreign], [foreign.coords, v]):
+        for parts in ([foreign, v], [v, foreign], [tuple(foreign), v]):
             with pytest.raises(LatticeError) as err:
                 check(setup, v, parts)
             assert err.value.code == "dimension-mismatch"

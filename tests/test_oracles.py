@@ -83,7 +83,7 @@ def _isotropic(ns) -> tuple:
     return tuple(
         a
         for a in product(range(-BOX, BOX + 1), repeat=setup.rank)
-        if gcd(*a) == 1 and setup.ambient.square(a) == 0
+        if gcd(*a) == 1 and setup.square(a) == 0
     )
 
 
@@ -110,7 +110,7 @@ def pointed(draw, rho, mode=None):
     complements = [
         t
         for t in _isotropic(ns)
-        if 3 <= setup.ambient.pair(a, t) <= 8
+        if 3 <= setup.pair(a, t) <= 8
         and gcd(*(x + y for x, y in zip(a, t))) == 1
         and (mode != "v r = 0" or a[0] + t[0] == 0)
     ]
@@ -188,8 +188,8 @@ def pointed_with_h(draw, rho):
     positive = [
         h
         for h in product(range(-3, 4), repeat=setup.rank)
-        if setup.ambient.pair(h, v.coords) == 0
-        and setup.ambient.square(h) > 0
+        if setup.pair(h, v) == 0
+        and setup.square(h) > 0
         and (mode != "h r = 0" or h[0] == 0)
     ]
     assume(positive)
@@ -213,7 +213,7 @@ def test_mori_matches_the_box_scan_on_kummer_mukai():
     h = next(
         h
         for h in product(range(-1, 2), repeat=setup.rank)
-        if setup.ambient.pair(h, v.coords) == 0 and setup.ambient.square(h) > 0
+        if setup.pair(h, v) == 0 and setup.square(h) > 0
     )
     h = setup.vector_from_coords(h)
     found = mori_candidates(setup, v, h, 1)
@@ -232,7 +232,7 @@ def test_lagrangian_candidates_are_the_enumerated_witnesses(data):
     for lattice in enumerate_p_type(setup, v, bound):
         dec = lattice.decomposition()
         for w in (dec.s, dec.t, -dec.s, -dec.t):
-            if max(map(abs, w.coords)) <= bound and setup.pair(w, h) > 0:
+            if max(map(abs, w)) <= bound and setup.pair(w, h) > 0:
                 witnesses.add(w)
     assert lagrangian == witnesses
 
@@ -289,10 +289,10 @@ def test_span_matches_the_generic_saturation(data):
     got = _outcome(PointedSublattice.span, setup, v, generators)
     assert got == _outcome(saturated_span, setup, v, generators)
     if isinstance(got, PointedSublattice):
-        saturated = Sublattice(setup.ambient, generators).saturation()[0]
+        saturated = Sublattice(setup, generators).saturation()[0]
         assert got.basis == saturated.basis
         assert got.gram2 == restricted_gram(saturated)
-        assert got.v_coords == coords(saturated, v.coords)
+        assert got.v_coords == coords(saturated, v)
 
 
 def test_span_error_codes():
@@ -301,7 +301,7 @@ def test_span_error_codes():
     a = setup.vector(1, [0], 0)
     doubled = PointedSublattice.span(setup, v, [2 * a, v])
     assert doubled == saturated_span(setup, v, [a, v])
-    assert Sublattice(setup.ambient, [(2, 0, 0), v.coords]).saturation()[1] == 2
+    assert Sublattice(setup, [(2, 0, 0), v]).saturation()[1] == 2
     cases = {
         "rank-mismatch": [a],
         "dependent-rows": [a, v, a + v],
@@ -486,7 +486,7 @@ def symmetric_matrices(draw, max_n=8):
 @example(kummer_bbf_lattice(2).gram)
 @example(kummer_bbf_lattice(3).gram)
 @example(kummer_bbf_lattice(4).gram)
-@example(kummer_mukai_setup().ambient.gram)
+@example(kummer_mukai_setup().gram)
 def test_signature_matches_the_congruence_diagonalisation(gram):
     assert signature(gram) == signature_congruence(gram)
 

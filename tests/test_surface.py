@@ -19,11 +19,13 @@ import mukailat
 from mukailat import (
     IntegralLattice,
     MukaiSetup,
+    MukaiVector,
     SNFResult,
     Sublattice,
     classify_line_class,
     construct_p_type,
     jh_feasibility,
+    kummer_mukai_setup,
     mori_candidates,
     rank_one_setup,
     smith_normal_form,
@@ -89,6 +91,9 @@ REMOVED = [
     (MukaiSetup, "euler_pairing"),
     (MukaiSetup, "moduli_dimension"),
     (mukailat.intlinalg, "determinant"),
+    # A vector is its coordinate tuple, and a setup is its ambient lattice.
+    (MukaiVector, "coords"),
+    (MukaiSetup, "ambient"),
 ]
 
 
@@ -99,6 +104,13 @@ def test_removed_names_stay_removed(owner, name):
 
 def test_mukai_setup_takes_only_the_gram():
     assert list(inspect.signature(MukaiSetup).parameters) == ["ns_gram"]
+    # A setup is the lattice on its Mukai Gram, with no ambient beside it.
+    for setup in (rank_one_setup(6), kummer_mukai_setup()):
+        lattice = IntegralLattice(setup.gram)
+        assert isinstance(setup, IntegralLattice) and not hasattr(setup, "ambient")
+        assert setup == lattice and lattice == setup and hash(setup) == hash(lattice)
+        rows = [(1,) + (0,) * (setup.rank - 1), (0,) * (setup.rank - 1) + (2,)]
+        assert Sublattice(setup, rows) == Sublattice(lattice, rows)
 
 
 # Each public result record, by type name, with its fields in order.
@@ -113,6 +125,14 @@ RECORD_FIELDS = {
     "PartitionReport": ("parts", "m", "jh_ok", "ext1_budget_ok", "ext1_cross", "dim_identity_ok"),
     "MukaiVector": ("r", "c", "s"),
 }
+
+
+def _as_tuple(record, fields):
+    # A vector is the flat tuple of its coordinates, with c spliced in.
+    if isinstance(record, MukaiVector):
+        r, c, s = fields
+        return (r, *c, s)
+    return fields
 
 
 def _records():
@@ -136,10 +156,11 @@ def _records():
 def test_records_are_immutable_tuples_of_their_fields(record):
     names = RECORD_FIELDS[type(record).__name__]
     fields = tuple(getattr(record, name) for name in names)
+    value = _as_tuple(record, fields)
     # Set and dict order of records, and so output bytes, rest on this hash.
-    assert hash(record) == hash(fields)
+    assert hash(record) == hash(value)
     assert record == type(record)(*fields)
-    assert record == fields
+    assert record == value
     assert pickle.loads(pickle.dumps(record)) == record
     for name in names:
         with pytest.raises(AttributeError):
