@@ -10,7 +10,7 @@ function.
 
 from .errors import LatticeError
 from .intlinalg import SNFResult, hermite_basis, smith_normal_form
-from .lattice import DiscriminantGroup, IntegralLattice, Sublattice
+from .lattice import DiscriminantGroup, IntegralLattice
 from .moduli import (
     ALBANESE_FIBRE_CODIM,
     LineClass,
@@ -56,7 +56,6 @@ __all__ = [
     "PartitionReport",
     "PointedSublattice",
     "SNFResult",
-    "Sublattice",
     "classify_line_class",
     "construct_p_type",
     "contraction_budget",

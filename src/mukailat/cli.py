@@ -175,8 +175,7 @@ def _cmd_saturate(basis, ambient):
         if not basis[0]:
             raise LatticeError("invalid-matrix", "basis rows are empty")
         ambient = IntegralLattice(identity(len(basis[0])))
-    saturated, index = ambient.span(basis).saturation()
-    return saturated.basis, index
+    return ambient.saturation(basis)
 
 
 def _cmd_pair(lattice, x, y):

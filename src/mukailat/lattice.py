@@ -1,4 +1,4 @@
-"""Integral lattices: bilinear forms, sublattices, saturation, discriminants.
+"""Integral lattices: bilinear forms, spans, saturation, discriminants.
 
 An :class:`IntegralLattice` is a free Z-module of finite rank carrying an
 integer symmetric bilinear form (its Gram matrix in a fixed basis).  Vectors
@@ -142,8 +142,32 @@ class IntegralLattice:
     def signature(self) -> tuple[int, int, int]:
         return intlinalg.signature(self.gram)
 
-    def span(self, rows) -> "Sublattice":
-        return Sublattice(self, rows)
+    def span(self, rows) -> IntMatrix:
+        """The Hermite basis of the span of linearly independent rows of ambient length."""
+        rows = intlinalg.freeze_matrix(rows)
+        if rows and len(rows[0]) != self.rank:
+            raise LatticeError("dimension-mismatch", "basis row length != ambient rank")
+        basis = intlinalg._hermite(rows)
+        if len(basis) < len(rows):
+            raise LatticeError("dependent-rows", "basis rows are linearly dependent")
+        return basis
+
+    def saturation(self, rows) -> tuple[IntMatrix, int]:
+        """The Hermite basis of the saturation of ``span(rows)``, and the index of the span in it.
+
+        The saturation is the rational span intersected with the lattice:
+        same rank, torsion-free quotient, and its own saturation.  It comes
+        from one column-echelon pass with no Smith transform.
+        """
+        return intlinalg.saturation(self.span(rows))
+
+    def orthogonal_complement(self, rows) -> IntMatrix:
+        """The saturated Hermite basis of everything pairing to zero with ``span(rows)``."""
+        basis = self.span(rows)
+        self._smith_diagonal("orthogonal_complement")
+        if not basis:
+            return tuple(map(tuple, intlinalg.identity(self.rank)))
+        return intlinalg.integer_kernel(tuple(self.dual_pairings(b) for b in basis))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegralLattice) and self.gram == other.gram
@@ -153,66 +177,3 @@ class IntegralLattice:
 
     def __repr__(self) -> str:
         return f"IntegralLattice(rank={self.rank})"
-
-
-class Sublattice:
-    """An integer row-span inside an ambient lattice.
-
-    The stored basis is the row-style Hermite normal form of the input rows,
-    so equal sublattices compare equal.  Input rows must be linearly
-    independent.
-    """
-
-    def __init__(self, ambient: IntegralLattice, rows):
-        rows = intlinalg.freeze_matrix(rows)
-        if rows and len(rows[0]) != ambient.rank:
-            raise LatticeError("dimension-mismatch", "basis row length != ambient rank")
-        basis = intlinalg._hermite(rows)
-        if len(basis) < len(rows):
-            raise LatticeError("dependent-rows", "basis rows are linearly dependent")
-        self.ambient = ambient
-        self.basis: IntMatrix = basis
-
-    @classmethod
-    def _of(cls, ambient: IntegralLattice, basis: IntMatrix) -> "Sublattice":
-        """A sublattice on rows already in Hermite form, of the ambient's length."""
-        sub = cls.__new__(cls)
-        sub.ambient = ambient
-        sub.basis = basis
-        return sub
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    def saturation(self) -> tuple["Sublattice", int]:
-        """The saturation and the index of this sublattice in it, from one pass.
-
-        The saturation is the rational span intersected with the ambient
-        lattice: same rank, torsion-free quotient in the ambient, and its own
-        saturation.  It comes from one column-echelon pass with no Smith
-        transform.
-        """
-        basis, index = intlinalg.saturation(self.basis)
-        return Sublattice._of(self.ambient, basis), index
-
-    def orthogonal_complement(self) -> "Sublattice":
-        """Saturated sublattice of everything pairing to zero with this span."""
-        self.ambient._smith_diagonal("orthogonal_complement")
-        if self.rank == 0:
-            return Sublattice(self.ambient, intlinalg.identity(self.ambient.rank))
-        pairing_rows = tuple(self.ambient.dual_pairings(b) for b in self.basis)
-        return Sublattice._of(self.ambient, intlinalg.integer_kernel(pairing_rows))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Sublattice)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.basis))
-
-    def __repr__(self) -> str:
-        return f"Sublattice(rank={self.rank}, basis={self.basis})"

@@ -26,7 +26,8 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import LatticeError
-from .lattice import IntegralLattice, Sublattice
+from .intlinalg import IntMatrix
+from .lattice import IntegralLattice
 from .mukai import MukaiSetup, MukaiVector
 from .ptype import PointedSublattice
 
@@ -61,9 +62,9 @@ class LineClass(NamedTuple):
         return tuple(2 * x // self.denominator for x in self.numerators)
 
 
-def v_perp(setup: MukaiSetup, v: MukaiVector) -> Sublattice:
-    """The saturated orthogonal complement of ``v`` in the ambient lattice."""
-    return setup.span([v]).orthogonal_complement()
+def v_perp(setup: MukaiSetup, v: MukaiVector) -> IntMatrix:
+    """The Hermite basis of the saturated orthogonal complement of ``v`` in the Mukai lattice."""
+    return setup.orthogonal_complement([v])
 
 
 def _line_class(v: MukaiVector, a: MukaiVector, asq: int, pairing: int, vsq: int) -> LineClass:
@@ -137,7 +138,9 @@ def _verdict(
     torsion_ok = disc_order <= 2
     isotropic_witness_ok = asq == 0 and abs(pairing) == vsq // 2
     spans = False
-    if square_ok and torsion_ok and isotropic_witness_ok:
+    # On the even Mukai lattice, a^2 = 0 and |(a, v)| = v^2/2 give
+    # (R, R) = -v^2/4 and an integral 2R = 2a -+ v: the other two checks pass.
+    if isotropic_witness_ok:
         # v - w is v - a for a positive pairing and v + a otherwise.
         sign = 1 if pairing > 0 else -1
         spans = gcd(*a) == 1 and gcd(*(x - sign * y for x, y in zip(v, a))) == 1
@@ -213,7 +216,7 @@ def mori_candidates(
     box = range(-bound, bound + 1)
     # a^2 = c.Nc - 2rs, and c.Nc does not depend on r.
     heads = [
-        (c, form, sum(map(mul, c, v_row[1:])), sum(map(mul, c, h_row[1:])))
+        (c, form, sum(map(mul, c, v_row[1:-1])), sum(map(mul, c, h_row[1:-1])))
         for c, form in ns._box_squares(bound)
     ]
     out = []

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import LatticeError
 from .intlinalg import IntMatrix, _hermite, freeze_matrix, saturation
-from .lattice import IntegralLattice, Sublattice
+from .lattice import IntegralLattice
 from .mukai import MukaiSetup, MukaiVector
 
 
@@ -92,11 +92,10 @@ def _witnesses(form: IntegralLattice, v_xy) -> list[tuple[tuple[int, int], int]]
         raise LatticeError("nonpositive-square", f"v^2 = {vsq} <= 0")
     if gcd(v_xy[0], v_xy[1]) != 1:
         raise LatticeError("imprimitive", "v is not primitive in the sublattice")
-    half = vsq // 2
     pairings = [(line, form.pair(line, v_xy)) for line in _isotropic_lines(form.gram)]
-    if any(abs(p) < half for _, p in pairings):
+    if any(2 * abs(p) < vsq for _, p in pairings):
         return []
-    return [(line, p) for line, p in pairings if abs(p) == half]
+    return [(line, p) for line, p in pairings if 2 * abs(p) == vsq]
 
 
 def _saturated(b1, b2) -> bool:
@@ -140,10 +139,10 @@ class PointedSublattice(NamedTuple):
     def span(cls, setup: MukaiSetup, v: MukaiVector, vectors) -> "PointedSublattice":
         """Saturated span of the given vectors, required to be rank 2 and to contain v."""
         setup._check(v)
-        sub = Sublattice(setup, [setup._check(w) for w in vectors])
-        if sub.rank != 2:
-            raise LatticeError("rank-mismatch", f"span has rank {sub.rank}, expected 2")
-        return cls._of(setup, v, sub.basis)
+        basis = setup.span([setup._check(w) for w in vectors])
+        if len(basis) != 2:
+            raise LatticeError("rank-mismatch", f"span has rank {len(basis)}, expected 2")
+        return cls._of(setup, v, basis)
 
     @classmethod
     def _of(cls, setup: MukaiSetup, v: MukaiVector, basis: IntMatrix) -> "PointedSublattice":

@@ -11,7 +11,7 @@ obviously right, which is what an oracle should be.
 solved for ``r``: it scans every ``(c, r)`` of the ``(2B+1)^(rho+1)`` box,
 solves only for ``s``, and spans each witness pair through its pairings.
 
-The normal forms that ``hermite_basis`` and ``Sublattice.saturation`` used
+The normal forms that ``hermite_basis`` and ``IntegralLattice.saturation`` used
 to run are here too: the row Hermite form with its unimodular transform,
 which reduces entries above a pivot only once the pivot's column is done,
 the inverse of a unimodular matrix through it, and the saturation through
@@ -29,7 +29,7 @@ form.
 ``signature_congruence`` is the symmetric congruence diagonalisation over
 ``Fraction``s that the integer ``signature`` replaced.
 
-``mat_mul``, ``solve_rational``, ``rational_coords`` and ``coords`` are the
+``mat_mul``, ``solve_rational`` and ``coords`` are the
 matrix product and the rational and integer coordinate solves that the
 library no longer needs; the certificate tests and the oracles above use
 them.  ``determinant`` (Bareiss elimination), ``restricted_gram`` and
@@ -54,7 +54,6 @@ from mukailat import (
     MukaiSetup,
     MukaiVector,
     PointedSublattice,
-    Sublattice,
     v_perp,
 )
 from mukailat.intlinalg import (
@@ -138,18 +137,18 @@ def determinant(mat) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def restricted_gram(sub: Sublattice) -> IntMatrix:
-    """Gram matrix of the form restricted to the basis of ``sub``."""
-    return tuple(tuple(sub.ambient.pair(b1, b2) for b2 in sub.basis) for b1 in sub.basis)
+def restricted_gram(ambient: IntegralLattice, basis: IntMatrix) -> IntMatrix:
+    """Gram matrix of the form of ``ambient`` restricted to ``basis``."""
+    return tuple(tuple(ambient.pair(b1, b2) for b2 in basis) for b1 in basis)
 
 
-def contains(sub: Sublattice, x) -> bool:
-    """True iff ``x``, of integers or ``Fraction``s, lies in ``sub``."""
-    sub.ambient._check_length(x)
+def contains(ambient: IntegralLattice, basis: IntMatrix, x) -> bool:
+    """True iff ``x``, of integers or ``Fraction``s, lies in the span of the Hermite ``basis``."""
+    ambient._check_length(x)
     vec = list(x)
     if not all(isinstance(e, Rational) for e in vec):
         raise LatticeError("invalid-matrix", "contains needs a vector of integers or Fractions")
-    for row in sub.basis:
+    for row in basis:
         j = next(i for i, val in enumerate(row) if val)
         if vec[j] % row[j]:
             return False
@@ -159,14 +158,9 @@ def contains(sub: Sublattice, x) -> bool:
     return not any(vec)
 
 
-def rational_coords(sub: Sublattice, x):
-    """Coordinates of ``x`` in the basis of ``sub`` over Q, or None."""
-    return solve_rational(sub.basis, x)
-
-
-def coords(sub: Sublattice, x):
-    """Integer coordinates of ``x`` in the basis of ``sub``, or None."""
-    sol = rational_coords(sub, x)
+def coords(basis: IntMatrix, x):
+    """Integer coordinates of ``x`` in ``basis``, or None."""
+    sol = solve_rational(basis, x)
     if sol is None or any(c.denominator != 1 for c in sol):
         return None
     return tuple(int(c) for c in sol)
@@ -266,18 +260,19 @@ def invert_unimodular(mat) -> IntMatrix:
     return t
 
 
-def saturate_snf(sub: Sublattice) -> tuple[Sublattice, int]:
-    """``Sublattice.saturation`` through the Smith form ``u @ basis @ v == d``.
+def saturate_snf(basis: IntMatrix) -> tuple[IntMatrix, int]:
+    """``IntegralLattice.saturation`` through the Smith form ``u @ basis @ v == d``.
 
-    The first ``rank`` rows of ``v^-1`` span the saturation, and the index
-    is the product of the diagonal of ``d``.
+    The first ``len(basis)`` rows of ``v^-1`` span the saturation, whose
+    Hermite basis is returned, and the index is the product of the diagonal
+    of ``d``.
     """
-    snf = smith_by_sympy(sub.basis)
+    snf = smith_by_sympy(basis)
     vinv = invert_unimodular(snf.v)
     index = 1
     for d in snf.diagonal:
         index *= d
-    return Sublattice(sub.ambient, vinv[: sub.rank]), index
+    return _hermite(vinv[: len(basis)]), index
 
 
 def saturated_span(setup: MukaiSetup, v: MukaiVector, vectors) -> PointedSublattice:
@@ -288,13 +283,13 @@ def saturated_span(setup: MukaiSetup, v: MukaiVector, vectors) -> PointedSublatt
         w = vec if isinstance(vec, MukaiVector) else setup.vector_from_coords(vec)
         setup._check(w)
         rows.append(w)
-    sub, _ = saturate_snf(Sublattice(setup, rows))
-    if sub.rank != 2:
-        raise LatticeError("rank-mismatch", f"span has rank {sub.rank}, expected 2")
-    v_coords = coords(sub, v)
+    basis, _ = saturate_snf(setup.span(rows))
+    if len(basis) != 2:
+        raise LatticeError("rank-mismatch", f"span has rank {len(basis)}, expected 2")
+    v_coords = coords(basis, v)
     if v_coords is None:
         raise LatticeError("not-pointed", "v does not lie in the sublattice")
-    return PointedSublattice(setup, v, sub.basis, restricted_gram(sub), v_coords)
+    return PointedSublattice(setup, v, basis, restricted_gram(setup, basis), v_coords)
 
 
 def enumerate_p_type_scan(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[PointedSublattice]:
@@ -384,10 +379,10 @@ def _line_class(setup, v, a, vsq, perp):
     the integer ``LineClass`` they make."""
     projected = _project(setup, v, a, vsq)
     square = Fraction(setup.pair(projected, projected))
-    if not all(Fraction(p).denominator == 1 for p in (setup.pair(projected, b) for b in perp.basis)):
+    if not all(Fraction(p).denominator == 1 for p in (setup.pair(projected, b) for b in perp)):
         raise LatticeError("not-in-dual", "projection left the dual of v_perp")
     if any(projected):
-        rational = rational_coords(perp, projected)
+        rational = solve_rational(perp, projected)
         if rational is None:
             raise LatticeError("not-in-dual", "projection left the rational span of v_perp")
         disc_order = lcm(*(c.denominator for c in rational))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mukailat import DiscriminantGroup, IntegralLattice, LatticeError, MukaiVector, Sublattice, rank_one_setup
+from mukailat import DiscriminantGroup, IntegralLattice, LatticeError, MukaiVector, rank_one_setup
 from mukailat.intlinalg import hermite_basis, smith_normal_form, transpose
 from oracles import contains, coords, determinant, mat_mul
 
@@ -66,23 +66,23 @@ def test_is_primitive():
 
 def test_saturate_examples():
     z2 = IntegralLattice([[1, 0], [0, 1]])
-    assert z2.span([(2, 0)]).saturation()[0].basis == ((1, 0),)
-    assert z2.span([(2, 4)]).saturation()[0].basis == ((1, 2),)
-    sat, index = z2.span([(1, 1), (1, -1)]).saturation()
-    assert sat.basis == ((1, 0), (0, 1))
+    assert z2.saturation([(2, 0)]) == (((1, 0),), 2)
+    assert z2.saturation([(2, 4)]) == (((1, 2),), 2)
+    sat, index = z2.saturation([(1, 1), (1, -1)])
+    assert sat == ((1, 0), (0, 1))
     assert index == 2
-    empty = z2.span([])
-    assert empty.saturation() == (empty, 1)
+    assert z2.span([]) == ()
+    assert z2.saturation([]) == ((), 1)
 
 
 def test_saturate_idempotent_and_contains():
     z3 = IntegralLattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     sub = z3.span([(2, 4, 6), (0, 10, 4)])
-    sat = sub.saturation()[0]
-    assert sat.rank == sub.rank
-    assert sat.saturation() == (sat, 1)
-    for row in sub.basis:
-        assert contains(sat, row)
+    sat = z3.saturation(sub)[0]
+    assert len(sat) == len(sub)
+    assert z3.saturation(sat) == (sat, 1)
+    for row in sub:
+        assert contains(z3, sat, row)
 
 
 sub_rows = st.integers(2, 4).flatmap(
@@ -104,20 +104,20 @@ def test_saturation_properties(rows):
         return  # dependent generators are rejected by construction
     ambient = IntegralLattice([[1 if i == j else 0 for j in range(n)] for i in range(n)])
     sub = ambient.span(rows)
-    sat, index = sub.saturation()
-    assert sat.rank == sub.rank
-    assert sat.saturation() == (sat, 1)
-    assert all(contains(sat, row) for row in sub.basis)
+    sat, index = ambient.saturation(rows)
+    assert len(sat) == len(sub)
+    assert ambient.saturation(sat) == (sat, 1)
+    assert all(contains(ambient, sat, row) for row in sub)
     # index in the saturation equals the product of the invariant factors
     prod = 1
-    for d in smith_normal_form(sub.basis).diagonal:
+    for d in smith_normal_form(sub).diagonal:
         prod *= d
     assert index == prod
     # a vector is primitive iff its span is already saturated
     vec = rows[0]
     if any(vec):
         line = ambient.span([vec])
-        assert ambient.is_primitive(vec) == (line.saturation()[0] == line)
+        assert ambient.is_primitive(vec) == (ambient.saturation(line)[0] == line)
 
 
 def test_saturate_near_full_rank_basis():
@@ -131,17 +131,16 @@ def test_saturate_near_full_rank_basis():
     mixer = [[rng.randint(-2, 2) if j != r else rng.randint(1, 3) for j in range(k)] for r in range(k)]
     basis = [[sum(mixer[r][j] * rows[j][c] for j in range(k)) for c in range(n)] for r in range(k)]
     ambient = IntegralLattice([[int(i == j) for j in range(n)] for i in range(n)])
-    sub = ambient.span(basis)
-    sat, index = sub.saturation()
-    assert sat.rank == k
-    assert all(contains(sat, row) for row in basis)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in sat.basis]
+    sat, index = ambient.saturation(basis)
+    assert len(sat) == k
+    assert all(contains(ambient, sat, row) for row in basis)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in sat]
     assert pivots == sorted(set(pivots))
-    for r, (row, j) in enumerate(zip(sat.basis, pivots)):
+    for r, (row, j) in enumerate(zip(sat, pivots)):
         assert row[j] > 0
-        assert all(0 <= above[j] < row[j] for above in sat.basis[:r])
+        assert all(0 <= above[j] < row[j] for above in sat[:r])
     volume = determinant(mat_mul(basis, transpose(basis)))
-    assert volume == index**2 * determinant(mat_mul(sat.basis, transpose(sat.basis)))
+    assert volume == index**2 * determinant(mat_mul(sat, transpose(sat)))
     assert index > 1
 
 
@@ -158,44 +157,46 @@ def test_dependent_rows_rejected():
         "dependent-rows": [[(0, 0)], [(1, 2), (0, 0)]],
         "dimension-mismatch": [[(1, 2, 3)], [(1, 0, 0), (0, 1, 0)], [(1, 2, 3), (2, 4, 6)], [()]],
     }
+    # saturation and orthogonal_complement check their rows as span does,
+    # before anything else.
     for code, bases in cases.items():
         for rows in bases:
-            with pytest.raises(LatticeError) as err:
-                z2.span(rows)
-            assert err.value.code == code, rows
+            for op in (z2.span, z2.saturation, z2.orthogonal_complement):
+                with pytest.raises(LatticeError) as err:
+                    op(rows)
+                assert err.value.code == code, (op, rows)
 
 
 def test_orthogonal_complement_examples():
     u = hyperbolic()
-    perp = u.span([(1, 0)]).orthogonal_complement()
-    assert perp.basis == ((1, 0),)
+    assert u.orthogonal_complement([(1, 0)]) == ((1, 0),)
+    assert u.orthogonal_complement([]) == ((1, 0), (0, 1))
 
     uu = u_power(2)
-    perp = uu.span([(1, 0, 0, 0)]).orthogonal_complement()
-    assert perp.rank == 3
+    perp = uu.orthogonal_complement([(1, 0, 0, 0)])
+    assert len(perp) == 3
     for vec in [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]:
-        assert contains(perp, vec)
+        assert contains(uu, perp, vec)
 
     two = IntegralLattice([[2, 0], [0, -2]])
-    perp = two.span([(1, 1)]).orthogonal_complement()
-    assert perp.basis == ((1, 1),)
+    assert two.orthogonal_complement([(1, 1)]) == ((1, 1),)
 
 
 def test_double_complement_contains_saturation():
     lattice = IntegralLattice([[2, 1, 0], [1, -4, 3], [0, 3, 6]])
     assert determinant(lattice.gram) != 0
-    sub = lattice.span([(2, 0, 4)])
-    double = sub.orthogonal_complement().orthogonal_complement()
-    sat = sub.saturation()[0]
-    assert all(contains(double, row) for row in sat.basis)
+    sub = [(2, 0, 4)]
+    double = lattice.orthogonal_complement(lattice.orthogonal_complement(sub))
+    sat = lattice.saturation(sub)[0]
+    assert all(contains(lattice, double, row) for row in sat)
     # the restricted form on (1, 0, 2) is nondegenerate, so equality holds
     assert double == sat
 
     # isotropic span: containment can be strict only in rank, never misses
     two = IntegralLattice([[2, 0], [0, -2]])
-    iso = two.span([(2, 2)])
-    double = iso.orthogonal_complement().orthogonal_complement()
-    assert all(contains(double, row) for row in iso.saturation()[0].basis)
+    iso = [(2, 2)]
+    double = two.orthogonal_complement(two.orthogonal_complement(iso))
+    assert all(contains(two, double, row) for row in two.saturation(iso)[0])
 
 
 def test_discriminant_group():
@@ -213,16 +214,16 @@ def test_discriminant_group():
 
 def test_degenerate_operations_rejected():
     degenerate = IntegralLattice([[1, 1], [1, 1]])
-    with pytest.raises(LatticeError):
-        degenerate.span([(1, 0)]).orthogonal_complement()
+    with pytest.raises(LatticeError) as err:
+        degenerate.orthogonal_complement([(1, 0)])
+    assert err.value.code == "degenerate-lattice"
 
 
 def test_sublattice_equality_is_basis_equality():
     z2 = IntegralLattice([[1, 0], [0, 1]])
     a = z2.span([(1, 1), (0, 3)])
     b = z2.span([(1, 4), (0, 3)])
-    assert a == b
-    assert hash(a) == hash(b)
+    assert a == b == ((1, 1), (0, 3))
     assert a != z2.span([(1, 0), (0, 3)])
 
 
@@ -231,14 +232,15 @@ def test_coords_and_membership():
     sub = z3.span([(1, 0, 2), (0, 3, 1)])
     assert coords(sub, (1, 3, 3)) == (1, 1)
     assert coords(sub, (0, 1, 0)) is None
-    assert contains(sub, (2, 3, 5))
-    assert not contains(sub, (0, 1, 0))
+    assert contains(z3, sub, (2, 3, 5))
+    assert not contains(z3, sub, (0, 1, 0))
 
 
 def test_contains_answers_a_mukai_vector_as_its_coordinates():
-    sub = rank_one_setup(6).span([(1, 0, 0), (0, 0, 1)])
+    setup = rank_one_setup(6)
+    sub = setup.span([(1, 0, 0), (0, 0, 1)])
     for v in (MukaiVector(0, (0,), 0), MukaiVector(2, (0,), -1), MukaiVector(1, (1,), 0)):
-        assert contains(sub, v) == contains(sub, tuple(v))
-    assert contains(sub, MukaiVector(2, (0,), -1)) and not contains(sub, MukaiVector(1, (1,), 0))
-    assert contains(sub, (Fraction(4, 2), 0, 1))
-    assert not contains(sub, (Fraction(1, 2), 0, 1))
+        assert contains(setup, sub, v) == contains(setup, sub, tuple(v))
+    assert contains(setup, sub, MukaiVector(2, (0,), -1)) and not contains(setup, sub, MukaiVector(1, (1,), 0))
+    assert contains(setup, sub, (Fraction(4, 2), 0, 1))
+    assert not contains(setup, sub, (Fraction(1, 2), 0, 1))

@@ -5,18 +5,21 @@ import pytest
 
 from mukailat import (
     ALBANESE_FIBRE_CODIM,
+    IntegralLattice,
     LatticeError,
     classify_line_class,
     construct_p_type,
     contraction_budget,
     enumerate_p_type,
     jh_feasibility,
+    kummer_bbf_lattice,
     kummer_mukai_setup,
     mori_candidates,
     rank_one_setup,
     theta_dual,
     v_perp,
 )
+from oracles import restricted_gram
 
 
 def _coords(lc):
@@ -145,9 +148,31 @@ def test_classify_preconditions(six):
 def test_v_perp(six):
     setup, v = six
     perp = v_perp(setup, v)
-    assert perp.rank == 2
-    assert all(setup.pair(row, v) == 0 for row in perp.basis)
-    assert perp.saturation() == (perp, 1)
+    assert perp == ((2, -1, 0), (0, 0, 1))
+    assert all(setup.pair(row, v) == 0 for row in perp)
+    assert setup.saturation(perp) == (perp, 1)
+
+
+def test_v_perp_is_the_kummer_bbf_lattice():
+    # For primitive v with v^2 = 2n + 2 in the unimodular Mukai lattice U^4,
+    # v_perp is even of signature (3, 4) with discriminant group Z/(2n + 2):
+    # that of U^3 + <-(2n + 2)>, the Beauville-Bogomolov form of the fibre.
+    setup = kummer_mukai_setup()
+    for n in range(1, 9):
+        vectors = [
+            (1, 0, 0, 0, 0, 0, 0, -(n + 1)),
+            (0, 1, n + 1, 0, 0, 0, 0, 0),
+            (2, 1, n + 2, 0, 0, 1, 1, 1),
+        ]
+        for coords in vectors:
+            v = setup.vector_from_coords(coords)
+            assert setup.square(v) == 2 * n + 2 and setup.is_primitive(v)
+            perp = v_perp(setup, v)
+            lattice = IntegralLattice(restricted_gram(setup, perp))
+            assert lattice.is_even()
+            assert lattice.rank == 7
+            assert lattice.signature() == (3, 4, 0)
+            assert lattice.discriminant_group() == kummer_bbf_lattice(n).discriminant_group()
 
 
 def test_mori_bound_zero_is_empty(six):

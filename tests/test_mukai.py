@@ -11,7 +11,6 @@ from mukailat import (
     MukaiSetup,
     MukaiVector,
     PointedSublattice,
-    Sublattice,
     classify_line_class,
     construct_p_type,
     contraction_budget,
@@ -186,7 +185,7 @@ def test_setup_validation():
         assert_invalid_matrix(lambda: MukaiSetup([[bad]]))
         assert_invalid_matrix(lambda: MukaiSetup([[0, bad], [bad, 0]]))
         assert_invalid_matrix(lambda: IntegralLattice([[2, bad], [bad, 2]]))
-        assert_invalid_matrix(lambda: Sublattice(plane, [[1, 0], [0, bad]]))
+        assert_invalid_matrix(lambda: plane.span([[1, 0], [0, bad]]))
         assert_invalid_matrix(lambda: smith_normal_form([[1, bad], [0, 1]]))
 
 

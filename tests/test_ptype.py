@@ -9,7 +9,6 @@ from mukailat import (
     LatticeError,
     MukaiSetup,
     PointedSublattice,
-    Sublattice,
     construct_p_type,
     enumerate_p_type,
     is_p_type_form,
@@ -84,8 +83,7 @@ def test_span_saturates(worked):
     setup, v, _ = worked
     doubled = PointedSublattice.span(setup, v, [2 * setup.vector(1, [0], 0), v])
     assert doubled.basis == ((1, 0, 0), (0, 1, -3))
-    sub = Sublattice(setup, doubled.basis)
-    assert sub.saturation() == (sub, 1)
+    assert setup.saturation(doubled.basis) == (doubled.basis, 1)
 
 
 def test_span_requires_rank_two_and_membership(worked):
@@ -240,6 +238,9 @@ def test_is_p_type_form_matches_lattice_level(worked):
     _, _, lattice = worked
     assert is_p_type_form(lattice.gram2, lattice.v_coords)
     assert not is_p_type_form([[0, -1], [-1, 0]], (1, -3))
+    # v^2 = 3 is odd, and the isotropic lines pair 1 and -3 with v: no class
+    # pairs to v^2/2 = 3/2, although 1 equals v^2 // 2.
+    assert not is_p_type_form([[0, 1], [1, 1]], (1, 1))
     with pytest.raises(LatticeError):
         is_p_type_form([[0, 1], [1, 0]], (2, 0))
     with pytest.raises(LatticeError):
@@ -249,9 +250,8 @@ def test_is_p_type_form_matches_lattice_level(worked):
 def test_form_pair_is_restriction(worked):
     setup, v, lattice = worked
     census = lattice.isotropic_classes()
-    sub = Sublattice(setup, lattice.basis)
     for a in census:
-        xy = coords(sub, a)
+        xy = coords(lattice.basis, a)
         assert xy is not None
         assert IntegralLattice(lattice.gram2).pair(xy, lattice.v_coords) == setup.pair(a, v)
 
@@ -380,10 +380,9 @@ def test_construct_matches_the_checked_span(drawn):
     ],
 )
 def test_span_matches_the_smith_saturation(setup, v, a, lead, index):
-    sub = Sublattice(setup, [a, v - a])
-    b1, b2 = sub.basis
+    b1, b2 = setup.span([a, v - a])
     assert next(x for x in b1 if x) * gcd(*b2) == lead
-    assert sub.saturation()[1] == index
+    assert setup.saturation([a, v - a])[1] == index
     span = PointedSublattice.span(setup, v, [a, v - a])
     assert span == saturated_span(setup, v, [a, v - a])
     assert span.is_p_type()

@@ -21,7 +21,6 @@ from mukailat import (
     MukaiSetup,
     MukaiVector,
     SNFResult,
-    Sublattice,
     classify_line_class,
     construct_p_type,
     jh_feasibility,
@@ -61,7 +60,6 @@ def test_public_names():
         "PartitionReport",
         "PointedSublattice",
         "SNFResult",
-        "Sublattice",
         "classify_line_class",
         "construct_p_type",
         "contraction_budget",
@@ -85,8 +83,6 @@ def test_public_names():
 REMOVED = [
     (IntegralLattice, "det"),
     (IntegralLattice, "divisibility"),
-    (Sublattice, "gram"),
-    (Sublattice, "contains"),
     (SNFResult, "rank"),
     (MukaiSetup, "euler_pairing"),
     (MukaiSetup, "moduli_dimension"),
@@ -94,6 +90,11 @@ REMOVED = [
     # A vector is its coordinate tuple, and a setup is its ambient lattice.
     (MukaiVector, "coords"),
     (MukaiSetup, "ambient"),
+    # A sublattice is its Hermite basis: IntegralLattice.span, .saturation
+    # and .orthogonal_complement return one, with no methods of the old class.
+    (mukailat, "Sublattice"),
+    pytest.param(IntegralLattice(((2, 1), (1, 2))).span([(1, 0)]), "gram", id="Sublattice-gram"),
+    pytest.param(IntegralLattice(((2, 1), (1, 2))).span([(1, 0)]), "contains", id="Sublattice-contains"),
 ]
 
 
@@ -110,7 +111,8 @@ def test_mukai_setup_takes_only_the_gram():
         assert isinstance(setup, IntegralLattice) and not hasattr(setup, "ambient")
         assert setup == lattice and lattice == setup and hash(setup) == hash(lattice)
         rows = [(1,) + (0,) * (setup.rank - 1), (0,) * (setup.rank - 1) + (2,)]
-        assert Sublattice(setup, rows) == Sublattice(lattice, rows)
+        assert setup.span(rows) == lattice.span(rows)
+        assert setup.saturation(rows) == lattice.saturation(rows)
 
 
 # Each public result record, by type name, with its fields in order.
