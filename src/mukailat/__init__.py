@@ -26,7 +26,6 @@ from .moduli import (
 )
 from .mukai import (
     MukaiSetup,
-    MukaiVector,
     kummer_bbf_lattice,
     kummer_mukai_setup,
     rank_one_setup,
@@ -51,7 +50,6 @@ __all__ = [
     "LineClassVerdict",
     "MoriCandidate",
     "MukaiSetup",
-    "MukaiVector",
     "PTypeDecomposition",
     "PartitionReport",
     "PointedSublattice",

@@ -412,10 +412,10 @@ def main(argv=None) -> int:
 
     try:
         if args.input is None:
-            lines = sys.stdin.read().splitlines()
+            text = sys.stdin.read()
         else:
             with open(args.input, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
+                text = handle.read()
     except OSError as exc:
         print(f"mukailat: cannot read input: {exc}", file=sys.stderr)
         return 2
@@ -423,6 +423,11 @@ def main(argv=None) -> int:
         print(f"mukailat: input is not valid UTF-8: {exc}", file=sys.stderr)
         return 2
 
+    # Only "\n", "\r\n" and "\r" end a request.  str.splitlines would also
+    # split at U+2028, U+2029 and U+0085, which a JSON string may hold raw,
+    # and at a form feed, which fails only the request holding it.  Reading
+    # a file turns "\r\n" and "\r" into "\n", but stdin keeps them.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return run_batch(lines, args.bound, args.jobs, sys.stdout)
 
 

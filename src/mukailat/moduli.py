@@ -22,13 +22,13 @@ and positive-cone generators are not produced.
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import LatticeError
 from .intlinalg import IntMatrix
 from .lattice import IntegralLattice
-from .mukai import MukaiSetup, MukaiVector
+from .mukai import MukaiSetup
 from .ptype import PointedSublattice
 
 # Codimension of the Albanese fibre inside the moduli space:
@@ -62,12 +62,12 @@ class LineClass(NamedTuple):
         return tuple(2 * x // self.denominator for x in self.numerators)
 
 
-def v_perp(setup: MukaiSetup, v: MukaiVector) -> IntMatrix:
+def v_perp(setup: MukaiSetup, v: tuple[int, ...]) -> IntMatrix:
     """The Hermite basis of the saturated orthogonal complement of ``v`` in the Mukai lattice."""
     return setup.orthogonal_complement([v])
 
 
-def _line_class(v: MukaiVector, a: MukaiVector, asq: int, pairing: int, vsq: int) -> LineClass:
+def _line_class(v: tuple[int, ...], a: tuple[int, ...], asq: int, pairing: int, vsq: int) -> LineClass:
     """The line class of the integral ``a`` with ``a^2 = asq`` and ``(a, v) = pairing``.
 
     ``R = N / v^2`` with the integral numerator ``N = v^2 a - (a, v) v``, so
@@ -81,7 +81,7 @@ def _line_class(v: MukaiVector, a: MukaiVector, asq: int, pairing: int, vsq: int
     return LineClass(numerators, vsq, vsq * asq - pairing * pairing, vsq // gcd(vsq, *numerators))
 
 
-def theta_dual(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClass:
+def theta_dual(setup: MukaiSetup, v: tuple[int, ...], a: tuple[int, ...]) -> LineClass:
     """Orthogonal projection of ``a`` onto ``v_perp``: R = a - ((a,v)/v^2) v.
 
     Fixes ``v_perp`` pointwise and kills ``v``; for an isotropic witness
@@ -119,8 +119,8 @@ class LineClassVerdict(NamedTuple):
 
 
 def _verdict(
-    v: MukaiVector,
-    a: MukaiVector,
+    v: tuple[int, ...],
+    a: tuple[int, ...],
     asq: int,
     pairing: int,
     vsq: int,
@@ -147,7 +147,7 @@ def _verdict(
     return square_ok, torsion_ok, isotropic_witness_ok, spans
 
 
-def classify_line_class(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClassVerdict:
+def classify_line_class(setup: MukaiSetup, v: tuple[int, ...], a: tuple[int, ...]) -> LineClassVerdict:
     """Run the full line-class criterion for ``R = theta_dual(a)``.
 
     Requires ``v`` primitive with ``v^2 >= 6`` (so ``n = v^2/2 - 1 >= 2``).
@@ -155,14 +155,15 @@ def classify_line_class(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Li
     with no further checks: ``_verdict`` has proved all that
     ``construct_p_type`` would check.
     """
+    v = setup._check(v)
     vsq = setup.kummer_dimension(v) + 2
     asq, pairing = setup.square(a), setup.pair(a, v)
     lc = _line_class(v, a, asq, pairing, vsq)
     square_ok, torsion_ok, isotropic_witness_ok, spans = _verdict(v, a, asq, pairing, vsq, lc.disc_order)
     lattice = None
     if spans:
-        w = a if pairing > 0 else -a
-        lattice = PointedSublattice._of_witness(setup, v, w, v - w, vsq // 2)
+        w = a if pairing > 0 else tuple(-x for x in a)
+        lattice = PointedSublattice._of_witness(setup, v, w, tuple(map(sub, v, w)), vsq // 2)
     return LineClassVerdict(
         line_class=lc,
         n=vsq // 2 - 1,
@@ -176,15 +177,15 @@ def classify_line_class(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Li
 class MoriCandidate(NamedTuple):
     """A box-scan candidate generator of the cone of curves."""
 
-    a: MukaiVector
+    a: tuple[int, ...]
     line_class: LineClass
     lagrangian: bool
 
 
 def mori_candidates(
     setup: MukaiSetup,
-    v: MukaiVector,
-    h: MukaiVector,
+    v: tuple[int, ...],
+    h: tuple[int, ...],
     bound: int,
 ) -> list[MoriCandidate]:
     """Candidate curve-cone generators theta_dual(a) positive against ``h``.
@@ -231,7 +232,7 @@ def mori_candidates(
             # (a, h) > 0, which also rules out a = 0.
             lo, hi = _narrow(lo, hi, -h_last, head_h - 1)
             for s in range(lo, hi + 1):
-                a = MukaiVector._of((r, *c, s))
+                a = (r, *c, s)
                 asq = form - 2 * r * s
                 pairing = head_v + s * v_last
                 lc = _line_class(v, a, asq, pairing, vsq)
@@ -263,7 +264,7 @@ class PartitionReport(NamedTuple):
     whether ``2*((a_1, a_2) - 1) = v^2 - 2``.
     """
 
-    parts: tuple[MukaiVector, ...]
+    parts: IntMatrix
     m: int
     jh_ok: bool
     ext1_budget_ok: bool
@@ -271,7 +272,7 @@ class PartitionReport(NamedTuple):
     dim_identity_ok: bool | None
 
 
-def _report(setup: MukaiSetup, v: MukaiVector, parts: tuple[MukaiVector, ...]) -> PartitionReport:
+def _report(setup: MukaiSetup, v: tuple[int, ...], parts: IntMatrix) -> PartitionReport:
     vsq = setup.square(v)
     squares = [setup.square(p) for p in parts]
     m = len(parts)
@@ -292,24 +293,22 @@ def _report(setup: MukaiSetup, v: MukaiVector, parts: tuple[MukaiVector, ...]) -
     )
 
 
-def _check_parts(setup: MukaiSetup, v: MukaiVector, parts) -> tuple[MukaiVector, ...]:
+def _check_parts(setup: MukaiSetup, v: tuple[int, ...], parts) -> IntMatrix:
+    v = setup._check(v)
     parts = tuple(setup._check(p) for p in parts)
     if not parts:
         raise LatticeError("empty-partition", "a partition needs at least one part")
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    if total != v:
+    if tuple(map(sum, zip(*parts))) != v:
         raise LatticeError("sum-mismatch", "parts do not sum to v")
     return parts
 
 
-def jh_feasibility(setup: MukaiSetup, v: MukaiVector, parts) -> PartitionReport:
+def jh_feasibility(setup: MukaiSetup, v: tuple[int, ...], parts) -> PartitionReport:
     """Dimension feasibility of a Jordan-Holder partition of ``v``."""
     return _report(setup, v, _check_parts(setup, v, parts))
 
 
-def contraction_budget(setup: MukaiSetup, v: MukaiVector, parts) -> PartitionReport:
+def contraction_budget(setup: MukaiSetup, v: tuple[int, ...], parts) -> PartitionReport:
     """Ext^1 budget of a contracted configuration; parts must be primitive.
 
     Each simple factor contributes ``a_i^2 + 2`` to the deformation count,

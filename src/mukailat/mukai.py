@@ -3,10 +3,13 @@
 A vector ``(r, c, s)`` collects the rank, the first Chern class (in a fixed
 basis of the Neron-Severi lattice) and the second Chern character of an
 object; the Todd class of an abelian surface is trivial, so these are the
-Mukai-vector components verbatim.  A ``MukaiVector`` is the flat tuple
-``(r, c_1, ..., c_rho, s)`` of these coordinates, and a ``MukaiSetup`` is
-the ``IntegralLattice`` on them, so every lattice method takes a vector as
-it is.  The pairing is
+Mukai-vector components verbatim.  A vector is the plain int tuple
+``(r, c_1, ..., c_rho, s)`` of these coordinates: ``v[0]`` is ``r``,
+``v[1:-1]`` is ``c`` and ``v[-1]`` is ``s``.  ``+`` and ``*`` on it are the
+tuple operations, so sums and multiples are written out componentwise.  A
+``MukaiSetup`` is the ``IntegralLattice`` on these coordinates, so every
+lattice method takes a vector as it is; ``setup.vector(r, c, s)`` and
+``setup.vector_from_coords(coords)`` build checked vectors.  The pairing is
 
     ((r, c, s), (r', c', s')) = c.c' - r*s' - s*r'
 
@@ -17,7 +20,6 @@ which is even, symmetric and of signature ``(2, rho)`` on the rank
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from operator import itemgetter
 
 from .errors import LatticeError
 from .intlinalg import IntMatrix, freeze_matrix, freeze_vector
@@ -28,68 +30,14 @@ from .lattice import IntegralLattice
 MEMO_SIZE = 128
 
 
-class MukaiVector(tuple):
-    """An integral class, the flat tuple ``(r, c_1, ..., c_rho, s)`` of its
-    ambient coordinates; ``c`` has one entry per NS generator."""
-
-    __slots__ = ()
-
-    r = property(itemgetter(0))
-    c = property(itemgetter(slice(1, -1)))
-    s = property(itemgetter(-1))
-
-    def __new__(cls, r: int, c, s: int) -> "MukaiVector":
-        c = freeze_vector(c)
-        freeze_vector((r, s))
-        return tuple.__new__(cls, (r, *c, s))
-
-    @classmethod
-    def _of(cls, coords: tuple[int, ...]) -> "MukaiVector":
-        """A vector from coordinates already known to be ints, unchecked."""
-        return tuple.__new__(cls, coords)
-
-    # pickle and copy call __new__ with these, as for the named-tuple records.
-    def __getnewargs__(self) -> tuple:
-        return self.r, self.c, self.s
-
-    def __repr__(self) -> str:
-        return f"MukaiVector(r={self.r!r}, c={self.c!r}, s={self.s!r})"
-
-    @classmethod
-    def from_coords(cls, coords) -> "MukaiVector":
-        coords = freeze_vector(coords)
-        if len(coords) < 2:
-            raise LatticeError("dimension-mismatch", "need at least rank and degree-4 parts")
-        return cls._of(coords)
-
-    # Sums and integer multiples of valid vectors are valid: only the scalar
-    # is checked.
-    def __add__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector._of(tuple(a + b for a, b in zip(self, other, strict=True)))
-
-    def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector._of(tuple(a - b for a, b in zip(self, other, strict=True)))
-
-    def __neg__(self) -> "MukaiVector":
-        return MukaiVector._of(tuple(-x for x in self))
-
-    def __mul__(self, k: int) -> "MukaiVector":
-        if not isinstance(k, int):
-            raise LatticeError("invalid-matrix", f"non-integer scalar {k!r}")
-        return MukaiVector._of(tuple(k * x for x in self))
-
-    __rmul__ = __mul__
-
-
 class MukaiSetup(IntegralLattice):
     """The rank ``rho + 2`` Mukai lattice built from a Neron-Severi Gram matrix.
 
     A setup *is* that ambient lattice: ``gram`` is the Mukai pairing on the
     coordinates ``(r, c_1, ..., c_rho, s)``, so a setup equals
-    ``IntegralLattice(setup.gram)`` and pairs ``MukaiVector``s and plain
-    coordinate tuples alike.  The NS matrix must be symmetric, even,
-    nondegenerate and of the Hodge-index signature ``(1, rho - 1)``, which
-    makes the ambient signature ``(2, rho)``.
+    ``IntegralLattice(setup.gram)`` and pairs coordinate tuples.  The NS
+    matrix must be symmetric, even, nondegenerate and of the Hodge-index
+    signature ``(1, rho - 1)``, which makes the ambient signature ``(2, rho)``.
     """
 
     def __init__(self, ns_gram):
@@ -122,17 +70,19 @@ class MukaiSetup(IntegralLattice):
     def rho(self) -> int:
         return len(self.ns_gram)
 
-    def vector(self, r: int, c, s: int) -> MukaiVector:
-        return self._check(MukaiVector(r, c, s))
+    def vector(self, r: int, c, s: int) -> tuple[int, ...]:
+        """The checked vector ``(r, *c, s)``; the entries of ``c`` are checked first."""
+        return self._check((r, *freeze_vector(c), s))
 
-    def vector_from_coords(self, coords) -> MukaiVector:
+    def vector_from_coords(self, coords) -> tuple[int, ...]:
         return self._check(coords)
 
-    def _check(self, v) -> MukaiVector:
-        """``v``, a ``MukaiVector`` or its coordinates, as a ``MukaiVector``
-        once it is known to have one ``c`` entry per NS generator."""
-        if not isinstance(v, MukaiVector):
-            v = MukaiVector.from_coords(v)
+    def _check(self, v) -> tuple[int, ...]:
+        """``v`` as a tuple of ints, once it is known to have one ``c`` entry
+        per NS generator."""
+        v = freeze_vector(v)
+        if len(v) < 2:
+            raise LatticeError("dimension-mismatch", "need at least rank and degree-4 parts")
         if len(v) != self.rank:
             raise LatticeError(
                 "dimension-mismatch",
@@ -140,7 +90,7 @@ class MukaiSetup(IntegralLattice):
             )
         return v
 
-    def kummer_dimension(self, v: MukaiVector) -> int:
+    def kummer_dimension(self, v: tuple[int, ...]) -> int:
         """Dimension ``v^2 - 2 = 2n`` of the Albanese fibre, a Kummer-type manifold.
 
         Requires ``v`` primitive with ``v^2 >= 6``; every search for lagrangian

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .errors import LatticeError
 from .intlinalg import IntMatrix, _hermite, freeze_matrix, saturation
 from .lattice import IntegralLattice
-from .mukai import MukaiSetup, MukaiVector
+from .mukai import MukaiSetup
 
 
 def _reduce_line(x: int, y: int) -> tuple[int, int]:
@@ -117,8 +117,8 @@ def _saturated(b1, b2) -> bool:
 class PTypeDecomposition(NamedTuple):
     """``v = s + t`` with both parts primitive isotropic, pairing v^2/2 with v."""
 
-    s: MukaiVector
-    t: MukaiVector
+    s: tuple[int, ...]
+    t: tuple[int, ...]
 
 
 class PointedSublattice(NamedTuple):
@@ -130,22 +130,22 @@ class PointedSublattice(NamedTuple):
     """
 
     setup: MukaiSetup
-    v: MukaiVector
+    v: tuple[int, ...]
     basis: IntMatrix
     gram2: IntMatrix
     v_coords: tuple[int, int]
 
     @classmethod
-    def span(cls, setup: MukaiSetup, v: MukaiVector, vectors) -> "PointedSublattice":
+    def span(cls, setup: MukaiSetup, v: tuple[int, ...], vectors) -> "PointedSublattice":
         """Saturated span of the given vectors, required to be rank 2 and to contain v."""
-        setup._check(v)
+        v = setup._check(v)
         basis = setup.span([setup._check(w) for w in vectors])
         if len(basis) != 2:
             raise LatticeError("rank-mismatch", f"span has rank {len(basis)}, expected 2")
         return cls._of(setup, v, basis)
 
     @classmethod
-    def _of(cls, setup: MukaiSetup, v: MukaiVector, basis: IntMatrix) -> "PointedSublattice":
+    def _of(cls, setup: MukaiSetup, v: tuple[int, ...], basis: IntMatrix) -> "PointedSublattice":
         """The saturation of a rank-2 Hermite basis of ambient rows, pointed at ``v``."""
         # The pivot columns depend only on the rational span, so saturating
         # keeps them.
@@ -165,7 +165,7 @@ class PointedSublattice(NamedTuple):
         return cls(setup, v, basis, ((pair(b1, b1), off), (off, pair(b2, b2))), (x, y))
 
     @classmethod
-    def _of_witness(cls, setup: MukaiSetup, v: MukaiVector, w, t, half: int) -> "PointedSublattice":
+    def _of_witness(cls, setup: MukaiSetup, v: tuple[int, ...], w, t, half: int) -> "PointedSublattice":
         """The saturation of span{w, t} for isotropic ambient rows with ``w + t = v`` and ``(w, t) = half``.
 
         The Hermite form of ``(w | 1 0; t | 0 1)`` holds the basis ``(b1; b2)``
@@ -181,12 +181,12 @@ class PointedSublattice(NamedTuple):
         off = half * (p * s + q * r)
         return cls(setup, v, basis, ((2 * half * p * q, off), (off, 2 * half * r * s)), (e * (s - r), e * (p - q)))
 
-    def member(self, xy) -> MukaiVector:
+    def member(self, xy) -> tuple[int, ...]:
         """The ambient vector with the given sublattice coordinates."""
         x, y = xy
-        return MukaiVector._of(tuple(x * b1 + y * b2 for b1, b2 in zip(*self.basis)))
+        return tuple(x * b1 + y * b2 for b1, b2 in zip(*self.basis))
 
-    def isotropic_classes(self) -> tuple[MukaiVector, ...]:
+    def isotropic_classes(self) -> IntMatrix:
         """The primitive isotropic classes of the sublattice, up to sign.
 
         Each class is given in ambient coordinates with the first nonzero
@@ -216,12 +216,12 @@ class PointedSublattice(NamedTuple):
         witnesses = self._witnesses()
         if not witnesses:
             raise LatticeError("not-p-type", "lattice is not of P-type")
-        candidates = [self.member(line) if p > 0 else -self.member(line) for line, p in witnesses]
+        candidates = [self.member((x, y) if p > 0 else (-x, -y)) for (x, y), p in witnesses]
         s = min(candidates, key=lambda w: (tuple(abs(x) for x in w), w))
-        return PTypeDecomposition(s=s, t=self.v - s)
+        return PTypeDecomposition(s=s, t=tuple(map(sub, self.v, s)))
 
 
-def construct_p_type(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> PointedSublattice:
+def construct_p_type(setup: MukaiSetup, v: tuple[int, ...], a: tuple[int, ...]) -> PointedSublattice:
     """Pointed sublattice spanned by a witness: the saturation of span{a, v - a}.
 
     Requires ``v`` primitive with ``v^2 >= 6`` and ``a`` primitive isotropic
@@ -230,6 +230,7 @@ def construct_p_type(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Point
     otherwise the saturation contains an isotropic class of strictly smaller
     pairing.  The result is always of P-type.
     """
+    v = setup._check(v)
     vsq = setup.kummer_dimension(v) + 2
     if setup.square(a) != 0:
         raise LatticeError("not-isotropic", f"a^2 = {setup.square(a)} != 0")
@@ -238,14 +239,15 @@ def construct_p_type(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> Point
     pairing = setup.pair(a, v)
     if pairing != vsq // 2:
         raise LatticeError("pairing-mismatch", f"(a, v) = {pairing}, expected {vsq // 2}")
-    if not setup.is_primitive(v - a):
+    t = tuple(map(sub, v, a))
+    if not setup.is_primitive(t):
         raise LatticeError("imprimitive", "v - a must be primitive")
     # The checks above length-check both rows, and they are independent:
     # v - a = k a would give v^2 = (k + 1)^2 a^2 = 0.
-    return PointedSublattice._of_witness(setup, v, a, v - a, vsq // 2)
+    return PointedSublattice._of_witness(setup, v, a, t, vsq // 2)
 
 
-def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[PointedSublattice]:
+def enumerate_p_type(setup: MukaiSetup, v: tuple[int, ...], bound: int) -> list[PointedSublattice]:
     """All P-type lattices with a witness in the coordinate box ``[-bound, bound]``.
 
     Finds every primitive isotropic ``a = (r, c, s)`` with ``(a, v) = v^2/2``
@@ -260,6 +262,7 @@ def enumerate_p_type(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[Poin
     """
     if bound < 0:
         raise LatticeError("invalid-matrix", "bound must be nonnegative")
+    v = setup._check(v)
     vsq = setup.kummer_dimension(v) + 2
     half = vsq // 2
     ns = IntegralLattice._of(setup.ns_gram)

@@ -3,8 +3,8 @@
 These are the box scans that ``enumerate_p_type`` and ``mori_candidates``
 used to run, and the generic saturation that ``PointedSublattice.span``
 used for every span: they visit every point of the ``(2B+1)^(rho+2)`` box,
-build a validated ``MukaiVector`` at each one, saturate through the Smith
-form and solve for coordinates over the rationals.  They are slow and
+saturate through the Smith form and solve for coordinates over the
+rationals.  They are slow and
 obviously right, which is what an oracle should be.
 
 ``enumerate_p_type_pairs`` is the loop ``enumerate_p_type`` ran before it
@@ -52,7 +52,6 @@ from mukailat import (
     LineClass,
     MoriCandidate,
     MukaiSetup,
-    MukaiVector,
     PointedSublattice,
     v_perp,
 )
@@ -66,6 +65,14 @@ from mukailat.intlinalg import (
     transpose,
     xgcd,
 )
+
+
+def lincomb(*terms) -> tuple[int, ...]:
+    """The componentwise sum of ``k * x`` over the ``(k, x)`` pairs ``terms``.
+
+    Vectors are plain tuples, on which ``+`` concatenates and ``*`` repeats.
+    """
+    return tuple(map(sum, zip(*([k * c for c in x] for k, x in terms), strict=True)))
 
 
 def mat_mul(a, b) -> IntMatrix:
@@ -275,15 +282,10 @@ def saturate_snf(basis: IntMatrix) -> tuple[IntMatrix, int]:
     return _hermite(vinv[: len(basis)]), index
 
 
-def saturated_span(setup: MukaiSetup, v: MukaiVector, vectors) -> PointedSublattice:
+def saturated_span(setup: MukaiSetup, v: tuple[int, ...], vectors) -> PointedSublattice:
     """``PointedSublattice.span`` through ``saturate_snf`` and a rational solve."""
-    setup._check(v)
-    rows = []
-    for vec in vectors:
-        w = vec if isinstance(vec, MukaiVector) else setup.vector_from_coords(vec)
-        setup._check(w)
-        rows.append(w)
-    basis, _ = saturate_snf(setup.span(rows))
+    v = setup._check(v)
+    basis, _ = saturate_snf(setup.span([setup._check(w) for w in vectors]))
     if len(basis) != 2:
         raise LatticeError("rank-mismatch", f"span has rank {len(basis)}, expected 2")
     v_coords = coords(basis, v)
@@ -292,7 +294,7 @@ def saturated_span(setup: MukaiSetup, v: MukaiVector, vectors) -> PointedSublatt
     return PointedSublattice(setup, v, basis, restricted_gram(setup, basis), v_coords)
 
 
-def enumerate_p_type_scan(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[PointedSublattice]:
+def enumerate_p_type_scan(setup: MukaiSetup, v: tuple[int, ...], bound: int) -> list[PointedSublattice]:
     """``enumerate_p_type`` by a scan of every point of the box."""
     if bound < 0:
         raise LatticeError("invalid-matrix", "bound must be nonnegative")
@@ -303,25 +305,25 @@ def enumerate_p_type_scan(setup: MukaiSetup, v: MukaiVector, bound: int) -> list
         raise LatticeError("square-too-small", f"v^2 = {vsq} < 6")
     half = vsq // 2
     found = {}
-    for coords in product(range(-bound, bound + 1), repeat=setup.rank):
-        if not any(coords):
+    for a in product(range(-bound, bound + 1), repeat=setup.rank):
+        if not any(a):
             continue
         g = 0
-        for x in coords:
+        for x in a:
             g = gcd(g, x)
         if g != 1:
             continue
-        a = MukaiVector.from_coords(coords)
         if setup.square(a) != 0 or setup.pair(a, v) != half:
             continue
-        if not setup.is_primitive(v - a):
+        t = lincomb((1, v), (-1, a))
+        if not setup.is_primitive(t):
             continue
-        lattice = saturated_span(setup, v, [a, v - a])
+        lattice = saturated_span(setup, v, [a, t])
         found.setdefault(lattice.basis, lattice)
     return [found[key] for key in sorted(found)]
 
 
-def enumerate_p_type_pairs(setup: MukaiSetup, v: MukaiVector, bound: int) -> list[PointedSublattice]:
+def enumerate_p_type_pairs(setup: MukaiSetup, v: tuple[int, ...], bound: int) -> list[PointedSublattice]:
     """``enumerate_p_type`` by a scan of every ``(c, r)`` of the box, solving only ``s``."""
     if bound < 0:
         raise LatticeError("invalid-matrix", "bound must be nonnegative")
@@ -395,7 +397,7 @@ def _line_class(setup, v, a, vsq, perp):
     return lc, projected, square
 
 
-def line_class_scan(setup: MukaiSetup, v: MukaiVector, a: MukaiVector) -> LineClass:
+def line_class_scan(setup: MukaiSetup, v: tuple[int, ...], a: tuple[int, ...]) -> LineClass:
     """``theta_dual`` through a rational solve in the basis of ``v_perp``."""
     return _line_class(setup, v, a, setup.square(v), v_perp(setup, v))[0]
 
@@ -408,13 +410,14 @@ def _lagrangian(setup, v, a, vsq, projected, square) -> bool:
     isotropic_witness_ok = setup.square(a) == 0 and abs(pairing) == vsq // 2
     lattice = None
     if square_ok and torsion_ok and isotropic_witness_ok:
-        witness = a if pairing > 0 else -a
-        if setup.is_primitive(witness) and setup.is_primitive(v - witness):
-            lattice = saturated_span(setup, v, [witness, v - witness])
+        witness = lincomb((1 if pairing > 0 else -1, a))
+        complement = lincomb((1, v), (-1, witness))
+        if setup.is_primitive(witness) and setup.is_primitive(complement):
+            lattice = saturated_span(setup, v, [witness, complement])
     return lattice is not None
 
 
-def mori_candidates_scan(setup: MukaiSetup, v: MukaiVector, h: MukaiVector, bound: int) -> list[MoriCandidate]:
+def mori_candidates_scan(setup: MukaiSetup, v: tuple[int, ...], h: tuple[int, ...], bound: int) -> list[MoriCandidate]:
     """``mori_candidates`` by a scan of every point of the box."""
     if not setup.is_primitive(v):
         raise LatticeError("imprimitive", "v must be primitive")
@@ -430,10 +433,9 @@ def mori_candidates_scan(setup: MukaiSetup, v: MukaiVector, h: MukaiVector, boun
     perp = v_perp(setup, v)
     half = vsq // 2
     out = []
-    for coords in product(range(-bound, bound + 1), repeat=setup.rank):
-        if not any(coords):
+    for a in product(range(-bound, bound + 1), repeat=setup.rank):
+        if not any(a):
             continue
-        a = MukaiVector.from_coords(coords)
         if setup.square(a) < 0 or abs(setup.pair(a, v)) > half:
             continue
         lc, projected, square = _line_class(setup, v, a, vsq, perp)

@@ -381,3 +381,30 @@ def test_ns_and_presets_share_one_setup():
     assert rank_one_setup(6) is six
     assert _setup_from({"ns": [[6]]}) is six
     assert _setup_from({"setup": "ns-rank1:6"}) is six
+
+
+def test_only_line_breaks_split_requests(tmp_path):
+    # A JSON string may hold U+2028, U+2029 and U+0085 raw; str.splitlines
+    # would split a request at them, and at a form feed.  Line breaks are
+    # "\n", "\r\n" and "\r", through a file and through stdin alike.
+    request = '{"command":"disc","gram":[[2]],"note":"a%sb"}'
+    batch = (
+        "\n".join(request % inner for inner in ("\u2028", "\u2029\x85", "\f"))
+        + "\r\n"
+        + request % ""
+        + "\r"
+        + request % "\x0b"
+        + "\n"
+    ).encode("utf-8")
+    path = tmp_path / "batch.ndjson"
+    path.write_bytes(batch)
+    for args, stdin in (([str(path)], None), ([], batch)):
+        done = subprocess.run(
+            [sys.executable, "-m", "mukailat", *args],
+            input=stdin,
+            capture_output=True,
+            env={**CLI_ENV, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert done.returncode == 1
+        docs = [json.loads(line) for line in done.stdout.decode("ascii").split("\n")[:-1]]
+        assert [doc.get("code") or doc["result"]["order"] for doc in docs] == [2, 2, "parse-error", 2, "parse-error"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mukailat import DiscriminantGroup, IntegralLattice, LatticeError, MukaiVector, rank_one_setup
+from mukailat import DiscriminantGroup, IntegralLattice, LatticeError, rank_one_setup
 from mukailat.intlinalg import hermite_basis, smith_normal_form, transpose
 from oracles import contains, coords, determinant, mat_mul
 
@@ -239,8 +239,8 @@ def test_coords_and_membership():
 def test_contains_answers_a_mukai_vector_as_its_coordinates():
     setup = rank_one_setup(6)
     sub = setup.span([(1, 0, 0), (0, 0, 1)])
-    for v in (MukaiVector(0, (0,), 0), MukaiVector(2, (0,), -1), MukaiVector(1, (1,), 0)):
-        assert contains(setup, sub, v) == contains(setup, sub, tuple(v))
-    assert contains(setup, sub, MukaiVector(2, (0,), -1)) and not contains(setup, sub, MukaiVector(1, (1,), 0))
+    for v in (setup.vector(0, (0,), 0), setup.vector(2, (0,), -1), setup.vector(1, (1,), 0)):
+        assert contains(setup, sub, v) == contains(setup, sub, list(v))
+    assert contains(setup, sub, setup.vector(2, (0,), -1)) and not contains(setup, sub, setup.vector(1, (1,), 0))
     assert contains(setup, sub, (Fraction(4, 2), 0, 1))
     assert not contains(setup, sub, (Fraction(1, 2), 0, 1))

@@ -7,6 +7,7 @@ from mukailat import (
     ALBANESE_FIBRE_CODIM,
     IntegralLattice,
     LatticeError,
+    PointedSublattice,
     classify_line_class,
     construct_p_type,
     contraction_budget,
@@ -19,7 +20,7 @@ from mukailat import (
     theta_dual,
     v_perp,
 )
-from oracles import restricted_gram
+from oracles import lincomb, restricted_gram
 
 
 def _coords(lc):
@@ -140,7 +141,7 @@ def test_classify_imprimitive_witness_has_no_lattice():
 def test_classify_preconditions(six):
     setup, v = six
     with pytest.raises(LatticeError):
-        classify_line_class(setup, 2 * v, setup.vector(1, [0], 0))
+        classify_line_class(setup, lincomb((2, v)), setup.vector(1, [0], 0))
     with pytest.raises(LatticeError):
         classify_line_class(setup, setup.vector(1, [0], 0), v)
 
@@ -253,8 +254,8 @@ def test_converse_square_forces_witness_pairing(six):
             continue
         pairing = setup.pair(a, v)
         assert pairing * pairing == vsq * vsq // 4
-        witness = a if pairing > 0 else -a
-        if setup.is_primitive(witness) and setup.is_primitive(v - witness):
+        witness = lincomb((1 if pairing > 0 else -1, a))
+        if setup.is_primitive(witness) and setup.is_primitive(lincomb((1, v), (-1, witness))):
             lattice = construct_p_type(setup, v, witness)
             assert lattice.is_p_type()
             hits += 1
@@ -351,7 +352,7 @@ def test_pipeline_on_picard_rank_two_setups():
             for lattice in enumerate_p_type(setup, v, 4):
                 assert lattice.is_p_type()
                 dec = lattice.decomposition()
-                assert dec.s + dec.t == v
+                assert lincomb((1, dec.s), (1, dec.t)) == v
                 assert setup.square(dec.s) == 0 == setup.square(dec.t)
                 assert setup.pair(dec.s, v) == vsq // 2 == setup.pair(dec.t, v)
                 assert 2 * (setup.pair(dec.s, dec.t) - 1) == vsq - 2
@@ -379,3 +380,28 @@ def test_wall_side_requires_p_type():
     with pytest.raises(LatticeError) as err:
         lattice.decomposition()
     assert err.value.code == "not-p-type"
+
+
+@pytest.mark.parametrize("plain", [tuple, list])
+@pytest.mark.parametrize(
+    "make_setup, v, a",
+    [
+        pytest.param(lambda: rank_one_setup(6), (0, 1, -3), (1, 0, 0), id="rank1"),
+        pytest.param(kummer_mukai_setup, (1, 0, 0, 0, 0, 0, 0, -3), (0, 1, 0, 0, 0, 0, 0, -3), id="kummer"),
+    ],
+)
+def test_public_functions_take_plain_coordinates(plain, make_setup, v, a):
+    # Plain tuples and lists give what the vectors of the setup give.
+    setup = make_setup()
+    minus_a, t = lincomb((-1, a)), lincomb((1, v), (-1, a))
+    checked_v, checked_a, checked_t = (setup.vector_from_coords(x) for x in (v, a, t))
+    built = construct_p_type(setup, checked_v, checked_a)
+    assert construct_p_type(setup, plain(v), plain(a)) == built
+    verdict = classify_line_class(setup, plain(v), plain(minus_a))
+    assert verdict == classify_line_class(setup, checked_v, setup.vector_from_coords(minus_a))
+    assert verdict.lattice == built
+    spanned = PointedSublattice.span(setup, plain(v), [plain(v), plain(a)])
+    assert spanned.decomposition() == built.decomposition() == (checked_a, checked_t)
+    report = jh_feasibility(setup, plain(v), [plain(a), plain(t)])
+    assert report == jh_feasibility(setup, checked_v, [checked_a, checked_t])
+    assert report.dim_identity_ok

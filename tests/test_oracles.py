@@ -35,6 +35,7 @@ from oracles import (
     determinant,
     enumerate_p_type_pairs,
     enumerate_p_type_scan,
+    lincomb,
     line_class_scan,
     mori_candidates_scan,
     restricted_gram,
@@ -230,7 +231,7 @@ def test_lagrangian_candidates_are_the_enumerated_witnesses(data):
     witnesses = set()
     for lattice in enumerate_p_type(setup, v, bound):
         dec = lattice.decomposition()
-        for w in (dec.s, dec.t, -dec.s, -dec.t):
+        for w in (dec.s, dec.t, lincomb((-1, dec.s)), lincomb((-1, dec.t))):
             if max(map(abs, w)) <= bound and setup.pair(w, h) > 0:
                 witnesses.add(w)
     assert lagrangian == witnesses
@@ -298,12 +299,12 @@ def test_span_error_codes():
     setup = _setup(((6,),))
     v = setup.vector(0, [1], -3)
     a = setup.vector(1, [0], 0)
-    doubled = PointedSublattice.span(setup, v, [2 * a, v])
+    doubled = PointedSublattice.span(setup, v, [lincomb((2, a)), v])
     assert doubled == saturated_span(setup, v, [a, v])
     assert setup.saturation([(2, 0, 0), v])[1] == 2
     cases = {
         "rank-mismatch": [a],
-        "dependent-rows": [a, v, a + v],
+        "dependent-rows": [a, v, lincomb((1, a), (1, v))],
         "not-pointed": [a, setup.vector(0, [0], 1)],
     }
     for code, generators in cases.items():

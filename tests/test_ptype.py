@@ -18,7 +18,7 @@ from mukailat import (
     rank_one_setup,
 )
 from mukailat.intlinalg import _hermite
-from oracles import coords, saturated_span
+from oracles import coords, lincomb, saturated_span
 
 
 def brute_lines(a, b, c, box=60):
@@ -81,7 +81,7 @@ def test_span_normalizes_to_hermite_basis(worked):
 
 def test_span_saturates(worked):
     setup, v, _ = worked
-    doubled = PointedSublattice.span(setup, v, [2 * setup.vector(1, [0], 0), v])
+    doubled = PointedSublattice.span(setup, v, [lincomb((2, setup.vector(1, [0], 0))), v])
     assert doubled.basis == ((1, 0, 0), (0, 1, -3))
     assert setup.saturation(doubled.basis) == (doubled.basis, 1)
 
@@ -89,7 +89,7 @@ def test_span_saturates(worked):
 def test_span_requires_rank_two_and_membership(worked):
     setup, v, _ = worked
     with pytest.raises(LatticeError) as err:
-        PointedSublattice.span(setup, v, [v, 2 * v])
+        PointedSublattice.span(setup, v, [v, lincomb((2, v))])
     assert err.value.code == "dependent-rows"
     with pytest.raises(LatticeError) as err:
         PointedSublattice.span(setup, setup.vector(1, [1], 1), [v, setup.vector(1, [0], 0)])
@@ -137,7 +137,7 @@ def test_is_p_type_false_on_empty_census():
 def test_is_p_type_preconditions(worked):
     setup, v, _ = worked
     negative = PointedSublattice.span(setup, setup.vector(1, [0], 1), [setup.vector(1, [0], 1), setup.vector(0, [0], 1)])
-    imprimitive = PointedSublattice.span(setup, 2 * v, [v, setup.vector(1, [0], 0)])
+    imprimitive = PointedSublattice.span(setup, lincomb((2, v)), [v, setup.vector(1, [0], 0)])
     for lattice, code in ((negative, "nonpositive-square"), (imprimitive, "imprimitive")):
         for check in (lattice.is_p_type, lattice.decomposition):
             with pytest.raises(LatticeError) as err:
@@ -150,7 +150,7 @@ def test_decomposition_worked_example(worked):
     dec = lattice.decomposition()
     assert dec.s == (1, 0, 0)
     assert dec.t == (-1, 1, -3)
-    assert dec.s + dec.t == v
+    assert lincomb((1, dec.s), (1, dec.t)) == v
     assert setup.square(dec.s) == 0 and setup.square(dec.t) == 0
     assert setup.pair(dec.s, v) == 3 and setup.pair(dec.t, v) == 3
     assert setup.pair(dec.s, dec.t) == 3
@@ -191,7 +191,7 @@ def test_construct_rejects_bad_witnesses(worked):
         construct_p_type(setup, v, setup.vector(2, [0], 0))
     assert err.value.code == "imprimitive"
     with pytest.raises(LatticeError) as err:
-        construct_p_type(setup, 2 * v, setup.vector(1, [0], 0))
+        construct_p_type(setup, lincomb((2, v)), setup.vector(1, [0], 0))
     assert err.value.code == "imprimitive"
     small = rank_one_setup(4)
     with pytest.raises(LatticeError) as err:
@@ -219,7 +219,7 @@ def test_enumerate_at_bound_six(worked):
     for lat in lattices:
         assert lat.is_p_type()
         dec = lat.decomposition()
-        assert dec.s + dec.t == v
+        assert lincomb((1, dec.s), (1, dec.t)) == v
         assert setup.square(dec.s) == 0 and setup.square(dec.t) == 0
         assert setup.pair(dec.s, v) == setup.square(v) // 2
         # closure: every census witness rebuilds a known lattice
@@ -271,7 +271,7 @@ def spans(draw):
     v = setup.vector_from_coords(draw(entries.filter(lambda x: gcd(*x) == 1)))
     if draw(st.booleans()):
         c = draw(st.lists(st.integers(-3, 3), min_size=setup.rho, max_size=setup.rho))
-        w = draw(st.integers(-3, 3)) * setup.vector(1, c, IntegralLattice(setup.ns_gram).square(c) // 2)
+        w = lincomb((draw(st.integers(-3, 3)), setup.vector(1, c, IntegralLattice(setup.ns_gram).square(c) // 2)))
     else:
         w = setup.vector_from_coords(draw(entries))
     return setup, v, w
@@ -316,7 +316,7 @@ def witnessed(draw):
     a, t = draw(isotropic(setup)), draw(isotropic(setup))
     pairing = setup.pair(a, t)
     assume(abs(pairing) >= 3)
-    v = a + t if pairing > 0 else a - t
+    v = lincomb((1, a), (1 if pairing > 0 else -1, t))
     assume(setup.is_primitive(v))
     return setup, v, a
 
@@ -363,7 +363,7 @@ def test_the_form_functions_need_a_symmetric_binary_gram(gram):
 @example((SETUPS[2], SETUPS[2].vector(-2, [2, 1], 2), SETUPS[2].vector(-1, [1, -1], 1)))
 def test_construct_matches_the_checked_span(drawn):
     setup, v, a = drawn
-    assert construct_p_type(setup, v, a) == PointedSublattice.span(setup, v, [a, v - a])
+    assert construct_p_type(setup, v, a) == PointedSublattice.span(setup, v, [a, lincomb((1, v), (-1, a))])
 
 
 # Spans {a, v - a} on each branch of the saturation test ptype._saturated,
@@ -380,11 +380,12 @@ def test_construct_matches_the_checked_span(drawn):
     ],
 )
 def test_span_matches_the_smith_saturation(setup, v, a, lead, index):
-    b1, b2 = setup.span([a, v - a])
+    t = lincomb((1, v), (-1, a))
+    b1, b2 = setup.span([a, t])
     assert next(x for x in b1 if x) * gcd(*b2) == lead
-    assert setup.saturation([a, v - a])[1] == index
-    span = PointedSublattice.span(setup, v, [a, v - a])
-    assert span == saturated_span(setup, v, [a, v - a])
+    assert setup.saturation([a, t])[1] == index
+    span = PointedSublattice.span(setup, v, [a, t])
+    assert span == saturated_span(setup, v, [a, t])
     assert span.is_p_type()
 
 
@@ -401,7 +402,16 @@ def test_span_matches_the_smith_saturation(setup, v, a, lead, index):
 @example((SETUPS[3], SETUPS[3].vector(1, [1, 1, 1, 1, 0, 0], -1), SETUPS[3].vector(-1, [0, 1, 1, 1, 1, 0], -1)))
 def test_the_witness_span_matches_the_span_through_pairings(drawn):
     setup, v, a = drawn
-    w, t = a, v - a
-    span = PointedSublattice._of_witness(setup, v, w, t, setup.square(v) // 2)
-    assert span == PointedSublattice._of(setup, v, _hermite((w, t)))
-    assert span == saturated_span(setup, v, [a, v - a])
+    t = lincomb((1, v), (-1, a))
+    span = PointedSublattice._of_witness(setup, v, a, t, setup.square(v) // 2)
+    assert span == PointedSublattice._of(setup, v, _hermite((a, t)))
+    assert span == saturated_span(setup, v, [a, t])
+
+
+def test_span_keeps_the_checked_v(worked):
+    # A v given as a list is stored as the checked tuple.
+    setup, v, lattice = worked
+    spanned = PointedSublattice.span(setup, list(v), [list(v), [1, 0, 0]])
+    assert spanned == lattice and hash(spanned) == hash(lattice)
+    assert type(spanned.v) is tuple
+    assert spanned.decomposition() == lattice.decomposition()
