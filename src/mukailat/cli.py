@@ -1,24 +1,29 @@
 """Batch command line interface.
 
 Reads newline-delimited JSON requests (one document per line) from a file or
-stdin and writes one JSON response per request, in input order.  Integers
-may be given as JSON numbers or as decimal strings (an optional ``-`` and
-ASCII digits) of up to 4300 digits, Python's int-string limit; rational
-results are rendered as reduced strings ``"p/q"`` with positive ``q``
-(plain ``"p"`` when integral).  A request that fails in an unexpected way
-gets an ``internal-error`` response.  Output is byte-stable for identical
-input.  Mukai setups are built once per process and shared between
-requests; an answer does not depend on the requests before it.
+stdin and writes one JSON response per request, in input order.  Both go
+through one reader: UTF-8 whatever the locale, one line held at a time, and
+only JSON whitespace trimmed from a line's ends; a blank line is skipped,
+and a byte that is not UTF-8 fails only its own line, with ``parse-error``.
+Integers may be given as JSON numbers or as decimal strings (an optional
+``-`` and ASCII digits) of up to 4300 digits, Python's int-string limit;
+rational results are rendered as reduced strings ``"p/q"`` with positive
+``q`` (plain ``"p"`` when integral).  A request that fails in an unexpected
+way gets an ``internal-error`` response.  Output is byte-stable for
+identical input.  Mukai setups are built once per process and shared
+between requests; an answer does not depend on the requests before it.
 Requests run one after another: ``--jobs`` is accepted for compatibility
 and ignored, because the work is pure Python and holds the interpreter lock.
 
 Exit status: 0 when every response is ok, 1 when any request failed,
-2 when the input stream itself could not be read.
+2 when the input could not be opened or read; the responses written before
+a read failure stay written.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from math import gcd
@@ -35,10 +40,6 @@ DEFAULT_BOUND = 10
 ECHO_LIMIT = 40
 
 
-class SchemaError(Exception):
-    pass
-
-
 def _echo(text: str) -> str:
     """``text`` as a message shows it: its repr, cut at ``ECHO_LIMIT`` characters."""
     if len(text) <= ECHO_LIMIT:
@@ -48,54 +49,55 @@ def _echo(text: str) -> str:
 
 def _as_int(value, field):
     if isinstance(value, bool):
-        raise SchemaError(f"{field}: expected an integer, got a boolean")
+        raise LatticeError("schema-error", f"{field}: expected an integer, got a boolean")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         # int() alone would also take spaces, "_", "+" and non-ASCII digits.
         digits = value[1:] if value.startswith("-") else value
         if not (digits.isascii() and digits.isdigit()):
-            raise SchemaError(f"{field}: {_echo(value)} is not a decimal integer")
+            raise LatticeError("schema-error", f"{field}: {_echo(value)} is not a decimal integer")
         try:
             return int(value, 10)
         except ValueError:
-            raise SchemaError(
-                f"{field}: {_echo(value)} has {len(digits)} digits, past Python's int-string limit"
+            raise LatticeError(
+                "schema-error",
+                f"{field}: {_echo(value)} has {len(digits)} digits, past Python's int-string limit",
             ) from None
-    raise SchemaError(f"{field}: expected an integer, got {type(value).__name__}")
+    raise LatticeError("schema-error", f"{field}: expected an integer, got {type(value).__name__}")
 
 
 def _as_vector(value, field):
     if not isinstance(value, list):
-        raise SchemaError(f"{field}: expected a list")
+        raise LatticeError("schema-error", f"{field}: expected a list")
     return tuple(_as_int(x, field) for x in value)
 
 
 def _as_matrix(value, field):
     if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
-        raise SchemaError(f"{field}: expected a list of lists")
+        raise LatticeError("schema-error", f"{field}: expected a list of lists")
     return tuple(_as_vector(row, field) for row in value)
 
 
 def _require(payload, field):
     if field not in payload:
-        raise SchemaError(f"missing field {field!r}")
+        raise LatticeError("schema-error", f"missing field {field!r}")
     return payload[field]
 
 
 def _parse_preset(name):
     if not isinstance(name, str):
-        raise SchemaError("setup: expected a preset string")
+        raise LatticeError("schema-error", "setup: expected a preset string")
     head, _, arg = name.partition(":")
     if head == "kummer-mukai":
         if arg:
-            raise SchemaError("setup: kummer-mukai takes no parameter")
+            raise LatticeError("schema-error", "setup: kummer-mukai takes no parameter")
         return kummer_mukai_setup()
     if head == "ns-rank1":
         return rank_one_setup(_as_int(arg, "setup parameter"))
     if head == "kummer-bbf":
         return kummer_bbf_lattice(_as_int(arg, "setup parameter"))
-    raise SchemaError(f"setup: unknown preset {name!r}")
+    raise LatticeError("schema-error", f"setup: unknown preset {name!r}")
 
 
 def _setup_from(payload) -> MukaiSetup:
@@ -104,9 +106,9 @@ def _setup_from(payload) -> MukaiSetup:
     if "setup" in payload:
         value = _parse_preset(payload["setup"])
         if not isinstance(value, MukaiSetup):
-            raise SchemaError("setup: this command needs a Mukai setup, not a bare lattice")
+            raise LatticeError("schema-error", "setup: this command needs a Mukai setup, not a bare lattice")
         return value
-    raise SchemaError("need 'ns' (Gram matrix) or 'setup' (preset)")
+    raise LatticeError("schema-error", "need 'ns' (Gram matrix) or 'setup' (preset)")
 
 
 def _lattice_from(payload) -> IntegralLattice:
@@ -114,16 +116,16 @@ def _lattice_from(payload) -> IntegralLattice:
         return IntegralLattice(_as_matrix(payload["gram"], "gram"))
     if "setup" in payload:
         return _parse_preset(payload["setup"])
-    raise SchemaError("need 'gram' (Gram matrix) or 'setup' (preset)")
+    raise LatticeError("schema-error", "need 'gram' (Gram matrix) or 'setup' (preset)")
 
 
 def _arguments(fields, payload, bound) -> list:
     """Parse a command's payload fields, named as in the schema, in order.
 
     A trailing ``?`` marks an optional field: ``bound?`` defaults to the
-    batch's bound and ``gram|setup?`` to None.  ``v``, ``a`` and ``h`` are
-    vectors of the Mukai setup parsed from the leading ``ns|setup``;
-    ``x`` and ``y`` are plain integer vectors; any other field is a matrix.
+    batch's bound and ``gram|setup?`` to None.  ``v``, ``a``, ``h``, ``x``
+    and ``y`` are integer vectors, which the library checks against its
+    lattice; any other field is a matrix.
     """
     args = []
     for field in fields:
@@ -137,9 +139,7 @@ def _arguments(fields, payload, bound) -> list:
             args.append(_setup_from(payload))
         elif name == "gram|setup":
             args.append(_lattice_from(payload))
-        elif name in ("v", "a", "h"):
-            args.append(args[0].vector_from_coords(_as_vector(_require(payload, name), name)))
-        elif name in ("x", "y"):
+        elif name in ("v", "a", "h", "x", "y"):
             args.append(_as_vector(_require(payload, name), name))
         else:
             args.append(_as_matrix(_require(payload, name), name))
@@ -336,12 +336,13 @@ def _error(command, code, message) -> str:
 
 
 def handle_line(line: str, bound: int) -> tuple[str, bool] | None:
-    """Process one request line; returns (response, ok) or None for a blank line.
+    """Process one request line; returns (response, ok), or None for a line
+    of JSON whitespace only, which is all that is trimmed from its ends.
 
     Any failure while parsing, handling or printing the request becomes its
     own error response, so that no request can abort the batch.
     """
-    text = line.strip()
+    text = line.strip(" \t\n\r")
     if not text:
         return None
     try:
@@ -358,7 +359,11 @@ def handle_line(line: str, bound: int) -> tuple[str, bool] | None:
 
 def _answer(text: str, bound: int) -> tuple[str, bool]:
     try:
+        # _read keeps a byte that is not UTF-8 as a lone surrogate, which json.loads accepts.
+        text.encode("utf-8")
         doc = json.loads(text)
+    except UnicodeEncodeError as exc:
+        return _error(None, "parse-error", f"invalid UTF-8 at column {exc.start + 1}"), False
     except json.JSONDecodeError as exc:
         return _error(None, "parse-error", f"invalid JSON: {exc.msg} at column {exc.colno}"), False
     if not isinstance(doc, dict):
@@ -369,14 +374,9 @@ def _answer(text: str, bound: int) -> tuple[str, bool]:
         return _error(command, "schema-error", f"unknown command {command!r}"), False
     try:
         result = dict(zip(spec.result, spec.handler(*_arguments(spec.payload, doc, bound))))
-    except SchemaError as exc:
-        return _error(command, "schema-error", str(exc)), False
     except LatticeError as exc:
         return _error(command, exc.code, str(exc)), False
-    response = canonical_json(
-        {"command": command, "status": "ok", "result": result, "diagnostics": []}
-    )
-    return response, True
+    return canonical_json({"command": command, "status": "ok", "result": result, "diagnostics": []}), True
 
 
 def run_batch(lines, bound: int, jobs: int, out) -> int:
@@ -395,6 +395,21 @@ def run_batch(lines, bound: int, jobs: int, out) -> int:
     return 1 if failed else 0
 
 
+def _read(path):
+    """The lines of the file at ``path``, or of stdin, decoded one at a time.
+
+    A line ends at ``\n``, ``\r\n`` or ``\r`` only, not at U+2028, U+0085
+    or a form feed.  Exits 2 if the input cannot be opened or read.
+    """
+    try:
+        raw = sys.stdin.buffer if path is None else open(path, "rb")
+        with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline=None) as lines:
+            yield from lines
+    except OSError as exc:
+        print(f"mukailat: cannot read input: {exc}", file=sys.stderr)
+        sys.exit(2)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mukailat",
@@ -410,25 +425,7 @@ def main(argv=None) -> int:
         print(canonical_json(SCHEMA))
         return 0
 
-    try:
-        if args.input is None:
-            text = sys.stdin.read()
-        else:
-            with open(args.input, "r", encoding="utf-8") as handle:
-                text = handle.read()
-    except OSError as exc:
-        print(f"mukailat: cannot read input: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"mukailat: input is not valid UTF-8: {exc}", file=sys.stderr)
-        return 2
-
-    # Only "\n", "\r\n" and "\r" end a request.  str.splitlines would also
-    # split at U+2028, U+2029 and U+0085, which a JSON string may hold raw,
-    # and at a form feed, which fails only the request holding it.  Reading
-    # a file turns "\r\n" and "\r" into "\n", but stdin keeps them.
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return run_batch(lines, args.bound, args.jobs, sys.stdout)
+    return run_batch(_read(args.input), args.bound, args.jobs, sys.stdout)
 
 
 if __name__ == "__main__":

@@ -87,6 +87,7 @@ def theta_dual(setup: MukaiSetup, v: tuple[int, ...], a: tuple[int, ...]) -> Lin
     Fixes ``v_perp`` pointwise and kills ``v``; for an isotropic witness
     with ``(a, v) = v^2/2`` the square is ``-v^2/4``.
     """
+    v, a = setup._check(v), setup._check(a)
     vsq = setup.square(v)
     if vsq <= 0:
         raise LatticeError("nonpositive-square", f"v^2 = {vsq} <= 0")
@@ -155,7 +156,7 @@ def classify_line_class(setup: MukaiSetup, v: tuple[int, ...], a: tuple[int, ...
     with no further checks: ``_verdict`` has proved all that
     ``construct_p_type`` would check.
     """
-    v = setup._check(v)
+    v, a = setup._check(v), setup._check(a)
     vsq = setup.kummer_dimension(v) + 2
     asq, pairing = setup.square(a), setup.pair(a, v)
     lc = _line_class(v, a, asq, pairing, vsq)
@@ -201,6 +202,7 @@ def mori_candidates(
     list is sorted by the coordinates of ``a``; positive-cone generators are
     not enumerated.
     """
+    v, h = setup._check(v), setup._check(h)
     vsq = setup.kummer_dimension(v) + 2
     if setup.pair(h, v) != 0:
         raise LatticeError("not-orthogonal", "h must be orthogonal to v")

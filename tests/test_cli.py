@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -408,3 +410,139 @@ def test_only_line_breaks_split_requests(tmp_path):
         assert done.returncode == 1
         docs = [json.loads(line) for line in done.stdout.decode("ascii").split("\n")[:-1]]
         assert [doc.get("code") or doc["result"]["order"] for doc in docs] == [2, 2, "parse-error", 2, "parse-error"]
+
+
+def test_schema_errors_come_before_domain_errors():
+    # Every payload field is parsed before the library checks a vector, so
+    # a short v is not reported while a field is missing or malformed.
+    short_v = {"ns": [[6]], "v": [0, 1]}
+    for doc in (
+        {"command": "line-class", **short_v},
+        {"command": "line-class", **short_v, "a": "x"},
+        {"command": "mori", **short_v, "h": [1, 0, 0], "bound": "x"},
+    ):
+        assert response(json.dumps(doc))["code"] == "schema-error"
+    doc = response(json.dumps({"command": "line-class", **short_v, "a": [1, 0, 0]}))
+    assert (doc["code"], doc["diagnostics"]) == ("dimension-mismatch", ["c has length 0, NS rank is 1"])
+
+
+def test_only_json_whitespace_is_trimmed():
+    request = '{"command":"disc","gram":[[2]]}'
+    for tail in ("\u2028", "\x85", "\x0c", "\x0b", "\x1c"):
+        for line in (request + tail, tail + request):
+            doc = response(line)
+            assert doc["code"] == "parse-error", repr(line)
+        assert "Extra data" in response(request + tail)["diagnostics"][0]
+    assert response(" \t\r" + request + "\r\n \t")["status"] == "ok"
+    # A line is blank, and skipped, when it holds JSON whitespace only.
+    assert handle_line(" \t\r\n", DEFAULT_BOUND) is None
+    assert response("\x0c")["code"] == "parse-error"
+
+
+# The same bytes through a file and through stdin, in three environments: the
+# default one, a C locale with UTF-8 mode off, and a UTF-8 stdin encoding.
+BASE_ENV = {k: v for k, v in CLI_ENV.items() if k not in ("LC_ALL", "PYTHONUTF8", "PYTHONIOENCODING")}
+ENVIRONMENTS = [BASE_ENV, {**BASE_ENV, "LC_ALL": "C", "PYTHONUTF8": "0"}, {**BASE_ENV, "PYTHONIOENCODING": "utf-8"}]
+OK_DISC = {"command": "disc", "diagnostics": [], "result": {"factors": [2], "order": 2}, "status": "ok"}
+
+
+@pytest.mark.parametrize(
+    "batch, expected",
+    [
+        # A byte that is not UTF-8 fails only the request holding it.
+        (
+            b'{"command":"disc","gram":[[2]],"note":"\xff"}\n{"command":"disc","gram":[[2]]}\n',
+            [
+                {
+                    "code": "parse-error",
+                    "command": None,
+                    "diagnostics": ["invalid UTF-8 at column 40"],
+                    "result": None,
+                    "status": "error",
+                },
+                OK_DISC,
+            ],
+        ),
+        # A non-ASCII digit is echoed as the character it is, U+FF16.
+        (
+            '{"command":"disc","setup":"ns-rank1:\uff16"}\r\n'.encode("utf-8"),
+            [
+                {
+                    "code": "schema-error",
+                    "command": "disc",
+                    "diagnostics": ["setup parameter: '\uff16' is not a decimal integer"],
+                    "result": None,
+                    "status": "error",
+                }
+            ],
+        ),
+    ],
+)
+def test_file_and_stdin_are_one_utf8_reader_in_any_locale(tmp_path, batch, expected):
+    path = tmp_path / "batch.ndjson"
+    path.write_bytes(batch)
+    for env in ENVIRONMENTS:
+        through_file = subprocess.run([sys.executable, "-m", "mukailat", str(path)], capture_output=True, env=env)
+        through_stdin = subprocess.run([sys.executable, "-m", "mukailat"], input=batch, capture_output=True, env=env)
+        for done in (through_file, through_stdin):
+            assert done.returncode == 1
+            assert [json.loads(line) for line in done.stdout.decode("ascii").splitlines()] == expected
+        assert through_file.stdout == through_stdin.stdout
+
+
+class FailingInput(io.RawIOBase):
+    """A raw stream that yields ``data`` and then fails to read."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        if not self.data:
+            raise OSError(errno.EIO, "Input/output error")
+        n = min(len(buffer), len(self.data))
+        buffer[:n], self.data = self.data[:n], self.data[n:]
+        return n
+
+
+def test_a_read_failure_exits_2_after_the_responses_so_far(monkeypatch, capsys):
+    request = b'{"command":"disc","gram":[[2]]}\n'
+    monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=io.BufferedReader(FailingInput(request * 2))))
+    with pytest.raises(SystemExit) as exited:
+        main([])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert [json.loads(line) for line in captured.out.splitlines()] == [OK_DISC, OK_DISC]
+    assert "cannot read input" in captured.err
+
+
+# A child process runs the CLI and reports its own peak resident set.
+PEAK_CHILD = """
+import re, sys
+from mukailat.cli import main
+main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
+def test_the_cli_holds_one_line_at_a_time(tmp_path):
+    request = b'{"command":"disc","gram":[[2]]}\n'
+
+    def peak_kib(blank_lines):
+        path = tmp_path / "batch.ndjson"
+        with open(path, "wb") as batch:
+            for _ in range(blank_lines):
+                batch.write(b" " * 2**18 + b"\n")
+            batch.write(request)
+        done = subprocess.run([sys.executable, "-c", PEAK_CHILD, str(path)], capture_output=True, env=CLI_ENV)
+        assert [json.loads(line) for line in done.stdout.splitlines()] == [OK_DISC]
+        return int(done.stderr)
+
+    # 40 MiB of blank lines, 256 KiB each, may raise the peak by at most
+    # 2 MB.  Reading one line of n bytes briefly needs about 2n: its chunks
+    # and their join.
+    assert peak_kib(160) - peak_kib(0) <= 2000

@@ -405,3 +405,28 @@ def test_public_functions_take_plain_coordinates(plain, make_setup, v, a):
     report = jh_feasibility(setup, plain(v), [plain(a), plain(t)])
     assert report == jh_feasibility(setup, checked_v, [checked_a, checked_t])
     assert report.dim_identity_ok
+
+
+def test_each_public_function_checks_its_vectors_first():
+    # Every vector is checked against the setup, with the one message of
+    # MukaiSetup._check, before any arithmetic or domain check runs.
+    six = rank_one_setup(6)
+    mismatch = ("dimension-mismatch", "c has length 0, NS rank is 1")
+    calls = [
+        lambda: theta_dual(six, (0, 1, -3), (1, 0)),
+        lambda: theta_dual(six, (0, 1), (1, 0, 0)),
+        # v = (0, 2, -6) is imprimitive, but the short a is reported first.
+        lambda: classify_line_class(six, (0, 2, -6), (1, 0)),
+        # v^2 = 0 < 6, but the short h is reported first.
+        lambda: mori_candidates(six, (1, 0, 0), (1, 0), 1),
+    ]
+    for call in calls:
+        with pytest.raises(LatticeError) as err:
+            call()
+        assert (err.value.code, str(err.value)) == mismatch
+    with pytest.raises(LatticeError) as err:
+        theta_dual(six, (0, 1, -3), (1, 0, 0.5))
+    assert err.value.code == "invalid-matrix"
+    # Lists are taken as the tuples they hold.
+    assert theta_dual(six, [0, 1, -3], [1, 0, 0]) == theta_dual(six, (0, 1, -3), (1, 0, 0))
+    assert classify_line_class(six, [0, 1, -3], [1, 0, 0]) == classify_line_class(six, (0, 1, -3), (1, 0, 0))
