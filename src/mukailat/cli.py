@@ -16,8 +16,10 @@ Requests run one after another: ``--jobs`` is accepted for compatibility
 and ignored, because the work is pure Python and holds the interpreter lock.
 
 Exit status: 0 when every response is ok, 1 when any request failed,
-2 when the input could not be opened or read; the responses written before
-a read failure stay written.
+2 when the input could not be opened or read or the output could not be
+written, with one line on stderr; the responses written before a read
+failure stay written.  A closed output pipe ends the run quietly, with
+exit status 2.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from math import gcd
 from typing import Callable, NamedTuple
@@ -395,21 +398,6 @@ def run_batch(lines, bound: int, jobs: int, out) -> int:
     return 1 if failed else 0
 
 
-def _read(path):
-    """The lines of the file at ``path``, or of stdin, decoded one at a time.
-
-    A line ends at ``\n``, ``\r\n`` or ``\r`` only, not at U+2028, U+0085
-    or a form feed.  Exits 2 if the input cannot be opened or read.
-    """
-    try:
-        raw = sys.stdin.buffer if path is None else open(path, "rb")
-        with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline=None) as lines:
-            yield from lines
-    except OSError as exc:
-        print(f"mukailat: cannot read input: {exc}", file=sys.stderr)
-        sys.exit(2)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mukailat",
@@ -421,11 +409,27 @@ def main(argv=None) -> int:
     parser.add_argument("--schema", action="store_true", help="print the request/response schema and exit")
     args = parser.parse_args(argv)
 
-    if args.schema:
-        print(canonical_json(SCHEMA))
-        return 0
-
-    return run_batch(_read(args.input), args.bound, args.jobs, sys.stdout)
+    try:
+        if args.schema:
+            print(canonical_json(SCHEMA))
+            status = 0
+        else:
+            # A line ends at \n, \r\n or \r only, not at U+2028, U+0085 or a form feed.
+            raw = sys.stdin.buffer if args.input is None else open(args.input, "rb")
+            with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline=None) as lines:
+                status = run_batch(lines, args.bound, args.jobs, sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe ends the run quietly
+            print(f"mukailat: cannot read input or write output: {exc}", file=sys.stderr)
+        # Write what stdout still holds, or if it cannot take that either, point
+        # it at devnull, so that the interpreter's last flush stays quiet.
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(2)
+    return status
 
 
 if __name__ == "__main__":

@@ -45,13 +45,6 @@ class IntegralLattice:
                     raise LatticeError("invalid-matrix", "Gram matrix must be symmetric")
         self.gram: IntMatrix = rows
 
-    @classmethod
-    def _of(cls, gram: IntMatrix) -> "IntegralLattice":
-        """A lattice on a Gram matrix already known to be square, symmetric and integral."""
-        lattice = cls.__new__(cls)
-        lattice.gram = gram
-        return lattice
-
     @cached_property
     def _terms(self) -> tuple[tuple[int, int, int], ...]:
         """The ``(i, j, g)`` with ``g = gram[i][j] != 0``, row by row.

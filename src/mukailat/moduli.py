@@ -27,9 +27,8 @@ from typing import NamedTuple
 
 from .errors import LatticeError
 from .intlinalg import IntMatrix
-from .lattice import IntegralLattice
 from .mukai import MukaiSetup
-from .ptype import PointedSublattice
+from .ptype import PointedSublattice, _check_bound
 
 # Codimension of the Albanese fibre inside the moduli space:
 # (v^2 + 2) - (v^2 - 2).  This caps the total ext^1 of a contracted
@@ -208,9 +207,7 @@ def mori_candidates(
         raise LatticeError("not-orthogonal", "h must be orthogonal to v")
     if setup.square(h) <= 0:
         raise LatticeError("nonpositive-square", f"h^2 = {setup.square(h)} <= 0")
-    if bound < 0:
-        raise LatticeError("invalid-matrix", "bound must be nonnegative")
-    ns = IntegralLattice._of(setup.ns_gram)
+    _check_bound(bound)
     half = vsq // 2
     # (a, w) is the dot product of a with w_row, whose last entry is -r_w.
     v_row = setup.dual_pairings(v)
@@ -220,7 +217,7 @@ def mori_candidates(
     # a^2 = c.Nc - 2rs, and c.Nc does not depend on r.
     heads = [
         (c, form, sum(map(mul, c, v_row[1:-1])), sum(map(mul, c, h_row[1:-1])))
-        for c, form in ns._box_squares(bound)
+        for c, form in setup.ns._box_squares(bound)
     ]
     out = []
     # r, then c, then s ascending: the candidates come out sorted.

@@ -35,40 +35,32 @@ class MukaiSetup(IntegralLattice):
 
     A setup *is* that ambient lattice: ``gram`` is the Mukai pairing on the
     coordinates ``(r, c_1, ..., c_rho, s)``, so a setup equals
-    ``IntegralLattice(setup.gram)`` and pairs coordinate tuples.  The NS
-    matrix must be symmetric, even, nondegenerate and of the Hodge-index
-    signature ``(1, rho - 1)``, which makes the ambient signature ``(2, rho)``.
+    ``IntegralLattice(setup.gram)`` and pairs coordinate tuples.  ``ns`` is
+    the NS lattice, whose Gram must be symmetric, even, nondegenerate and of
+    the Hodge-index signature ``(1, rho - 1)``; the ambient one is ``(2, rho)``.
     """
 
     def __init__(self, ns_gram):
-        ns_lattice = IntegralLattice(ns_gram)
-        if not ns_lattice.is_even():
+        ns = IntegralLattice(ns_gram)
+        if not ns.is_even():
             raise LatticeError("not-even", "NS Gram matrix must have even diagonal")
-        rho = ns_lattice.rank
         # det(ambient) = -det(ns), so the ambient is degenerate exactly when ns is.
-        sig = ns_lattice.signature()
+        sig = ns.signature()
         if sig[2]:
             raise LatticeError("degenerate-lattice", "Gram matrix has determinant 0")
-        if sig != (1, rho - 1, 0):
-            raise LatticeError("bad-signature", f"NS signature {sig[:2]} is not (1, {rho - 1})")
-        self._build(ns_lattice.gram)
+        if sig != (1, ns.rank - 1, 0):
+            raise LatticeError("bad-signature", f"NS signature {sig[:2]} is not (1, {ns.rank - 1})")
+        self._build(ns)
 
-    @classmethod
-    def _of(cls, ns_gram: IntMatrix) -> "MukaiSetup":
-        """A setup on an even NS Gram of any signature, unchecked."""
-        setup = cls.__new__(cls)
-        setup._build(ns_gram)
-        return setup
-
-    def _build(self, ns: IntMatrix) -> None:
-        rho = len(ns)
-        self.ns_gram = ns
+    def _build(self, ns: IntegralLattice) -> None:
+        rho = ns.rank
+        self.ns = ns
         # Square and symmetric because the NS block is.
-        self.gram = ((0,) * (rho + 1) + (-1,), *((0, *row, 0) for row in ns), (-1,) + (0,) * (rho + 1))
+        self.gram = ((0,) * (rho + 1) + (-1,), *((0, *row, 0) for row in ns.gram), (-1,) + (0,) * (rho + 1))
 
     @property
     def rho(self) -> int:
-        return len(self.ns_gram)
+        return self.ns.rank
 
     def vector(self, r: int, c, s: int) -> tuple[int, ...]:
         """The checked vector ``(r, *c, s)``; the entries of ``c`` are checked first."""
@@ -147,7 +139,9 @@ def kummer_mukai_setup() -> MukaiSetup:
     Hodge-index check does not apply.  It is built once per process and
     shared; a ``MukaiSetup`` is never mutated.
     """
-    return MukaiSetup._of(freeze_matrix(_u_cubed_block(6)))
+    setup = MukaiSetup.__new__(MukaiSetup)
+    setup._build(IntegralLattice(_u_cubed_block(6)))
+    return setup
 
 
 # typed: 2.0 == 2 must not find the lattice of 2, but fail as it always did.

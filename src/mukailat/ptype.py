@@ -16,8 +16,7 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import LatticeError
-from .intlinalg import IntMatrix, _hermite, freeze_matrix, saturation
-from .lattice import IntegralLattice
+from .intlinalg import IntMatrix, _hermite, freeze_matrix, freeze_vector, saturation
 from .mukai import MukaiSetup
 
 
@@ -78,21 +77,27 @@ def is_p_type_form(gram2, v_xy) -> bool:
     Requires ``v^2 > 0`` and primitive coordinates.  An empty isotropic
     census never qualifies (the minimum over the empty set is +infinity).
     """
-    return bool(_witnesses(IntegralLattice._of(_binary_gram(gram2)), v_xy))
+    gram2, v_xy = _binary_gram(gram2), freeze_vector(v_xy)
+    if len(v_xy) != 2:
+        raise LatticeError("dimension-mismatch", f"vector of length {len(v_xy)} in a rank 2 lattice")
+    return bool(_witnesses(gram2, v_xy))
 
 
-def _witnesses(form: IntegralLattice, v_xy) -> list[tuple[tuple[int, int], int]]:
+def _witnesses(gram2: IntMatrix, v_xy: tuple[int, int]) -> list[tuple[tuple[int, int], int]]:
     """``(line, (line, v))`` for each isotropic line with ``|(line, v)| = v^2/2``.
 
-    Empty unless the form, a symmetric 2x2 integer Gram, is of P-type; the
-    checks and errors are those of ``is_p_type_form``.
+    Empty unless ``gram2``, a symmetric 2x2 integer Gram, is of P-type at the
+    integer pair ``v_xy``; the checks and errors are those of ``is_p_type_form``.
     """
-    vsq = form.square(v_xy)
+    ((a, b), (_, c)), (x, y) = gram2, v_xy
+    # (line, v) is the dot product of line with gram2 . v.
+    gx, gy = a * x + b * y, b * x + c * y
+    vsq = x * gx + y * gy
     if vsq <= 0:
         raise LatticeError("nonpositive-square", f"v^2 = {vsq} <= 0")
-    if gcd(v_xy[0], v_xy[1]) != 1:
+    if gcd(x, y) != 1:
         raise LatticeError("imprimitive", "v is not primitive in the sublattice")
-    pairings = [(line, form.pair(line, v_xy)) for line in _isotropic_lines(form.gram)]
+    pairings = [(line, line[0] * gx + line[1] * gy) for line in _isotropic_lines(gram2)]
     if any(2 * abs(p) < vsq for _, p in pairings):
         return []
     return [(line, p) for line, p in pairings if 2 * abs(p) == vsq]
@@ -201,7 +206,7 @@ class PointedSublattice(NamedTuple):
         """``_witnesses`` of ``gram2`` and ``v_coords``, once ``v`` is primitive."""
         if not self.setup.is_primitive(self.v):
             raise LatticeError("imprimitive", "v must be primitive")
-        return _witnesses(IntegralLattice._of(self.gram2), self.v_coords)
+        return _witnesses(self.gram2, self.v_coords)
 
     def is_p_type(self) -> bool:
         return bool(self._witnesses())
@@ -230,7 +235,7 @@ def construct_p_type(setup: MukaiSetup, v: tuple[int, ...], a: tuple[int, ...]) 
     otherwise the saturation contains an isotropic class of strictly smaller
     pairing.  The result is always of P-type.
     """
-    v = setup._check(v)
+    v, a = setup._check(v), setup._check(a)
     vsq = setup.kummer_dimension(v) + 2
     if setup.square(a) != 0:
         raise LatticeError("not-isotropic", f"a^2 = {setup.square(a)} != 0")
@@ -247,6 +252,14 @@ def construct_p_type(setup: MukaiSetup, v: tuple[int, ...], a: tuple[int, ...]) 
     return PointedSublattice._of_witness(setup, v, a, t, vsq // 2)
 
 
+def _check_bound(bound) -> None:
+    """Fail unless the box radius ``bound`` of a scan is a nonnegative int."""
+    if not isinstance(bound, int) or isinstance(bound, bool):
+        raise LatticeError("invalid-matrix", f"bound must be an integer, got {bound!r}")
+    if bound < 0:
+        raise LatticeError("invalid-matrix", "bound must be nonnegative")
+
+
 def enumerate_p_type(setup: MukaiSetup, v: tuple[int, ...], bound: int) -> list[PointedSublattice]:
     """All P-type lattices with a witness in the coordinate box ``[-bound, bound]``.
 
@@ -260,18 +273,16 @@ def enumerate_p_type(setup: MukaiSetup, v: tuple[int, ...], bound: int) -> list[
     ``v`` and ``c`` where every ``r`` or every ``s`` of the box solves them.
     The result is deterministic and independent of scan order.
     """
-    if bound < 0:
-        raise LatticeError("invalid-matrix", "bound must be nonnegative")
+    _check_bound(bound)
     v = setup._check(v)
     vsq = setup.kummer_dimension(v) + 2
     half = vsq // 2
-    ns = IntegralLattice._of(setup.ns_gram)
     # (a, v) is the dot product of a with v_row = (-s_v, N c_v, -r_v).
     v_row = setup.dual_pairings(v)
     r_weight, c_row, s_weight = v_row[0], v_row[1:-1], v_row[-1]
     box = range(-bound, bound + 1)
     found = {}
-    for c, form in ns._box_squares(bound):
+    for c, form in setup.ns._box_squares(bound):
         rest = half - sum(map(mul, c, c_row))
         # a = (r, c, s) needs r * r_weight + s * s_weight = rest and 2rs =
         # form.  For r != 0, s = form / 2r, and 2r times the linear equation

@@ -329,7 +329,7 @@ def enumerate_p_type_pairs(setup: MukaiSetup, v: tuple[int, ...], bound: int) ->
         raise LatticeError("invalid-matrix", "bound must be nonnegative")
     vsq = setup.kummer_dimension(v) + 2
     half = vsq // 2
-    ns = IntegralLattice._of(setup.ns_gram)
+    ns = setup.ns
     # (a, v) is the dot product of a with v_row, whose last entry is -r_v.
     v_row = setup.dual_pairings(v)
     s_weight = v_row[-1]

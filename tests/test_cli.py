@@ -518,6 +518,42 @@ def test_a_read_failure_exits_2_after_the_responses_so_far(monkeypatch, capsys):
     assert "cannot read input" in captured.err
 
 
+# With and without PYTHONUNBUFFERED: a buffered stdout still holds responses
+# when a write fails, and the interpreter's last flush must not fail again.
+BUFFERING = [
+    pytest.param({k: v for k, v in CLI_ENV.items() if k != "PYTHONUNBUFFERED"}, id="buffered"),
+    pytest.param({**CLI_ENV, "PYTHONUNBUFFERED": "1"}, id="unbuffered"),
+]
+
+
+@pytest.mark.parametrize("env", BUFFERING)
+def test_a_closed_pipe_ends_the_batch_quietly_with_exit_2(tmp_path, env):
+    # The golden responses are about 250 KB, more than a pipe holds, so the
+    # CLI is still writing when the reader leaves after 10 bytes, as
+    # ``| head -c 10`` does.
+    with open(tmp_path / "err", "w+b") as err:
+        cli = subprocess.Popen(
+            [sys.executable, "-m", "mukailat", str(GOLDEN_REQUESTS)], stdout=subprocess.PIPE, stderr=err, env=env
+        )
+        assert len(cli.stdout.read(10)) == 10
+        cli.stdout.close()
+        assert cli.wait() == 2
+        err.seek(0)
+        assert err.read() == b""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="writes to /dev/full")
+@pytest.mark.parametrize("env", BUFFERING)
+@pytest.mark.parametrize("args", [[str(GOLDEN_REQUESTS)], ["--schema"]], ids=["batch", "schema"])
+def test_output_that_cannot_be_written_exits_2_with_one_line(env, args):
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "mukailat", *args], stdout=full, stderr=subprocess.PIPE, env=env)
+    assert done.returncode == 2
+    assert done.stderr.decode().splitlines() == [
+        f"mukailat: cannot read input or write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    ]
+
+
 # A child process runs the CLI and reports its own peak resident set.
 PEAK_CHILD = """
 import re, sys

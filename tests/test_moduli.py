@@ -181,6 +181,18 @@ def test_mori_bound_zero_is_empty(six):
     assert mori_candidates(setup, v, setup.vector(-2, [1], 0), 0) == []
 
 
+@pytest.mark.parametrize("bound", [1.5, "3", True, None])
+def test_mori_takes_only_an_integer_bound(six, bound):
+    setup, v = six
+    h = setup.vector(-2, [1], 0)
+    with pytest.raises(LatticeError) as err:
+        mori_candidates(setup, v, h, bound)
+    assert err.value.code == "invalid-matrix"
+    with pytest.raises(LatticeError) as err:
+        mori_candidates(setup, v, h, -1)
+    assert (err.value.code, str(err.value)) == ("invalid-matrix", "bound must be nonnegative")
+
+
 def test_mori_validates_h(six):
     setup, v = six
     with pytest.raises(LatticeError) as err:

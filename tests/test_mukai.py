@@ -51,9 +51,21 @@ def test_pair_middle_part_is_ns_form():
     assert setup.square(c) == 10
 
 
+def test_a_setup_keeps_its_checked_ns_lattice():
+    setup = MukaiSetup([[4, 1], [1, -2]])
+    assert type(setup.ns) is IntegralLattice and setup.ns.gram == ((4, 1), (1, -2))
+    assert setup.rho == setup.ns.rank == 2
+    assert tuple(row[1:-1] for row in setup.gram[1:-1]) == setup.ns.gram
+    assert rank_one_setup(6).ns == IntegralLattice([[6]])
+    u = ((0, 1), (1, 0))
+    u_cubed = tuple(tuple(u[i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(6)) for i in range(6))
+    assert kummer_mukai_setup().ns.gram == u_cubed
+    assert kummer_mukai_setup().ns.signature() == (3, 3, 0)
+
+
 def _mukai_form(setup, x, y):
     """``c.Nc' - r s' - s r'``, from the components and the NS Gram alone."""
-    ns = setup.ns_gram
+    ns = setup.ns.gram
     middle = sum(a * ns[i][j] * b for i, a in enumerate(x[1:-1]) for j, b in enumerate(y[1:-1]))
     return middle - x[0] * y[-1] - x[-1] * y[0]
 

@@ -481,7 +481,7 @@ def symmetric_matrices(draw, max_n=8):
 
 @slow(300)
 @given(symmetric_matrices())
-@example(kummer_mukai_setup().ns_gram)
+@example(kummer_mukai_setup().ns.gram)
 @example(kummer_bbf_lattice(1).gram)
 @example(kummer_bbf_lattice(2).gram)
 @example(kummer_bbf_lattice(3).gram)

@@ -209,6 +209,17 @@ def test_enumerate_worked_example(worked):
     assert [l.basis for l in again] == sorted({l.basis for l in lattices})
 
 
+@pytest.mark.parametrize("bound", [1.5, "3", True, None])
+def test_enumerate_takes_only_an_integer_bound(worked, bound):
+    setup, v, _ = worked
+    with pytest.raises(LatticeError) as err:
+        enumerate_p_type(setup, v, bound)
+    assert err.value.code == "invalid-matrix"
+    with pytest.raises(LatticeError) as err:
+        enumerate_p_type(setup, v, -1)
+    assert (err.value.code, str(err.value)) == ("invalid-matrix", "bound must be nonnegative")
+
+
 def test_enumerate_at_bound_six(worked):
     setup, v, _ = worked
     lattices = enumerate_p_type(setup, v, 6)
@@ -247,6 +258,33 @@ def test_is_p_type_form_matches_lattice_level(worked):
         is_p_type_form([[0, -1], [-1, 0]], (1, 1))
 
 
+def test_is_p_type_form_checks_v_at_entry():
+    gram = [[0, 1], [1, 0]]
+    for v_xy in [(1, 1, 0), (1,)]:
+        with pytest.raises(LatticeError) as err:
+            is_p_type_form(gram, v_xy)
+        assert (err.value.code, str(err.value)) == (
+            "dimension-mismatch",
+            f"vector of length {len(v_xy)} in a rank 2 lattice",
+        )
+    for v_xy in [(1.0, 1), ("1", 1), (True, 1)]:
+        with pytest.raises(LatticeError) as err:
+            is_p_type_form(gram, v_xy)
+        assert err.value.code == "invalid-matrix"
+
+
+def test_construct_checks_a_at_entry(worked):
+    # a is checked as v is, before any arithmetic or domain check runs.
+    setup, v, _ = worked
+    for a in [(1.0, 0, 0), "abc", (1, 0, True)]:
+        with pytest.raises(LatticeError) as err:
+            construct_p_type(setup, v, a)
+        assert err.value.code == "invalid-matrix"
+    with pytest.raises(LatticeError) as err:
+        construct_p_type(setup, v, (1, 0))
+    assert (err.value.code, str(err.value)) == ("dimension-mismatch", "c has length 0, NS rank is 1")
+
+
 def test_form_pair_is_restriction(worked):
     setup, v, lattice = worked
     census = lattice.isotropic_classes()
@@ -271,7 +309,7 @@ def spans(draw):
     v = setup.vector_from_coords(draw(entries.filter(lambda x: gcd(*x) == 1)))
     if draw(st.booleans()):
         c = draw(st.lists(st.integers(-3, 3), min_size=setup.rho, max_size=setup.rho))
-        w = lincomb((draw(st.integers(-3, 3)), setup.vector(1, c, IntegralLattice(setup.ns_gram).square(c) // 2)))
+        w = lincomb((draw(st.integers(-3, 3)), setup.vector(1, c, setup.ns.square(c) // 2)))
     else:
         w = setup.vector_from_coords(draw(entries))
     return setup, v, w
@@ -297,7 +335,7 @@ def test_census_classes_are_sign_fixed_and_sorted(drawn):
 def isotropic(draw, setup):
     """A primitive isotropic ``(r, c, s)``: ``s = c.Nc / 2r``, or ``r = 0`` and ``c.Nc = 0``."""
     c = draw(st.lists(st.integers(-3, 3), min_size=setup.rho, max_size=setup.rho))
-    form = IntegralLattice(setup.ns_gram).square(c)
+    form = setup.ns.square(c)
     r = draw(st.integers(-3, 3))
     if r:
         assume(form % (2 * r) == 0)

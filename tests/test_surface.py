@@ -96,6 +96,11 @@ REMOVED = [
     (mukailat, "Sublattice"),
     pytest.param(IntegralLattice(((2, 1), (1, 2))).span([(1, 0)]), "gram", id="Sublattice-gram"),
     pytest.param(IntegralLattice(((2, 1), (1, 2))).span([(1, 0)]), "contains", id="Sublattice-contains"),
+    # A setup keeps its checked NS lattice as ``ns``, so no lattice is built
+    # unchecked from a Gram tuple.
+    pytest.param(rank_one_setup(6), "ns_gram", id="MukaiSetup-ns_gram"),
+    (IntegralLattice, "_of"),
+    (MukaiSetup, "_of"),
 ]
 
 
