@@ -67,4 +67,4 @@ def test_golden_snf_transforms_are_certificates():
         assert mat_mul(mat_mul(result["u"], matrix), result["v"]) == tuple(map(tuple, result["d"]))
         assert determinant(result["u"]) in (1, -1) and determinant(result["v"]) in (1, -1)
         checked += 1
-    assert checked == 3
+    assert checked == 7
