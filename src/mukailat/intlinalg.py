@@ -8,6 +8,7 @@ tuples of tuples.
 
 from __future__ import annotations
 
+from math import isqrt
 from operator import mul
 from typing import NamedTuple
 
@@ -186,18 +187,27 @@ def hermite_basis(mat) -> IntMatrix:
     """Nonzero rows of the Hermite form: the canonical basis of the row span.
 
     Pivots are positive, entries above each pivot lie in ``[0, pivot)``, and
-    pivot columns increase down the rows.  Rows are inserted one at a time,
-    and every entry above a pivot is reduced again after each insertion, the
-    order of Kannan and Bachem, so entries stay near the size of the form.
+    pivot columns increase down the rows.  Rows are inserted one at a time;
+    the rows each one touched, all rows at a square rank and all rows at the
+    end are reduced again, so entries stay near the size of the form.
     """
     return _hermite(freeze_matrix(mat))
 
 
 def _hermite(rows) -> IntMatrix:
-    """``hermite_basis`` of rows already known to be integers of equal length."""
+    """``hermite_basis`` of rows already known to be integers of equal length.
+
+    Before each input row, ``_reduce`` passes over the rows the last one inserted or replaced
+    by a Bezout combination (all rows at a square rank); its pass over all rows at the end
+    gives the form of Kannan and Bachem's order, which passes over all rows after each row."""
     basis: list[list[int]] = []
     pivots: list[int] = []
+    touched = ()
     for row in rows:
+        # The last row has no later pivot: a pass over it alone does nothing.
+        if touched and touched[0] < len(basis) - 1:
+            _reduce(basis, pivots, touched)
+        touched = []
         x = list(row)
         n = len(x)
         lead = k = 0
@@ -213,6 +223,8 @@ def _hermite(rows) -> IntMatrix:
                     x = [-w for w in x]
                 basis.insert(k, x)
                 pivots.insert(k, lead)
+                m = len(basis)
+                touched = range(m) if isqrt(m) ** 2 == m else [*touched, k]
                 break
             b = basis[k]
             p, q = b[lead], x[lead]
@@ -220,17 +232,23 @@ def _hermite(rows) -> IntMatrix:
                 g, s, t = xgcd(p, q)
                 p, q = p // g, q // g
                 basis[k] = [s * w + t * y for w, y in zip(b, x)]
+                touched.append(k)
                 x = [p * y - q * w for w, y in zip(b, x)]
             else:
                 q //= p
                 x = [y - q * w for w, y in zip(b, x)]
             k += 1
-        for j, (c, b) in enumerate(zip(pivots, basis)):
-            for i in range(j):
-                q = basis[i][c] // b[c]
-                if q:
-                    basis[i] = [w - q * y for w, y in zip(basis[i], b)]
+    _reduce(basis, pivots, range(len(basis)))
     return tuple(tuple(row) for row in basis)
+
+
+def _reduce(basis, pivots, indices) -> None:
+    """Reduce the rows ``indices`` (ascending) of ``basis``, bottom-up, against every later pivot."""
+    for i in reversed(indices):
+        for j in range(i + 1, len(basis)):
+            q = basis[i][pivots[j]] // basis[j][pivots[j]]
+            if q:
+                basis[i] = [w - q * y for w, y in zip(basis[i], basis[j])]
 
 
 def saturation(rows) -> tuple[IntMatrix, int]:

@@ -15,7 +15,10 @@ The normal forms that ``hermite_basis`` and ``IntegralLattice.saturation`` used
 to run are here too: the row Hermite form with its unimodular transform,
 which reduces entries above a pivot only once the pivot's column is done,
 the inverse of a unimodular matrix through it, and the saturation through
-the Smith transform ``v`` and its inverse.  ``smith_by_sympy`` is the
+the Smith transform ``v`` and its inverse.  ``hermite_kannan_bachem`` is
+``_hermite`` as it ran before it re-reduced all its rows only at square
+ranks: after every inserted row it reduces every entry above every pivot
+again, the order of Kannan and Bachem (SIAM J. Comput. 8, 1979).  ``smith_by_sympy`` is the
 Smith form with transforms from sympy's ``smith_normal_decomp``: it shares
 no elimination with the library, whose Smith form goes through the Hermite
 form that ``integer_kernel`` and ``saturation`` use.
@@ -256,6 +259,47 @@ def hermite_with_transform(mat) -> tuple[IntMatrix, IntMatrix]:
         tuple(tuple(row) for row in a),
         tuple(tuple(row) for row in t),
     )
+
+
+def hermite_kannan_bachem(rows) -> IntMatrix:
+    """``_hermite`` in the order of Kannan and Bachem: after every inserted row,
+    every entry above every pivot is reduced again."""
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        x = list(row)
+        n = len(x)
+        lead = k = 0
+        while True:
+            while lead < n and not x[lead]:
+                lead += 1
+            if lead == n:
+                break
+            while k < len(pivots) and pivots[k] < lead:
+                k += 1
+            if k == len(pivots) or pivots[k] != lead:
+                if x[lead] < 0:
+                    x = [-w for w in x]
+                basis.insert(k, x)
+                pivots.insert(k, lead)
+                break
+            b = basis[k]
+            p, q = b[lead], x[lead]
+            if q % p:
+                g, s, t = xgcd(p, q)
+                p, q = p // g, q // g
+                basis[k] = [s * w + t * y for w, y in zip(b, x)]
+                x = [p * y - q * w for w, y in zip(b, x)]
+            else:
+                q //= p
+                x = [y - q * w for w, y in zip(b, x)]
+            k += 1
+        for j, (c, b) in enumerate(zip(pivots, basis)):
+            for i in range(j):
+                q = basis[i][c] // b[c]
+                if q:
+                    basis[i] = [w - q * y for w, y in zip(basis[i], b)]
+    return tuple(tuple(row) for row in basis)
 
 
 def invert_unimodular(mat) -> IntMatrix:

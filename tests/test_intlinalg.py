@@ -7,14 +7,24 @@ from hypothesis import strategies as st
 from mukailat import kummer_mukai_setup
 from mukailat.errors import LatticeError
 from mukailat.intlinalg import (
+    _hermite,
     hermite_basis,
+    identity,
     integer_kernel,
     signature,
     smith_diagonal,
     smith_normal_form,
     xgcd,
 )
-from oracles import determinant, hermite_with_transform, invert_unimodular, kernel_via_smith, mat_mul, solve_rational
+from oracles import (
+    determinant,
+    hermite_kannan_bachem,
+    hermite_with_transform,
+    invert_unimodular,
+    kernel_via_smith,
+    mat_mul,
+    solve_rational,
+)
 
 matrices = st.integers(1, 5).flatmap(
     lambda n: st.integers(1, 5).flatmap(
@@ -128,7 +138,7 @@ def test_hermite_certificate(mat):
     h, t = hermite_with_transform(mat)
     frozen = tuple(tuple(row) for row in mat)
     assert mat_mul(t, frozen) == h
-    assert hermite_basis(mat) == tuple(row for row in h if any(row))
+    assert hermite_basis(mat) == tuple(row for row in h if any(row)) == hermite_kannan_bachem(mat)
     assert determinant(t) in (1, -1)
     pivots = []
     for row in h:
@@ -145,6 +155,38 @@ def test_hermite_certificate(mat):
         j = next(i for i, x in enumerate(row) if x)
         for above in rows[:k]:
             assert 0 <= above[j] < row[j]
+
+
+def _hermite_cases():
+    """Seeded inputs on which the re-reduction schedule of ``_hermite`` matters."""
+    rng = random.Random(25)
+
+    def draw(m, n, bound=50):
+        return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+
+    for n in (*range(1, 13), 16, 24, 32, 48):
+        yield f"a-i-{n}", [[*row, *unit] for row, unit in zip(draw(n, n), identity(n))]
+    yield "rank-22", mat_mul(draw(24, 22), draw(22, 24))
+    yield "tall-40x12", draw(40, 12)
+    yield "wide-12x40", draw(12, 40)
+    rows = draw(10, 9)
+    yield "zero-and-repeated", [[0] * 9, rows[0], *rows[:5], [0] * 9, rows[3], *rows[5:], rows[9], [0] * 9]
+    yield "zero-only", [[0] * 5] * 3
+    yield "empty-rows", [[], []]
+    for i in range(12):
+        w, t = draw(2, 6, 5)
+        if i % 3 == 0:
+            t = [3 * x for x in w]
+        yield f"witness-pair-{i}", [[*w, 1, 0], [*t, 0, 1]]
+    yield "entries-1e12", draw(9, 11, 10**12)
+    yield "a-i-6-entries-1e12", [[*row, *unit] for row, unit in zip(draw(6, 6, 10**12), identity(6))]
+
+
+@pytest.mark.parametrize("rows", [pytest.param(rows, id=name) for name, rows in _hermite_cases()])
+def test_hermite_matches_kannan_bachem(rows):
+    # Re-reducing only the touched rows, and all rows at square ranks, ends
+    # at the same canonical form as re-reducing every row after every insertion.
+    assert _hermite(rows) == hermite_kannan_bachem(rows)
 
 
 @settings(max_examples=100)
