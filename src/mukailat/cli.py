@@ -314,7 +314,7 @@ SCHEMA = {
         "--bound": "default box radius for enumerations (10) when the payload has none",
         "--jobs": "accepted for compatibility; batches run sequentially, because the work holds the GIL",
     },
-    "exit_codes": {"0": "all responses ok", "1": "some response failed", "2": "unreadable input"},
+    "exit_codes": {"0": "all responses ok", "1": "some response failed", "2": "unreadable input, unwritable output or a closed output pipe"},
 }
 
 

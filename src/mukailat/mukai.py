@@ -144,7 +144,7 @@ def kummer_mukai_setup() -> MukaiSetup:
     return setup
 
 
-# typed: 2.0 == 2 must not find the lattice of 2, but fail as it always did.
+# typed: 2.0 == 2 and True == 1 must not find the lattice of 2 or 1, but fail.
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
 def kummer_bbf_lattice(n: int) -> IntegralLattice:
     """Beauville-Bogomolov form of a generalised Kummer 2n-fold: U^3 + <-(2n+2)>.
@@ -152,6 +152,8 @@ def kummer_bbf_lattice(n: int) -> IntegralLattice:
     Shared, like the setups: each ``n`` is built once per process while it
     stays among the ``MEMO_SIZE`` most recently used.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise LatticeError("invalid-matrix", "n must be an integer")
     if n < 1:
         raise LatticeError("invalid-matrix", "need n >= 1")
     gram = _u_cubed_block(7)

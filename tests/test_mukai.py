@@ -151,6 +151,16 @@ def test_kummer_bbf_lattice():
         kummer_bbf_lattice(0)
 
 
+@pytest.mark.parametrize("n", [True, 2.0, "2"])
+def test_kummer_bbf_lattice_rejects_a_non_integer_n(n):
+    # With the lattices of 1 and 2 memoised, True == 1 and 2.0 == 2 still fail.
+    assert kummer_bbf_lattice(1).gram[6][6] == -4
+    assert kummer_bbf_lattice(2).gram[6][6] == -6
+    with pytest.raises(LatticeError) as err:
+        kummer_bbf_lattice(n)
+    assert (err.value.code, str(err.value)) == ("invalid-matrix", "n must be an integer")
+
+
 def test_factories_share_their_results():
     assert rank_one_setup(6) is rank_one_setup(6)
     assert _setup(((6,),)) is rank_one_setup(6)
