@@ -8,7 +8,6 @@ tuples of tuples.
 
 from __future__ import annotations
 
-from math import isqrt
 from operator import mul
 from typing import NamedTuple
 
@@ -198,13 +197,13 @@ def _hermite(rows) -> IntMatrix:
     """``hermite_basis`` of rows already known to be integers of equal length.
 
     Before each input row, ``_reduce`` passes over the rows the last one inserted or replaced
-    by a Bezout combination (all rows at a square rank); its pass over all rows at the end
-    gives the form of Kannan and Bachem's order, which passes over all rows after each row."""
+    by a Bezout combination, or over all rows when their number reaches a square ``root ** 2``,
+    but not over the last row alone, which has no later pivot.  The pass over all rows at the
+    end gives the form of Kannan and Bachem's order, which passes over all rows after each row."""
     basis: list[list[int]] = []
     pivots: list[int] = []
-    touched = ()
+    touched, root = (), 1
     for row in rows:
-        # The last row has no later pivot: a pass over it alone does nothing.
         if touched and touched[0] < len(basis) - 1:
             _reduce(basis, pivots, touched)
         touched = []
@@ -223,8 +222,9 @@ def _hermite(rows) -> IntMatrix:
                     x = [-w for w in x]
                 basis.insert(k, x)
                 pivots.insert(k, lead)
-                m = len(basis)
-                touched = range(m) if isqrt(m) ** 2 == m else [*touched, k]
+                touched.append(k)
+                if len(basis) == root * root:
+                    touched, root = range(len(basis)), root + 1
                 break
             b = basis[k]
             p, q = b[lead], x[lead]
@@ -243,7 +243,7 @@ def _hermite(rows) -> IntMatrix:
 
 
 def _reduce(basis, pivots, indices) -> None:
-    """Reduce the rows ``indices`` (ascending) of ``basis``, bottom-up, against every later pivot."""
+    """Reduce rows ``indices`` (ascending) of ``basis``, bottom-up, against every later pivot."""
     for i in reversed(indices):
         for j in range(i + 1, len(basis)):
             q = basis[i][pivots[j]] // basis[j][pivots[j]]
