@@ -18,8 +18,9 @@ the inverse of a unimodular matrix through it, and the saturation through
 the Smith transform ``v`` and its inverse.  ``hermite_kannan_bachem`` is
 ``_hermite`` as it ran before it re-reduced all its rows only at square
 ranks: after every inserted row it reduces every entry above every pivot
-again, the order of Kannan and Bachem (SIAM J. Comput. 8, 1979).  ``smith_by_sympy`` is the
-Smith form with transforms from sympy's ``smith_normal_decomp``: it shares
+again, the order of Kannan and Bachem (SIAM J. Comput. 8, 1979).
+``smith_by_sympy`` is the Smith form with transforms from sympy's
+``smith_normal_decomp``: it shares
 no elimination with the library, whose Smith form goes through the Hermite
 form that ``integer_kernel`` and ``saturation`` use.
 
