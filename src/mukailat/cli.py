@@ -10,8 +10,9 @@ Integers may be given as JSON numbers or as decimal strings (an optional
 rational results are rendered as reduced strings ``"p/q"`` with positive
 ``q`` (plain ``"p"`` when integral).  A request that fails in an unexpected
 way gets an ``internal-error`` response.  Output is byte-stable for
-identical input.  Mukai setups are built once per process and shared
-between requests; an answer does not depend on the requests before it.
+identical input.  The ``MEMO_SIZE`` (128) most recently used Mukai setups
+are kept and shared between requests, the least recently used dropped
+first; an answer does not depend on the requests before it.
 Requests run one after another: ``--jobs`` is accepted for compatibility
 and ignored, because the work is pure Python and holds the interpreter lock.
 
@@ -362,7 +363,8 @@ def handle_line(line: str, bound: int) -> tuple[str, bool] | None:
 
 def _answer(text: str, bound: int) -> tuple[str, bool]:
     try:
-        # _read keeps a byte that is not UTF-8 as a lone surrogate, which json.loads accepts.
+        # main's surrogateescape reader keeps a byte that is not UTF-8 as a lone
+        # surrogate, which json.loads accepts.
         text.encode("utf-8")
         doc = json.loads(text)
     except UnicodeEncodeError as exc:

@@ -146,7 +146,8 @@ def smith_normal_form(mat) -> SNFResult:
     the alternating Hermite forms of ``_smith_core`` run on the small core
     alone.  The rows of ``h`` that vanish in ``mat``'s columns span the
     left kernel and come last.  So the transforms stay near the size of the
-    Hermite form; they are deterministic but not canonical.
+    Hermite form; they are deterministic but not canonical, save that the
+    rows of ``u`` past the rank are the Hermite basis of the left kernel.
     """
     rows = freeze_matrix(mat)
     m = len(rows)
@@ -302,20 +303,6 @@ def saturation(rows) -> tuple[IntMatrix, int]:
                 found = [x - pivot_row[s] * y for x, y in zip(found, w[s])]
         w.append([x // d for x in found])
     return _hermite(w), abs(index)
-
-
-def integer_kernel(mat) -> IntMatrix:
-    """Hermite basis of ``{x : mat @ x == 0}``; the span is saturated.
-
-    The rows of ``[mat^T | I]`` span the pairs ``(mat @ x, x)``.  In their
-    Hermite form, the rows that vanish in the first ``k = len(mat)`` columns
-    span the pairs with ``mat @ x == 0``, and with those ``k`` columns
-    dropped they already are the Hermite basis of the kernel.  ``mat`` is unchecked.
-    """
-    k = len(mat)
-    n = len(mat[0]) if mat else 0
-    stacked = [(*col, *unit) for col, unit in zip(zip(*mat), identity(n))]
-    return tuple(row[k:] for row in _hermite(stacked) if not any(row[:k]))
 
 
 def signature(gram) -> tuple[int, int, int]:

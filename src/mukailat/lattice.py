@@ -160,7 +160,10 @@ class IntegralLattice:
         self._smith_diagonal("orthogonal_complement")
         if not basis:
             return tuple(map(tuple, intlinalg.identity(self.rank)))
-        return intlinalg.integer_kernel(tuple(self.dual_pairings(b) for b in basis))
+        # On a nondegenerate lattice the pairings have full rank, so the rows
+        # of u past it are the Hermite basis of the kernel.
+        pairings = [self.dual_pairings(b) for b in basis]
+        return intlinalg.smith_normal_form(intlinalg.transpose(pairings)).u[len(basis) :]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegralLattice) and self.gram == other.gram

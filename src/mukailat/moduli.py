@@ -22,13 +22,13 @@ and positive-cone generators are not produced.
 from __future__ import annotations
 
 from math import gcd
-from operator import mul, sub
+from operator import mul
 from typing import NamedTuple
 
 from .errors import LatticeError
 from .intlinalg import IntMatrix
 from .mukai import MukaiSetup
-from .ptype import PointedSublattice, _check_bound
+from .ptype import PointedSublattice, _check_bound, _witness_pair
 
 # Codimension of the Albanese fibre inside the moduli space:
 # (v^2 + 2) - (v^2 - 2).  This caps the total ext^1 of a contracted
@@ -118,59 +118,26 @@ class LineClassVerdict(NamedTuple):
         return self.square_ok and self.torsion_ok and self.isotropic_witness_ok
 
 
-def _verdict(
-    v: tuple[int, ...],
-    a: tuple[int, ...],
-    asq: int,
-    pairing: int,
-    vsq: int,
-    disc_order: int,
-) -> tuple[bool, bool, bool, bool]:
-    """The three verdict checks on integers, and whether the sign-fixed
-    witness ``w`` spans a P-type lattice: every check passes and ``w`` and
-    ``v - w`` are primitive.
-
-    ``(R, R) = -v^2/4`` reads ``4 (v^2 a^2 - (a, v)^2) = -(v^2)^2``, which
-    is ``4 (N, N) = -(v^2)^3`` divided by ``v^2``, and ``2R`` is integral
-    exactly when the order of ``R`` divides 2.
-    """
-    square_ok = 4 * (vsq * asq - pairing * pairing) == -vsq * vsq
-    torsion_ok = disc_order <= 2
-    isotropic_witness_ok = asq == 0 and abs(pairing) == vsq // 2
-    spans = False
-    # On the even Mukai lattice, a^2 = 0 and |(a, v)| = v^2/2 give
-    # (R, R) = -v^2/4 and an integral 2R = 2a -+ v: the other two checks pass.
-    if isotropic_witness_ok:
-        # v - w is v - a for a positive pairing and v + a otherwise.
-        sign = 1 if pairing > 0 else -1
-        spans = gcd(*a) == 1 and gcd(*(x - sign * y for x, y in zip(v, a))) == 1
-    return square_ok, torsion_ok, isotropic_witness_ok, spans
-
-
 def classify_line_class(setup: MukaiSetup, v: tuple[int, ...], a: tuple[int, ...]) -> LineClassVerdict:
     """Run the full line-class criterion for ``R = theta_dual(a)``.
 
     Requires ``v`` primitive with ``v^2 >= 6`` (so ``n = v^2/2 - 1 >= 2``).
-    The lattice is spanned by the sign-fixed witness ``w`` and ``v - w``
-    with no further checks: ``_verdict`` has proved all that
-    ``construct_p_type`` would check.
+    ``(R, R) = -v^2/4`` reads ``4 v^2 (R, R) = -(v^2)^2`` in integers.  On
+    the even Mukai lattice an isotropic witness passes both other checks,
+    with ``2R = 2a -+ v``, so ``_witness_pair`` alone decides the lattice.
     """
     v, a = setup._check(v), setup._check(a)
     vsq = setup.kummer_dimension(v) + 2
     asq, pairing = setup.square(a), setup.pair(a, v)
     lc = _line_class(v, a, asq, pairing, vsq)
-    square_ok, torsion_ok, isotropic_witness_ok, spans = _verdict(v, a, asq, pairing, vsq, lc.disc_order)
-    lattice = None
-    if spans:
-        w = a if pairing > 0 else tuple(-x for x in a)
-        lattice = PointedSublattice._of_witness(setup, v, w, tuple(map(sub, v, w)), vsq // 2)
+    pair = _witness_pair(v, a, asq, pairing, vsq // 2)
     return LineClassVerdict(
         line_class=lc,
         n=vsq // 2 - 1,
-        square_ok=square_ok,
-        torsion_ok=torsion_ok,
-        isotropic_witness_ok=isotropic_witness_ok,
-        lattice=lattice,
+        square_ok=4 * lc.square_numerator == -vsq * vsq,
+        torsion_ok=lc.disc_order <= 2,
+        isotropic_witness_ok=asq == 0 and abs(pairing) == vsq // 2,
+        lattice=None if pair is None else PointedSublattice._of_witness(setup, v, *pair, vsq // 2),
     )
 
 
@@ -235,7 +202,7 @@ def mori_candidates(
                 asq = form - 2 * r * s
                 pairing = head_v + s * v_last
                 lc = _line_class(v, a, asq, pairing, vsq)
-                lagrangian = _verdict(v, a, asq, pairing, vsq, lc.disc_order)[3]
+                lagrangian = _witness_pair(v, a, asq, pairing, half) is not None
                 out.append(MoriCandidate(a=a, line_class=lc, lagrangian=lagrangian))
     return out
 

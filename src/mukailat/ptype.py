@@ -147,11 +147,6 @@ class PointedSublattice(NamedTuple):
         basis = setup.span([setup._check(w) for w in vectors])
         if len(basis) != 2:
             raise LatticeError("rank-mismatch", f"span has rank {len(basis)}, expected 2")
-        return cls._of(setup, v, basis)
-
-    @classmethod
-    def _of(cls, setup: MukaiSetup, v: tuple[int, ...], basis: IntMatrix) -> "PointedSublattice":
-        """The saturation of a rank-2 Hermite basis of ambient rows, pointed at ``v``."""
         # The pivot columns depend only on the rational span, so saturating
         # keeps them.
         if not _saturated(*basis):
@@ -181,7 +176,7 @@ class PointedSublattice(NamedTuple):
         (*b1, p, q), (*b2, r, s) = _hermite(((*w, 1, 0), (*t, 0, 1)))
         basis = (tuple(b1), tuple(b2))
         if not _saturated(*basis):
-            return cls._of(setup, v, basis)
+            return cls.span(setup, v, basis)
         e = p * s - q * r
         off = half * (p * s + q * r)
         return cls(setup, v, basis, ((2 * half * p * q, off), (off, 2 * half * r * s)), (e * (s - r), e * (p - q)))
@@ -226,6 +221,20 @@ class PointedSublattice(NamedTuple):
         return PTypeDecomposition(s=s, t=tuple(map(sub, self.v, s)))
 
 
+def _witness_pair(v, a, asq: int, pairing: int, half: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """``(w, v - w)`` for the sign-fixed ``w = +-a`` with ``(w, v) = half = v^2/2``,
+    when ``a^2 = asq = 0``, ``(a, v) = pairing = +-half`` and both are
+    primitive, else None.  They are independent (``v - w = k w`` would give
+    ``v^2 = 0``), so they span a P-type lattice."""
+    if asq or abs(pairing) != half:
+        return None
+    w = a if pairing > 0 else tuple(-x for x in a)
+    t = tuple(map(sub, v, w))
+    if gcd(*w) != 1 or gcd(*t) != 1:
+        return None
+    return w, t
+
+
 def construct_p_type(setup: MukaiSetup, v: tuple[int, ...], a: tuple[int, ...]) -> PointedSublattice:
     """Pointed sublattice spanned by a witness: the saturation of span{a, v - a}.
 
@@ -236,20 +245,18 @@ def construct_p_type(setup: MukaiSetup, v: tuple[int, ...], a: tuple[int, ...]) 
     pairing.  The result is always of P-type.
     """
     v, a = setup._check(v), setup._check(a)
-    vsq = setup.kummer_dimension(v) + 2
-    if setup.square(a) != 0:
-        raise LatticeError("not-isotropic", f"a^2 = {setup.square(a)} != 0")
+    half = (setup.kummer_dimension(v) + 2) // 2
+    asq, pairing = setup.square(a), setup.pair(a, v)
+    if asq:
+        raise LatticeError("not-isotropic", f"a^2 = {asq} != 0")
     if not setup.is_primitive(a):
         raise LatticeError("imprimitive", "a must be primitive")
-    pairing = setup.pair(a, v)
-    if pairing != vsq // 2:
-        raise LatticeError("pairing-mismatch", f"(a, v) = {pairing}, expected {vsq // 2}")
-    t = tuple(map(sub, v, a))
-    if not setup.is_primitive(t):
+    if pairing != half:
+        raise LatticeError("pairing-mismatch", f"(a, v) = {pairing}, expected {half}")
+    pair = _witness_pair(v, a, asq, pairing, half)
+    if pair is None:
         raise LatticeError("imprimitive", "v - a must be primitive")
-    # The checks above length-check both rows, and they are independent:
-    # v - a = k a would give v^2 = (k + 1)^2 a^2 = 0.
-    return PointedSublattice._of_witness(setup, v, a, t, vsq // 2)
+    return PointedSublattice._of_witness(setup, v, *pair, half)
 
 
 def _check_bound(bound) -> None:

@@ -22,13 +22,13 @@ again, the order of Kannan and Bachem (SIAM J. Comput. 8, 1979).
 ``smith_by_sympy`` is the Smith form with transforms from sympy's
 ``smith_normal_decomp``: it shares
 no elimination with the library, whose Smith form goes through the Hermite
-form that ``integer_kernel`` and ``saturation`` use.
+form that ``saturation`` uses.
 
 ``dense_pair`` is the bilinear form as the full double loop over the Gram
 matrix, zero entries included, that ``IntegralLattice.pair`` replaced.
 ``kernel_via_smith`` is the integer kernel read off the transform ``v`` of
-``smith_by_sympy``, which ``integer_kernel`` replaced with one Hermite
-form.
+``smith_by_sympy``; the library reads it off its own Smith transform ``u``
+of the transpose, whose rows past the rank are one Hermite form.
 
 ``signature_congruence`` is the symmetric congruence diagonalisation over
 ``Fraction``s that the integer ``signature`` replaced.
@@ -194,7 +194,7 @@ def smith_by_sympy(mat) -> SNFResult:
 
 
 def kernel_via_smith(mat) -> IntMatrix:
-    """``integer_kernel`` through the Smith form: the last columns of ``v`` past the rank."""
+    """The Hermite basis of ``{x : mat @ x == 0}`` through sympy's Smith form: the last columns of ``v`` past the rank."""
     snf = smith_by_sympy(mat)
     n = len(snf.v)
     rank = sum(1 for x in snf.diagonal if x)
@@ -411,7 +411,7 @@ def enumerate_p_type_pairs(setup: MukaiSetup, v: tuple[int, ...], bound: int) ->
                 # it from the smaller one when both lie in the box.
                 if t < a and max(map(abs, t)) <= bound:
                     continue
-                lattice = PointedSublattice._of(setup, v, _hermite((a, t)))
+                lattice = PointedSublattice.span(setup, v, [a, t])
                 found.setdefault(lattice.basis, lattice)
     return [found[key] for key in sorted(found)]
 

@@ -8,8 +8,11 @@ complement, so that most enumerations are not empty, and the strategies
 force the branches of the closed form: a witness with ``r = 0``, and a ``v`` with
 ``r_v = 0``, and for ``mori`` an ``h`` with ``r_h = 0``.  The ``lagrangian``
 candidates of ``mori`` are checked against the witnesses of the P-type
-lattices that ``enumerate_p_type`` finds, and the sparse pairing and the box
-of squares the searches scan against the dense double loop.  Saturation is
+lattices that ``enumerate_p_type`` finds, and against the lattices of
+``classify_line_class`` and ``construct_p_type`` on the ``[-1, 1]`` box,
+whose squares and orders the rational solve checks.  The sparse pairing
+and the box of squares the searches scan are checked against the dense
+double loop.  Saturation is
 checked against the route through the Smith transform, and discriminant
 groups against sympy's invariant factors.  The
 Smith form, which goes through alternating Hermite forms, is checked
@@ -21,6 +24,7 @@ signature or the Smith diagonal (``discriminant_group``,
 ``determinant`` of ``oracles.py``.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
@@ -52,6 +56,8 @@ from mukailat import (
     LatticeError,
     MukaiSetup,
     PointedSublattice,
+    classify_line_class,
+    construct_p_type,
     enumerate_p_type,
     kummer_bbf_lattice,
     kummer_mukai_setup,
@@ -235,6 +241,62 @@ def test_lagrangian_candidates_are_the_enumerated_witnesses(data):
             if max(map(abs, w)) <= bound and setup.pair(w, h) > 0:
                 witnesses.add(w)
     assert lagrangian == witnesses
+
+
+# kummer-mukai vectors with v^2 = 6 or 8 whose [-1, 1] box holds witnesses.
+KUMMER_VS = [(1, 1, 1, 1, 1, 0, 0, -1), (0, 1, 1, 1, 1, 1, 1, 0), (1, 0, 0, 0, 0, 0, 0, -3), (1, 0, 0, 0, 0, 0, 0, -4)]
+
+
+@lru_cache(maxsize=None)
+def _unit_box(setup, v) -> tuple:
+    """The nonzero points of ``[-1, 1]^rank``, those with ``a^2 = 0`` and
+    ``|(a, v)| = v^2/2``, and those ``h`` with ``(h, v) = 0`` and ``h^2 > 0``."""
+    box = [a for a in product(range(-1, 2), repeat=setup.rank) if any(a)]
+    half = setup.square(v) // 2
+    witnesses = [a for a in box if setup.square(a) == 0 and abs(setup.pair(a, v)) == half]
+    return box, witnesses, [h for h in box if setup.pair(h, v) == 0 and setup.square(h) > 0]
+
+
+@lru_cache(maxsize=None)
+def _mori_flags(setup, v, h) -> dict:
+    return {cand.a: cand.lagrangian for cand in mori_candidates(setup, v, h, 1)}
+
+
+@st.composite
+def witness_cases(draw):
+    """``(setup, v, h, a)`` on rho = 1, rho = 2 or kummer-mukai, with ``a`` in
+    the ``[-1, 1]`` box, half the time one with ``a^2 = 0`` and ``|(a, v)| = v^2/2``."""
+    rho = draw(st.sampled_from([1, 2, None]))
+    if rho is None:
+        setup, v = kummer_mukai_setup(), draw(st.sampled_from(KUMMER_VS))
+        h = draw(st.sampled_from(_unit_box(setup, v)[2]))
+    else:
+        setup, v, h = draw(pointed_with_h(rho))
+    box, witnesses, _ = _unit_box(setup, v)
+    return setup, v, h, draw(st.sampled_from(witnesses if witnesses and draw(st.booleans()) else box))
+
+
+# classify_line_class, construct_p_type and mori_candidates share one witness
+# test.  The examples are the doubled witness of a v with v^2 = 8, and a
+# witness whose complement (-3, 0, 0) is imprimitive.
+@slow(80)
+@given(witness_cases())
+@example((kummer_mukai_setup(), KUMMER_VS[3], (0, -1, -1, -1, -1, -1, -1, 0), (0, 2, 0, 0, 0, 0, 0, -4)))
+@example((_setup(((6,),)), (-3, 0, 1), (-3, -3, -1), (0, 0, 1)))
+def test_classify_construct_and_mori_agree_on_witnesses(case):
+    setup, v, h, a = case
+    verdict = classify_line_class(setup, v, a)
+    w = lincomb((1 if setup.pair(a, v) > 0 else -1, a))
+    built = _outcome(construct_p_type, setup, v, w)
+    assert isinstance(built, PointedSublattice) == (verdict.lattice is not None)
+    if verdict.lattice is not None:
+        assert built == verdict.lattice
+        assert set(verdict.lattice.decomposition()) == {w, lincomb((1, v), (-1, w))}
+    if max(map(abs, a)) <= 1 and setup.pair(a, h) > 0:
+        assert _mori_flags(setup, v, h).get(a, False) == (verdict.lattice is not None)
+    oracle = line_class_scan(setup, v, a)
+    assert verdict.square_ok == (Fraction(oracle.square_numerator, oracle.denominator) == Fraction(-setup.square(v), 4))
+    assert verdict.torsion_ok == (oracle.disc_order <= 2)
 
 
 @slow(60)

@@ -17,7 +17,6 @@ from mukailat import (
     ptype,
     rank_one_setup,
 )
-from mukailat.intlinalg import _hermite
 from oracles import coords, lincomb, saturated_span
 
 
@@ -442,7 +441,7 @@ def test_the_witness_span_matches_the_span_through_pairings(drawn):
     setup, v, a = drawn
     t = lincomb((1, v), (-1, a))
     span = PointedSublattice._of_witness(setup, v, a, t, setup.square(v) // 2)
-    assert span == PointedSublattice._of(setup, v, _hermite((a, t)))
+    assert span == PointedSublattice.span(setup, v, [a, t])
     assert span == saturated_span(setup, v, [a, t])
 
 

@@ -19,6 +19,7 @@ import mukailat
 from mukailat import (
     IntegralLattice,
     MukaiSetup,
+    PointedSublattice,
     SNFResult,
     classify_line_class,
     construct_p_type,
@@ -101,6 +102,12 @@ REMOVED = [
     pytest.param(rank_one_setup(6), "ns_gram", id="MukaiSetup-ns_gram"),
     (IntegralLattice, "_of"),
     (MukaiSetup, "_of"),
+    # span saturates and points a Hermite basis itself; the orthogonal
+    # complement reads the kernel off the Smith transform; one witness test
+    # in ptype replaced the verdict helper.
+    (PointedSublattice, "_of"),
+    (mukailat.intlinalg, "integer_kernel"),
+    (mukailat.moduli, "_verdict"),
 ]
 
 
