@@ -81,11 +81,9 @@ def _smith_core(a, u, vt):
     drops only zero columns of ``a``).  A pair ``d_i, d_j`` off the
     divisibility chain then becomes ``gcd, lcm`` by one 2 x 2 unimodular
     operation on each side.  Returns the diagonal and the new rows of ``u``
-    and ``vt``; with ``u`` and ``vt`` None, the diagonal alone.
+    and ``vt``; with empty rows for ``u`` and ``vt``, the diagonal alone.
     """
     k = len(a)
-    if u is None:
-        u, vt = [()] * k, [()] * (len(a[0]) if a else 0)
     # ``a`` is a row Hermite form already, so the column pass comes first.
     sides = [vt, u]
     side = 0
@@ -178,7 +176,7 @@ def smith_diagonal(mat) -> tuple[int, ...]:
     """``smith_normal_form(mat).diagonal`` of an unchecked ``mat``, from the Hermite form of ``mat`` alone."""
     n = len(mat[0]) if mat else 0
     units, _, core, rest = _split_units(_hermite(mat), n)
-    diag, _, _ = _smith_core([[row[j] for j in rest] for row in core], None, None)
+    diag, _, _ = _smith_core([[row[j] for j in rest] for row in core], [()] * len(core), [()] * len(rest))
     diag = (1,) * len(units) + tuple(diag)
     return diag + (0,) * (min(len(mat), n) - len(diag))
 

@@ -10,7 +10,7 @@ functions, so everything is safe to share across threads.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from math import gcd
+from math import gcd, prod
 from operator import mul
 from typing import Iterator, NamedTuple
 
@@ -58,13 +58,6 @@ class IntegralLattice:
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    def _smith_diagonal(self, op: str) -> tuple[int, ...]:
-        """The Smith diagonal of the Gram matrix; a 0 on it fails ``op`` as degenerate."""
-        diag = intlinalg.smith_diagonal(self.gram)
-        if 0 in diag:
-            raise LatticeError("degenerate-lattice", f"{op} requires a nondegenerate lattice")
-        return diag
 
     def _check_length(self, x) -> None:
         if len(x) != self.rank:
@@ -125,12 +118,10 @@ class IntegralLattice:
 
     def discriminant_group(self) -> DiscriminantGroup:
         """Elementary divisors of the Gram matrix, from ``smith_diagonal`` (no transforms)."""
-        diag = self._smith_diagonal("discriminant_group")
-        factors = tuple(d for d in diag if d > 1)
-        order = 1
-        for d in diag:
-            order *= d
-        return DiscriminantGroup(factors, order)
+        diag = intlinalg.smith_diagonal(self.gram)
+        if 0 in diag:
+            raise LatticeError("degenerate-lattice", "discriminant_group requires a nondegenerate lattice")
+        return DiscriminantGroup(tuple(d for d in diag if d > 1), prod(diag))
 
     def signature(self) -> tuple[int, int, int]:
         return intlinalg.signature(self.gram)
@@ -155,15 +146,15 @@ class IntegralLattice:
         return intlinalg.saturation(self.span(rows))
 
     def orthogonal_complement(self, rows) -> IntMatrix:
-        """The saturated Hermite basis of everything pairing to zero with ``span(rows)``."""
+        """The saturated Hermite basis of everything pairing to zero with ``span(rows)``.
+
+        It holds on any lattice, and on a degenerate one it contains the radical."""
         basis = self.span(rows)
-        self._smith_diagonal("orthogonal_complement")
         if not basis:
             return tuple(map(tuple, intlinalg.identity(self.rank)))
-        # On a nondegenerate lattice the pairings have full rank, so the rows
-        # of u past it are the Hermite basis of the kernel.
-        pairings = [self.dual_pairings(b) for b in basis]
-        return intlinalg.smith_normal_form(intlinalg.transpose(pairings)).u[len(basis) :]
+        # The rows of u past the rank of the pairings are the Hermite basis of their kernel.
+        snf = intlinalg.smith_normal_form(intlinalg.transpose([self.dual_pairings(b) for b in basis]))
+        return snf.u[sum(1 for d in snf.diagonal if d) :]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegralLattice) and self.gram == other.gram

@@ -62,7 +62,8 @@ class LineClass(NamedTuple):
 
 
 def v_perp(setup: MukaiSetup, v: tuple[int, ...]) -> IntMatrix:
-    """The Hermite basis of the saturated orthogonal complement of ``v`` in the Mukai lattice."""
+    """The Hermite basis of the saturated orthogonal complement of ``v`` in the Mukai lattice;
+    like ``orthogonal_complement``, it holds on any lattice and contains the radical of a degenerate one."""
     return setup.orthogonal_complement([v])
 
 

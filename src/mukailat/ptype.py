@@ -58,16 +58,8 @@ def _isotropic_lines(gram2: IntMatrix) -> tuple[tuple[int, int], ...]:
             lines.append(_reduce_line(-c, 2 * b))
     else:
         disc = b * b - a * c
-        if disc < 0:
-            lines = []
-        elif disc == 0:
-            lines = [_reduce_line(-b, a)]
-        else:
-            k = isqrt(disc)
-            if k * k != disc:
-                lines = []
-            else:
-                lines = [_reduce_line(-b + k, a), _reduce_line(-b - k, a)]
+        k = isqrt(disc) if disc >= 0 else -1
+        lines = [_reduce_line(-b + k, a), _reduce_line(-b - k, a)] if k * k == disc else []
     return tuple(sorted(set(lines)))
 
 

@@ -19,9 +19,10 @@ Smith form, which goes through alternating Hermite forms, is checked
 against sympy's decomposition and its diagonal.  The
 integer ``signature`` is checked against the ``Fraction`` congruence
 diagonalisation it replaced, and the nondegeneracy checks that read the
-signature or the Smith diagonal (``discriminant_group``,
-``orthogonal_complement`` and ``MukaiSetup``) against the Bareiss
-``determinant`` of ``oracles.py``.
+signature or the Smith diagonal (``discriminant_group`` and ``MukaiSetup``)
+against the Bareiss ``determinant`` of ``oracles.py``.  The orthogonal
+complement, on degenerate lattices too, is checked against the kernel of
+the pairings through sympy's Smith form.
 """
 
 from fractions import Fraction
@@ -39,6 +40,7 @@ from oracles import (
     determinant,
     enumerate_p_type_pairs,
     enumerate_p_type_scan,
+    kernel_via_smith,
     lincomb,
     line_class_scan,
     mori_candidates_scan,
@@ -64,7 +66,7 @@ from mukailat import (
     mori_candidates,
     theta_dual,
 )
-from mukailat.intlinalg import signature, smith_diagonal, smith_normal_form
+from mukailat.intlinalg import hermite_basis, signature, smith_diagonal, smith_normal_form
 
 BOX = 4
 
@@ -557,19 +559,42 @@ def test_signature_matches_the_congruence_diagonalisation(gram):
 @given(symmetric_matrices(6))
 def test_degenerate_exactly_when_the_determinant_vanishes(gram):
     singular = determinant(gram) == 0
-    lattice = IntegralLattice(gram)
-    unit = (1,) + (0,) * (lattice.rank - 1)
-    for op, run in [
-        ("discriminant_group", lattice.discriminant_group),
-        ("orthogonal_complement", lambda: lattice.orthogonal_complement([unit])),
-    ]:
-        degenerate = ("degenerate-lattice", f"{op} requires a nondegenerate lattice")
-        assert (_outcome(run) == degenerate) == singular
+    degenerate = ("degenerate-lattice", "discriminant_group requires a nondegenerate lattice")
+    assert (_outcome(IntegralLattice(gram).discriminant_group) == degenerate) == singular
     # Doubling keeps the matrix singular or not and makes its diagonal even.
     # The degeneracy check comes before the signature check.
     ns = [[2 * x for x in row] for row in gram]
     outcome = _outcome(lambda: MukaiSetup(ns))
     assert (outcome == ("degenerate-lattice", "Gram matrix has determinant 0")) == singular
+
+
+@st.composite
+def lattices_with_rows(draw):
+    """A Gram of ``symmetric_matrices(6)``, degenerate or not, and 0 to n independent rows in ``[-2, 2]``."""
+    gram = draw(symmetric_matrices(6))
+    n = len(gram)
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=n))
+    assume(len(hermite_basis(rows)) == len(rows))
+    return gram, rows
+
+
+@slow(200)
+@given(lattices_with_rows())
+@example(([[1, 1], [1, 1]], [(1, 0)]))
+@example(([[0, 0], [0, 0]], [(1, 0)]))
+def test_orthogonal_complement_on_any_lattice(case):
+    gram, rows = case
+    lattice = IntegralLattice(gram)
+    n = lattice.rank
+    perp = lattice.orthogonal_complement(rows)
+    span = lattice.span(rows)
+    pairings = [lattice.dual_pairings(b) for b in span]
+    if pairings:
+        assert perp == kernel_via_smith(pairings)
+    else:
+        assert perp == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert all(lattice.pair(b, x) == 0 for b in span for x in perp)
+    assert len(perp) == n - (Matrix(pairings).rank() if pairings else 0)
 
 
 def test_determinant_examples():
