@@ -37,7 +37,7 @@ from . import moduli, ptype
 from .errors import LatticeError
 from .intlinalg import identity, smith_normal_form
 from .lattice import IntegralLattice
-from .mukai import MukaiSetup, _setup, kummer_bbf_lattice, kummer_mukai_setup, rank_one_setup
+from .mukai import _setup, kummer_bbf_lattice, kummer_mukai_setup, rank_one_setup
 
 DEFAULT_BOUND = 10
 # A rejected string is echoed in its error message up to this many characters.
@@ -83,13 +83,18 @@ def _as_matrix(value, field):
     return tuple(_as_vector(row, field) for row in value)
 
 
-def _require(payload, field):
-    if field not in payload:
-        raise LatticeError("schema-error", f"missing field {field!r}")
-    return payload[field]
+def _lattice_from(payload, field) -> IntegralLattice:
+    """The lattice under ``field``, ``"ns"`` or ``"gram"``, else under ``setup``.
 
-
-def _parse_preset(name):
+    An ``ns`` Gram matrix goes through the shared setup memo, and an ``ns``
+    command takes no preset that is a bare lattice.
+    """
+    if field in payload:
+        gram = _as_matrix(payload[field], field)
+        return _setup(gram) if field == "ns" else IntegralLattice(gram)
+    if "setup" not in payload:
+        raise LatticeError("schema-error", f"need {field!r} (Gram matrix) or 'setup' (preset)")
+    name = payload["setup"]
     if not isinstance(name, str):
         raise LatticeError("schema-error", "setup: expected a preset string")
     head, _, arg = name.partition(":")
@@ -99,28 +104,12 @@ def _parse_preset(name):
         return kummer_mukai_setup()
     if head == "ns-rank1":
         return rank_one_setup(_as_int(arg, "setup parameter"))
-    if head == "kummer-bbf":
-        return kummer_bbf_lattice(_as_int(arg, "setup parameter"))
-    raise LatticeError("schema-error", f"setup: unknown preset {name!r}")
-
-
-def _setup_from(payload) -> MukaiSetup:
-    if "ns" in payload:
-        return _setup(_as_matrix(payload["ns"], "ns"))
-    if "setup" in payload:
-        value = _parse_preset(payload["setup"])
-        if not isinstance(value, MukaiSetup):
-            raise LatticeError("schema-error", "setup: this command needs a Mukai setup, not a bare lattice")
-        return value
-    raise LatticeError("schema-error", "need 'ns' (Gram matrix) or 'setup' (preset)")
-
-
-def _lattice_from(payload) -> IntegralLattice:
-    if "gram" in payload:
-        return IntegralLattice(_as_matrix(payload["gram"], "gram"))
-    if "setup" in payload:
-        return _parse_preset(payload["setup"])
-    raise LatticeError("schema-error", "need 'gram' (Gram matrix) or 'setup' (preset)")
+    if head != "kummer-bbf":
+        raise LatticeError("schema-error", f"setup: unknown preset {name!r}")
+    lattice = kummer_bbf_lattice(_as_int(arg, "setup parameter"))
+    if field == "ns":
+        raise LatticeError("schema-error", "setup: this command needs a Mukai setup, not a bare lattice")
+    return lattice
 
 
 def _arguments(fields, payload, bound) -> list:
@@ -137,16 +126,16 @@ def _arguments(fields, payload, bound) -> list:
         optional = name != field
         if optional and not any(key in payload for key in name.split("|")):
             args.append(bound if name == "bound" else None)
+        elif "|" in name:
+            args.append(_lattice_from(payload, name.partition("|")[0]))
+        elif name not in payload:
+            raise LatticeError("schema-error", f"missing field {name!r}")
         elif name == "bound":
             args.append(_as_int(payload["bound"], "bound"))
-        elif name == "ns|setup":
-            args.append(_setup_from(payload))
-        elif name == "gram|setup":
-            args.append(_lattice_from(payload))
         elif name in ("v", "a", "h", "x", "y"):
-            args.append(_as_vector(_require(payload, name), name))
+            args.append(_as_vector(payload[name], name))
         else:
-            args.append(_as_matrix(_require(payload, name), name))
+            args.append(_as_matrix(payload[name], name))
     return args
 
 
@@ -349,8 +338,26 @@ def handle_line(line: str, bound: int) -> tuple[str, bool] | None:
     text = line.strip(" \t\n\r")
     if not text:
         return None
+    command = None
     try:
-        return _answer(text, bound)
+        # main's surrogateescape reader keeps a byte that is not UTF-8 as a lone
+        # surrogate, which json.loads accepts.
+        text.encode("utf-8")
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            return _error(None, "schema-error", "request must be a JSON object"), False
+        command = doc.get("command")
+        spec = COMMANDS.get(command) if isinstance(command, str) else None
+        if spec is None:
+            return _error(command, "schema-error", f"unknown command {command!r}"), False
+        result = dict(zip(spec.result, spec.handler(*_arguments(spec.payload, doc, bound))))
+        return canonical_json({"command": command, "status": "ok", "result": result, "diagnostics": []}), True
+    except UnicodeEncodeError as exc:
+        return _error(None, "parse-error", f"invalid UTF-8 at column {exc.start + 1}"), False
+    except json.JSONDecodeError as exc:
+        return _error(None, "parse-error", f"invalid JSON: {exc.msg} at column {exc.colno}"), False
+    except LatticeError as exc:
+        return _error(command, exc.code, str(exc)), False
     except Exception as exc:
         # For instance a JSON number past Python's int-string digit limit,
         # a result too long to print, or nesting too deep to parse.  The
@@ -359,29 +366,6 @@ def handle_line(line: str, bound: int) -> tuple[str, bool] | None:
 
         traceback.print_exc(file=sys.stderr)
         return _error(None, "internal-error", f"{type(exc).__name__}: {exc}"), False
-
-
-def _answer(text: str, bound: int) -> tuple[str, bool]:
-    try:
-        # main's surrogateescape reader keeps a byte that is not UTF-8 as a lone
-        # surrogate, which json.loads accepts.
-        text.encode("utf-8")
-        doc = json.loads(text)
-    except UnicodeEncodeError as exc:
-        return _error(None, "parse-error", f"invalid UTF-8 at column {exc.start + 1}"), False
-    except json.JSONDecodeError as exc:
-        return _error(None, "parse-error", f"invalid JSON: {exc.msg} at column {exc.colno}"), False
-    if not isinstance(doc, dict):
-        return _error(None, "schema-error", "request must be a JSON object"), False
-    command = doc.get("command")
-    spec = COMMANDS.get(command) if isinstance(command, str) else None
-    if spec is None:
-        return _error(command, "schema-error", f"unknown command {command!r}"), False
-    try:
-        result = dict(zip(spec.result, spec.handler(*_arguments(spec.payload, doc, bound))))
-    except LatticeError as exc:
-        return _error(command, exc.code, str(exc)), False
-    return canonical_json({"command": command, "status": "ok", "result": result, "diagnostics": []}), True
 
 
 def run_batch(lines, bound: int, jobs: int, out) -> int:

@@ -239,40 +239,27 @@ class PartitionReport(NamedTuple):
     dim_identity_ok: bool | None
 
 
-def _report(setup: MukaiSetup, v: tuple[int, ...], parts: IntMatrix) -> PartitionReport:
-    vsq = setup.square(v)
-    squares = [setup.square(p) for p in parts]
-    m = len(parts)
-    jh_ok = sum(squares) + 2 * m <= vsq + 2
-    ext1_budget_ok = sum(sq + 2 for sq in squares) <= ALBANESE_FIBRE_CODIM
-    ext1_cross = None
-    dim_identity_ok = None
-    if m == 2:
-        ext1_cross = setup.pair(parts[0], parts[1])
-        dim_identity_ok = 2 * (ext1_cross - 1) == vsq - 2
-    return PartitionReport(
-        parts=parts,
-        m=m,
-        jh_ok=jh_ok,
-        ext1_budget_ok=ext1_budget_ok,
-        ext1_cross=ext1_cross,
-        dim_identity_ok=dim_identity_ok,
-    )
-
-
-def _check_parts(setup: MukaiSetup, v: tuple[int, ...], parts) -> IntMatrix:
+def jh_feasibility(setup: MukaiSetup, v: tuple[int, ...], parts) -> PartitionReport:
+    """Dimension feasibility of a Jordan-Holder partition of ``v``."""
     v = setup._check(v)
     parts = tuple(setup._check(p) for p in parts)
     if not parts:
         raise LatticeError("empty-partition", "a partition needs at least one part")
     if tuple(map(sum, zip(*parts))) != v:
         raise LatticeError("sum-mismatch", "parts do not sum to v")
-    return parts
-
-
-def jh_feasibility(setup: MukaiSetup, v: tuple[int, ...], parts) -> PartitionReport:
-    """Dimension feasibility of a Jordan-Holder partition of ``v``."""
-    return _report(setup, v, _check_parts(setup, v, parts))
+    vsq = setup.square(v)
+    m = len(parts)
+    # sum(a_i^2) + 2m, both the Jordan-Holder count and the ext^1 total.
+    total = sum(map(setup.square, parts)) + 2 * m
+    cross = setup.pair(*parts) if m == 2 else None
+    return PartitionReport(
+        parts=parts,
+        m=m,
+        jh_ok=total <= vsq + 2,
+        ext1_budget_ok=total <= ALBANESE_FIBRE_CODIM,
+        ext1_cross=cross,
+        dim_identity_ok=None if cross is None else 2 * (cross - 1) == vsq - 2,
+    )
 
 
 def contraction_budget(setup: MukaiSetup, v: tuple[int, ...], parts) -> PartitionReport:
@@ -281,8 +268,8 @@ def contraction_budget(setup: MukaiSetup, v: tuple[int, ...], parts) -> Partitio
     Each simple factor contributes ``a_i^2 + 2`` to the deformation count,
     which the Albanese-fibre codimension caps at 4.
     """
-    parts = _check_parts(setup, v, parts)
-    for p in parts:
+    report = jh_feasibility(setup, v, parts)
+    for p in report.parts:
         if not setup.is_primitive(p):
-            raise LatticeError("imprimitive", f"part {tuple(p)} is not primitive")
-    return _report(setup, v, parts)
+            raise LatticeError("imprimitive", f"part {p} is not primitive")
+    return report

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import mukailat
 from mukailat import MukaiSetup, kummer_bbf_lattice, rank_one_setup
-from mukailat.cli import DEFAULT_BOUND, _ratio, _setup_from, canonical_json, handle_line, main, run_batch
+from mukailat.cli import DEFAULT_BOUND, _lattice_from, _ratio, canonical_json, handle_line, main, run_batch
 from mukailat.mukai import _setup
 
 # ``python -m mukailat`` in a child process imports the package under test.
@@ -211,6 +211,10 @@ def test_hostile_requests_never_abort_the_batch():
         assert len(output) == 3
         docs = [json.loads(text) for text in output]
         assert docs[1]["status"] == "error" and docs[1]["code"] == code
+        # An internal error echoes no command, even one already read, like
+        # the pair whose 6000-digit result is too long to print.
+        if code == "internal-error":
+            assert docs[1]["command"] is None
         # No response echoes a long input back in full.
         assert len(output[1]) < 300
         assert docs[0]["result"] == docs[2]["result"] == {"value": 6}
@@ -381,8 +385,8 @@ def test_a_batch_builds_each_setup_once(monkeypatch):
 def test_ns_and_presets_share_one_setup():
     six = rank_one_setup(6)
     assert rank_one_setup(6) is six
-    assert _setup_from({"ns": [[6]]}) is six
-    assert _setup_from({"setup": "ns-rank1:6"}) is six
+    assert _lattice_from({"ns": [[6]]}, "ns") is six
+    assert _lattice_from({"setup": "ns-rank1:6"}, "ns") is six
 
 
 def test_only_line_breaks_split_requests(tmp_path):

@@ -315,6 +315,14 @@ def test_contraction_budget_worked_example(six):
     with pytest.raises(LatticeError) as err:
         contraction_budget(setup, v, [(2, 0, 0), (-2, 1, -3)])
     assert err.value.code == "imprimitive"
+    # The partition is checked before its parts: a sum that misses v, or no
+    # parts at all, wins over imprimitive parts.
+    with pytest.raises(LatticeError) as err:
+        contraction_budget(setup, v, [(2, 0, 0), (-2, 2, -6)])
+    assert err.value.code == "sum-mismatch"
+    with pytest.raises(LatticeError) as err:
+        contraction_budget(setup, v, [])
+    assert err.value.code == "empty-partition"
 
 
 def test_budget_equality_for_isotropic_pairs(six):

@@ -111,6 +111,14 @@ REMOVED = [
     # The complement holds on any lattice, so no per-call Smith diagonal
     # checks the Gram; discriminant_group reads the diagonal itself.
     (IntegralLattice, "_smith_diagonal"),
+    # One reader takes a Gram matrix or a preset and one ladder maps every
+    # failure in the CLI; jh_feasibility checks and reports a partition.
+    (mukailat.cli, "_setup_from"),
+    (mukailat.cli, "_parse_preset"),
+    (mukailat.cli, "_require"),
+    (mukailat.cli, "_answer"),
+    (mukailat.moduli, "_report"),
+    (mukailat.moduli, "_check_parts"),
 ]
 
 
