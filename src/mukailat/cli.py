@@ -44,10 +44,11 @@ DEFAULT_BOUND = 10
 ECHO_LIMIT = 40
 
 
-def _echo(text: str) -> str:
-    """``text`` as a message shows it: its repr, cut at ``ECHO_LIMIT`` characters."""
+def _echo(value) -> str:
+    """``value``'s repr, cut at ``ECHO_LIMIT`` characters of a string or of another value's repr."""
+    text = value if isinstance(value, str) else repr(value)
     if len(text) <= ECHO_LIMIT:
-        return repr(text)
+        return repr(value)
     return f"{text[:ECHO_LIMIT]!r}... ({len(text)} characters)"
 
 
@@ -97,15 +98,15 @@ def _lattice_from(payload, field) -> IntegralLattice:
     name = payload["setup"]
     if not isinstance(name, str):
         raise LatticeError("schema-error", "setup: expected a preset string")
-    head, _, arg = name.partition(":")
+    head, sep, arg = name.partition(":")
     if head == "kummer-mukai":
-        if arg:
+        if sep:
             raise LatticeError("schema-error", "setup: kummer-mukai takes no parameter")
         return kummer_mukai_setup()
     if head == "ns-rank1":
         return rank_one_setup(_as_int(arg, "setup parameter"))
     if head != "kummer-bbf":
-        raise LatticeError("schema-error", f"setup: unknown preset {name!r}")
+        raise LatticeError("schema-error", f"setup: unknown preset {_echo(name)}")
     lattice = kummer_bbf_lattice(_as_int(arg, "setup parameter"))
     if field == "ns":
         raise LatticeError("schema-error", "setup: this command needs a Mukai setup, not a bare lattice")
@@ -190,18 +191,22 @@ def _cmd_ptype_enumerate(setup, v, bound):
     return len(lattices), [{"basis": lat.basis, "gram2": lat.gram2} for lat in lattices]
 
 
+def _line_class(lc):
+    """A line class's ``r``, ``square`` and ``disc_order`` as printed."""
+    q = lc.denominator
+    return [_ratio(p, q) for p in lc.numerators], _ratio(lc.square_numerator, q), lc.disc_order
+
+
 def _cmd_line_class(setup, v, a):
     lc = moduli.theta_dual(setup, v, a)
-    q = lc.denominator
-    return [_ratio(p, q) for p in lc.numerators], _ratio(lc.square_numerator, q), lc.disc_order, lc.two_r
+    return (*_line_class(lc), lc.two_r)
 
 
 def _cmd_classify(setup, v, a):
     verdict = moduli.classify_line_class(setup, v, a)
     return (
         verdict.n,
-        _ratio(verdict.line_class.square_numerator, verdict.line_class.denominator),
-        verdict.line_class.disc_order,
+        *_line_class(verdict.line_class)[1:],
         verdict.square_ok,
         verdict.torsion_ok,
         verdict.isotropic_witness_ok,
@@ -212,28 +217,20 @@ def _cmd_classify(setup, v, a):
 
 def _cmd_mori(setup, v, h, bound):
     candidates = moduli.mori_candidates(setup, v, h, bound)
-    return len(candidates), [
-        {
-            "a": a,
-            "r": [_ratio(p, lc.denominator) for p in lc.numerators],
-            "square": _ratio(lc.square_numerator, lc.denominator),
-            "disc_order": lc.disc_order,
-            "lagrangian": lagrangian,
-        }
-        for a, lc, lagrangian in candidates
-    ]
+    rendered = []
+    for a, lc, lagrangian in candidates:
+        r, square, disc_order = _line_class(lc)
+        rendered.append({"a": a, "r": r, "square": square, "disc_order": disc_order, "lagrangian": lagrangian})
+    return len(candidates), rendered
 
 
-def _partition_result(report):
-    return report.m, report.jh_ok, report.ext1_budget_ok, report.ext1_cross, report.dim_identity_ok
-
-
+# A partition's result is its report without the parts it was given.
 def _cmd_jh_check(setup, v, parts):
-    return _partition_result(moduli.jh_feasibility(setup, v, parts))
+    return moduli.jh_feasibility(setup, v, parts)[1:]
 
 
 def _cmd_budget_check(setup, v, parts):
-    return _partition_result(moduli.contraction_budget(setup, v, parts))
+    return moduli.contraction_budget(setup, v, parts)[1:]
 
 
 class Command(NamedTuple):
@@ -245,7 +242,7 @@ class Command(NamedTuple):
 
 
 _PARTITION_PAYLOAD = ("ns|setup", "v", "parts")
-_PARTITION_RESULT = ("m", "jh_ok", "ext1_budget_ok", "ext1_cross", "dim_identity_ok")
+_PARTITION_RESULT = moduli.PartitionReport._fields[1:]
 
 COMMANDS = {
     "snf": Command(_cmd_snf, ("matrix",), ("d", "u", "v", "diagonal")),
@@ -349,7 +346,9 @@ def handle_line(line: str, bound: int) -> tuple[str, bool] | None:
         command = doc.get("command")
         spec = COMMANDS.get(command) if isinstance(command, str) else None
         if spec is None:
-            return _error(command, "schema-error", f"unknown command {command!r}"), False
+            # A command too long to echo is named, cut, in the message alone.
+            echoed = command if len(repr(command)) <= ECHO_LIMIT else None
+            return _error(echoed, "schema-error", f"unknown command {_echo(command)}"), False
         result = dict(zip(spec.result, spec.handler(*_arguments(spec.payload, doc, bound))))
         return canonical_json({"command": command, "status": "ok", "result": result, "diagnostics": []}), True
     except UnicodeEncodeError as exc:

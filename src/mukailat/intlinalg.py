@@ -253,13 +253,13 @@ def _reduce(basis, pivots, indices) -> None:
 def saturation(rows) -> tuple[IntMatrix, int]:
     """Hermite basis of ``Q-span(rows) & Z^n``, and the index of the row span in it.
 
-    ``rows`` (k x n, unchecked) must be linearly independent, and should be
-    a Hermite basis (``_hermite``), as every library caller passes: on other
-    rows the entries of the working rows can grow to hundreds of thousands
-    of bits.  One column-echelon pass brings them to ``rows @ V = [L | 0]``
-    with ``L`` lower triangular, so ``rows = L @ W[:k]`` for the unimodular
-    ``W = V^-1``: ``W[:k]`` is a basis of the saturation, and the index is
-    ``|det L|``.  Row ``t`` of ``W`` follows from rows ``< t`` by forward
+    ``rows`` (k x n, unchecked) must be linearly independent and should be
+    a Hermite basis: every library caller passes one from ``IntegralLattice.span``,
+    which checks the rows first.  On other rows the working entries can grow
+    to hundreds of thousands of bits.  One column-echelon pass brings them to
+    ``rows @ V = [L | 0]`` with ``L`` lower triangular, so ``rows = L @ W[:k]``
+    for the unimodular ``W = V^-1``: ``W[:k]`` is a basis of the saturation,
+    and the index is ``|det L|``.  Row ``t`` of ``W`` follows from rows ``< t`` by forward
     substitution, once the column operations ``col_s -= c * col_t`` (which
     add ``c * W[s]`` to ``W[t]`` and change only column ``s`` of ``L`` from
     row ``t`` down) have reduced ``L[t][s]`` modulo ``L[t][t]``.  So no other
@@ -288,8 +288,6 @@ def saturation(rows) -> tuple[IntMatrix, int]:
             for row in below:
                 row[t], row[j] = x * row[t] + y * row[j], p * row[j] - q * row[t]
         d = pivot_row[t]
-        if not d:
-            raise LatticeError("dependent-rows", "basis rows are linearly dependent")
         index *= d
         found = rows[t]
         for s in range(t):

@@ -150,11 +150,11 @@ class IntegralLattice:
 
         It holds on any lattice, and on a degenerate one it contains the radical."""
         basis = self.span(rows)
-        if not basis:
-            return tuple(map(tuple, intlinalg.identity(self.rank)))
-        # The rows of u past the rank of the pairings are the Hermite basis of their kernel.
-        snf = intlinalg.smith_normal_form(intlinalg.transpose([self.dual_pairings(b) for b in basis]))
-        return snf.u[sum(1 for d in snf.diagonal if d) :]
+        k = len(basis)
+        cols = [self.dual_pairings(b) for b in basis]
+        # Row i of P pairs e_i with the basis. The Hermite rows of [P | I] zero on P are [0 | ker P].
+        h = intlinalg._hermite([[c[i] for c in cols] + e for i, e in enumerate(intlinalg.identity(self.rank))])
+        return tuple(row[k:] for row in h if not any(row[:k]))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegralLattice) and self.gram == other.gram

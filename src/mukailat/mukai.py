@@ -25,8 +25,8 @@ from .errors import LatticeError
 from .intlinalg import IntMatrix, freeze_matrix, freeze_vector
 from .lattice import IntegralLattice
 
-# How many setups (one per NS Gram matrix), and how many Kummer BBF lattices,
-# a process keeps; the least recently used is dropped first.
+# How many setups (one per NS Gram matrix) a process keeps; the least
+# recently used is dropped first.
 MEMO_SIZE = 128
 
 
@@ -144,14 +144,8 @@ def kummer_mukai_setup() -> MukaiSetup:
     return setup
 
 
-# typed: 2.0 == 2 and True == 1 must not find the lattice of 2 or 1, but fail.
-@lru_cache(maxsize=MEMO_SIZE, typed=True)
 def kummer_bbf_lattice(n: int) -> IntegralLattice:
-    """Beauville-Bogomolov form of a generalised Kummer 2n-fold: U^3 + <-(2n+2)>.
-
-    Shared, like the setups: each ``n`` is built once per process while it
-    stays among the ``MEMO_SIZE`` most recently used.
-    """
+    """Beauville-Bogomolov form of a generalised Kummer 2n-fold: U^3 + <-(2n+2)>."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise LatticeError("invalid-matrix", "n must be an integer")
     if n < 1:

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mukailat
-from mukailat import MukaiSetup, kummer_bbf_lattice, rank_one_setup
+from mukailat import MukaiSetup, rank_one_setup
 from mukailat.cli import DEFAULT_BOUND, _lattice_from, _ratio, canonical_json, handle_line, main, run_batch
 from mukailat.mukai import _setup
 
@@ -44,6 +44,14 @@ def ok_result(line):
 def test_disc_preset():
     result = ok_result('{"command": "disc", "setup": "kummer-bbf:2"}')
     assert result == {"factors": [6], "order": 6}
+
+
+@pytest.mark.parametrize("preset", ["kummer-mukai:", "kummer-mukai:1"])
+def test_kummer_mukai_takes_no_parameter(preset):
+    # The separator is a parameter, even with nothing after it.
+    doc = response(json.dumps({"command": "disc", "setup": preset}))
+    assert (doc["code"], doc["diagnostics"]) == ("schema-error", ["setup: kummer-mukai takes no parameter"])
+    assert ok_result('{"command": "disc", "setup": "kummer-mukai"}') == {"factors": [], "order": 1}
 
 
 def test_disc_explicit_gram():
@@ -200,6 +208,10 @@ HOSTILE = [
     ("internal-error", json.dumps({"command": "pair", "gram": [[1]], "x": ["7" * 3000], "y": ["9" * 3000]})),
     # nesting too deep for the JSON parser
     ("internal-error", "[" * 100_000),
+    # an unknown command or preset too long to echo
+    ("schema-error", json.dumps({"command": "z" * 100_000})),
+    ("schema-error", json.dumps({"command": [1] * 50_000})),
+    ("schema-error", json.dumps({"command": "disc", "setup": "z" * 100_000})),
 ]
 
 
@@ -233,6 +245,21 @@ def test_hostile_requests_never_abort_the_batch():
     docs = [json.loads(text) for text in done.stdout.splitlines()]
     assert [doc["code"] for doc in docs[:-1]] == [code for code, _ in HOSTILE]
     assert docs[-1]["result"] == {"value": 6}
+
+
+def test_an_unknown_command_is_echoed_only_when_its_repr_is_short():
+    # The repr of "z" * 38 has ECHO_LIMIT = 40 characters.
+    doc = response(json.dumps({"command": "z" * 38}))
+    assert doc["command"] == "z" * 38 and doc["diagnostics"] == [f"unknown command {'z' * 38!r}"]
+    doc = response(json.dumps({"command": "z" * 39}))
+    assert doc["command"] is None and doc["diagnostics"] == [f"unknown command {'z' * 39!r}"]
+    # The repr of a list command is cut: [1] * 50 prints in 150 characters.
+    doc = response(json.dumps({"command": [1] * 50}))
+    assert doc["command"] is None
+    assert doc["diagnostics"] == [f"unknown command {repr([1] * 50)[:40]!r}... (150 characters)"]
+    doc = response(json.dumps({"command": "disc", "setup": "z" * 100_000}))
+    assert doc["command"] == "disc"
+    assert doc["diagnostics"] == [f"setup: unknown preset {'z' * 40!r}... (100000 characters)"]
 
 
 def test_batch_empty_input():
@@ -348,7 +375,6 @@ def test_answers_do_not_depend_on_earlier_requests():
     # backwards, on setups the forward pass built, gives the same answers.
     lines = [line for line in GOLDEN_REQUESTS.read_text(encoding="utf-8").splitlines() if line.strip()]
     _setup.cache_clear()
-    kummer_bbf_lattice.cache_clear()
     forward = [handle_line(line, DEFAULT_BOUND) for line in lines]
     backward = [handle_line(line, DEFAULT_BOUND) for line in reversed(lines)]
     assert backward[::-1] == forward

@@ -232,7 +232,8 @@ def _v_perp_row(v):
 @example(_v_perp_row((0, 0, 0, 0, 0, 0, 3, 1)))
 def test_integer_kernel(mat):
     # The rows of the left transform of mat^T past the rank are the Hermite
-    # basis of the kernel of mat, which orthogonal_complement reads off.
+    # basis of the kernel of mat: the tail of the Hermite form of [mat^T | I],
+    # which orthogonal_complement reads off.
     snf = smith_normal_form(transpose(mat))
     kernel = snf.u[sum(1 for x in snf.diagonal if x) :]
     assert kernel == kernel_via_smith(mat)

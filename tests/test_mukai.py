@@ -153,7 +153,7 @@ def test_kummer_bbf_lattice():
 
 @pytest.mark.parametrize("n", [True, 2.0, "2"])
 def test_kummer_bbf_lattice_rejects_a_non_integer_n(n):
-    # With the lattices of 1 and 2 memoised, True == 1 and 2.0 == 2 still fail.
+    # Though True == 1 and 2.0 == 2, neither builds the lattice of 1 or 2.
     assert kummer_bbf_lattice(1).gram[6][6] == -4
     assert kummer_bbf_lattice(2).gram[6][6] == -6
     with pytest.raises(LatticeError) as err:
@@ -164,9 +164,11 @@ def test_kummer_bbf_lattice_rejects_a_non_integer_n(n):
 def test_factories_share_their_results():
     assert rank_one_setup(6) is rank_one_setup(6)
     assert _setup(((6,),)) is rank_one_setup(6)
-    assert kummer_bbf_lattice(2) is kummer_bbf_lattice(2)
     assert kummer_mukai_setup() is kummer_mukai_setup()
-    # A number equal to a cached key but of another type still fails.
+    # A Kummer BBF lattice is built on each call, equal to the last one.
+    lattice = kummer_bbf_lattice(2)
+    assert kummer_bbf_lattice(2) == lattice and hash(kummer_bbf_lattice(2)) == hash(lattice)
+    # A number equal to a valid argument but of another type still fails.
     assert_invalid_matrix(lambda: rank_one_setup(6.0))
     assert_invalid_matrix(lambda: kummer_bbf_lattice(2.0))
 
@@ -174,9 +176,7 @@ def test_factories_share_their_results():
 def test_the_memos_are_bounded():
     for k in range(1, MEMO_SIZE + 11):
         rank_one_setup(2 * k)
-        kummer_bbf_lattice(k)
     assert _setup.cache_info().currsize <= MEMO_SIZE
-    assert kummer_bbf_lattice.cache_info().currsize <= MEMO_SIZE
 
 
 def test_setup_validation():

@@ -103,8 +103,8 @@ REMOVED = [
     (IntegralLattice, "_of"),
     (MukaiSetup, "_of"),
     # span saturates and points a Hermite basis itself; the orthogonal
-    # complement reads the kernel off the Smith transform; one witness test
-    # in ptype replaced the verdict helper.
+    # complement reads the kernel off one Hermite form; one witness test in
+    # ptype replaced the verdict helper.
     (PointedSublattice, "_of"),
     (mukailat.intlinalg, "integer_kernel"),
     (mukailat.moduli, "_verdict"),
@@ -119,6 +119,10 @@ REMOVED = [
     (mukailat.cli, "_answer"),
     (mukailat.moduli, "_report"),
     (mukailat.moduli, "_check_parts"),
+    # The CLI slices a partition report; a Kummer BBF lattice is built on
+    # each call, with no memo.
+    (mukailat.cli, "_partition_result"),
+    (mukailat.kummer_bbf_lattice, "cache_info"),
 ]
 
 
