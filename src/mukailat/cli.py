@@ -204,9 +204,11 @@ def _cmd_line_class(setup, v, a):
 
 def _cmd_classify(setup, v, a):
     verdict = moduli.classify_line_class(setup, v, a)
+    lc = verdict.line_class
     return (
         verdict.n,
-        *_line_class(verdict.line_class)[1:],
+        _ratio(lc.square_numerator, lc.denominator),
+        lc.disc_order,
         verdict.square_ok,
         verdict.torsion_ok,
         verdict.isotropic_witness_ok,

@@ -126,7 +126,7 @@ def rank_one_setup(degree: int) -> MukaiSetup:
     Shared: every call with one degree returns the same setup, and so does
     the CLI's ``"ns": [[degree]]``.
     """
-    if degree <= 0 or degree % 2:
+    if not isinstance(degree, int) or degree <= 0 or degree % 2:
         raise LatticeError("invalid-matrix", "polarisation degree must be a positive even integer")
     return _setup(freeze_matrix([[degree]]))
 

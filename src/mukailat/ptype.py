@@ -66,7 +66,7 @@ def _isotropic_lines(gram2: IntMatrix) -> tuple[tuple[int, int], ...]:
 def is_p_type_form(gram2, v_xy) -> bool:
     """P-type test at the level of a rank-2 Gram matrix and coordinates of v.
 
-    Requires ``v^2 > 0`` and primitive coordinates.  An empty isotropic
+    Requires primitive coordinates, then ``v^2 > 0``.  An empty isotropic
     census never qualifies (the minimum over the empty set is +infinity).
     """
     gram2, v_xy = _binary_gram(gram2), freeze_vector(v_xy)
@@ -82,13 +82,13 @@ def _witnesses(gram2: IntMatrix, v_xy: tuple[int, int]) -> list[tuple[tuple[int,
     integer pair ``v_xy``; the checks and errors are those of ``is_p_type_form``.
     """
     ((a, b), (_, c)), (x, y) = gram2, v_xy
+    if gcd(x, y) != 1:
+        raise LatticeError("imprimitive", "v must be primitive")
     # (line, v) is the dot product of line with gram2 . v.
     gx, gy = a * x + b * y, b * x + c * y
     vsq = x * gx + y * gy
     if vsq <= 0:
         raise LatticeError("nonpositive-square", f"v^2 = {vsq} <= 0")
-    if gcd(x, y) != 1:
-        raise LatticeError("imprimitive", "v is not primitive in the sublattice")
     pairings = [(line, line[0] * gx + line[1] * gy) for line in _isotropic_lines(gram2)]
     if any(2 * abs(p) < vsq for _, p in pairings):
         return []
@@ -123,10 +123,11 @@ class PointedSublattice(NamedTuple):
 
     ``basis`` is the canonical Hermite-form basis of the saturation,
     ``gram2`` the restricted Gram matrix and ``v_coords`` the (integer)
-    coordinates of ``v`` in that basis.
+    coordinates of ``v`` in that basis.  On a saturated basis, ``v`` is
+    primitive exactly when ``v_coords`` is, so the P-type test reads
+    ``gram2`` and ``v_coords`` alone.
     """
 
-    setup: MukaiSetup
     v: tuple[int, ...]
     basis: IntMatrix
     gram2: IntMatrix
@@ -154,7 +155,7 @@ class PointedSublattice(NamedTuple):
             raise LatticeError("not-pointed", "v does not lie in the sublattice")
         pair = setup.pair
         off = pair(b1, b2)
-        return cls(setup, v, basis, ((pair(b1, b1), off), (off, pair(b2, b2))), (x, y))
+        return cls(v, basis, ((pair(b1, b1), off), (off, pair(b2, b2))), (x, y))
 
     @classmethod
     def _of_witness(cls, setup: MukaiSetup, v: tuple[int, ...], w, t, half: int) -> "PointedSublattice":
@@ -171,7 +172,7 @@ class PointedSublattice(NamedTuple):
             return cls.span(setup, v, basis)
         e = p * s - q * r
         off = half * (p * s + q * r)
-        return cls(setup, v, basis, ((2 * half * p * q, off), (off, 2 * half * r * s)), (e * (s - r), e * (p - q)))
+        return cls(v, basis, ((2 * half * p * q, off), (off, 2 * half * r * s)), (e * (s - r), e * (p - q)))
 
     def member(self, xy) -> tuple[int, ...]:
         """The ambient vector with the given sublattice coordinates."""
@@ -189,14 +190,8 @@ class PointedSublattice(NamedTuple):
         # sign-fixed, sorted classes.
         return tuple(self.member(line) for line in _isotropic_lines(self.gram2))
 
-    def _witnesses(self) -> list[tuple[tuple[int, int], int]]:
-        """``_witnesses`` of ``gram2`` and ``v_coords``, once ``v`` is primitive."""
-        if not self.setup.is_primitive(self.v):
-            raise LatticeError("imprimitive", "v must be primitive")
-        return _witnesses(self.gram2, self.v_coords)
-
     def is_p_type(self) -> bool:
-        return bool(self._witnesses())
+        return bool(_witnesses(self.gram2, self.v_coords))
 
     def decomposition(self) -> PTypeDecomposition:
         """The canonical splitting ``v = s + t`` of a P-type lattice.
@@ -205,7 +200,7 @@ class PointedSublattice(NamedTuple):
         smallest in the (absolute value, sign) lexicographic order on
         coordinates; ``t = v - s``.
         """
-        witnesses = self._witnesses()
+        witnesses = _witnesses(self.gram2, self.v_coords)
         if not witnesses:
             raise LatticeError("not-p-type", "lattice is not of P-type")
         candidates = [self.member((x, y) if p > 0 else (-x, -y)) for (x, y), p in witnesses]
@@ -245,10 +240,10 @@ def construct_p_type(setup: MukaiSetup, v: tuple[int, ...], a: tuple[int, ...]) 
         raise LatticeError("imprimitive", "a must be primitive")
     if pairing != half:
         raise LatticeError("pairing-mismatch", f"(a, v) = {pairing}, expected {half}")
-    pair = _witness_pair(v, a, asq, pairing, half)
-    if pair is None:
+    t = tuple(map(sub, v, a))
+    if gcd(*t) != 1:
         raise LatticeError("imprimitive", "v - a must be primitive")
-    return PointedSublattice._of_witness(setup, v, *pair, half)
+    return PointedSublattice._of_witness(setup, v, a, t, half)
 
 
 def _check_bound(bound) -> None:

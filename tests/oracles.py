@@ -336,7 +336,7 @@ def saturated_span(setup: MukaiSetup, v: tuple[int, ...], vectors) -> PointedSub
     v_coords = coords(basis, v)
     if v_coords is None:
         raise LatticeError("not-pointed", "v does not lie in the sublattice")
-    return PointedSublattice(setup, v, basis, restricted_gram(setup, basis), v_coords)
+    return PointedSublattice(v, basis, restricted_gram(setup, basis), v_coords)
 
 
 def enumerate_p_type_scan(setup: MukaiSetup, v: tuple[int, ...], bound: int) -> list[PointedSublattice]:

@@ -111,6 +111,22 @@ def test_ptype_commands():
     assert result["count"] == 2
 
 
+@pytest.mark.parametrize("command", ["ptype-check", "ptype-decompose"])
+def test_ptype_commands_need_a_primitive_v(command):
+    line = '{"command": "%s", "ns": [[6]], "v": %s, "generators": %s}'
+    # v = 0, then imprimitive v with v^2 = 24 and v^2 = -8: primitivity is
+    # tested before the sign of v^2.
+    for v, generators in [
+        ([0, 0, 0], [[1, 0, 0], [0, 1, 0]]),
+        ([0, 2, -6], [[0, 2, -6], [1, 0, 0]]),
+        ([2, 0, 2], [[1, 0, 1], [0, 1, 0]]),
+    ]:
+        doc = response(line % (command, v, generators))
+        assert (doc["code"], doc["diagnostics"]) == ("imprimitive", ["v must be primitive"])
+    doc = response(line % (command, [1, 0, 1], [[1, 0, 1], [0, 1, 0]]))
+    assert (doc["code"], doc["diagnostics"]) == ("nonpositive-square", ["v^2 = -2 <= 0"])
+
+
 def test_ptype_enumerate_loops_over_c_only():
     # The (c, r) scan would visit about 4 * 10^10 pairs at bound 100000; the
     # loop over c alone visits 200001 points.

@@ -195,6 +195,9 @@ def test_setup_validation():
         rank_one_setup(5)
     with pytest.raises(LatticeError):
         rank_one_setup(-2)
+    # A degree that is not an int fails on entry, never with a TypeError.
+    for degree in ["6", *NON_INTEGERS]:
+        assert_invalid_matrix(lambda: rank_one_setup(degree))
     for ns in ([[0]], [[2, 2], [2, 2]]):
         with pytest.raises(LatticeError) as err:
             MukaiSetup(ns)

@@ -251,10 +251,13 @@ def test_is_p_type_form_matches_lattice_level(worked):
     # v^2 = 3 is odd, and the isotropic lines pair 1 and -3 with v: no class
     # pairs to v^2/2 = 3/2, although 1 equals v^2 // 2.
     assert not is_p_type_form([[0, 1], [1, 1]], (1, 1))
-    with pytest.raises(LatticeError):
+    # Primitivity is tested before the sign of v^2: (2, 0) has v^2 = 0.
+    with pytest.raises(LatticeError) as err:
         is_p_type_form([[0, 1], [1, 0]], (2, 0))
-    with pytest.raises(LatticeError):
+    assert (err.value.code, str(err.value)) == ("imprimitive", "v must be primitive")
+    with pytest.raises(LatticeError) as err:
         is_p_type_form([[0, -1], [-1, 0]], (1, 1))
+    assert (err.value.code, str(err.value)) == ("nonpositive-square", "v^2 = -2 <= 0")
 
 
 def test_is_p_type_form_checks_v_at_entry():
@@ -443,6 +446,46 @@ def test_the_witness_span_matches_the_span_through_pairings(drawn):
     span = PointedSublattice._of_witness(setup, v, a, t, setup.square(v) // 2)
     assert span == PointedSublattice.span(setup, v, [a, t])
     assert span == saturated_span(setup, v, [a, t])
+
+
+@st.composite
+def pointed(draw):
+    """``(setup, v, generators)``: ``m1 x, m2 y`` with ``v = p x + q y``, or ``m1 v, m2 y``.
+
+    Multipliers above 1 put the span at an index above 1 in its saturation,
+    and ``p, q`` or the entries of ``x, y`` with a common factor make ``v``
+    imprimitive.
+    """
+    setup = draw(st.sampled_from(SETUPS[1:]))
+    vector = st.lists(st.integers(-4, 4), min_size=setup.rank, max_size=setup.rank)
+    x, y = draw(vector), draw(vector)
+    assume(any(x[i] * y[j] != x[j] * y[i] for i in range(setup.rank) for j in range(i)))
+    p, q = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    m1, m2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        v = lincomb((p, x), (q, y))
+        generators = [lincomb((m1, x)), lincomb((m2, y))]
+    else:
+        v = lincomb((p, x))
+        generators = [lincomb((m1, v)), lincomb((m2, y))]
+    assume(any(v))
+    return setup, v, generators
+
+
+# Both constructors return saturated bases, on which v is primitive in the
+# ambient lattice exactly when its coordinates are coprime: the P-type test
+# reads only gram2 and v_coords.
+@settings(max_examples=200, suppress_health_check=[HealthCheck.filter_too_much])
+@given(pointed())
+@example((SETUPS[1], (0, 2, -6), [(0, 2, -6), (1, 0, 0)]))
+@example((SETUPS[1], (0, 1, -3), [(2, 0, 0), (0, 3, -9)]))
+@example((SETUPS[2], (2, 0, 2, 2), [(4, 0, 4, 4), (0, 1, 0, 0)]))
+@example((SETUPS[3], (1, 1, 1, 1, 1, 0, 0, -1), [(2, 2, 2, 2, 2, 0, 0, -2), (0, 1, 0, 0, 0, 0, 0, 0)]))
+def test_v_is_primitive_exactly_when_its_coordinates_are(drawn):
+    setup, v, generators = drawn
+    lattice = PointedSublattice.span(setup, v, generators)
+    assert lattice == saturated_span(setup, v, generators)
+    assert setup.is_primitive(lattice.v) == (gcd(*lattice.v_coords) == 1)
 
 
 def test_span_keeps_the_checked_v(worked):

@@ -123,6 +123,12 @@ REMOVED = [
     # each call, with no memo.
     (mukailat.cli, "_partition_result"),
     (mukailat.kummer_bbf_lattice, "cache_info"),
+    # A pointed sublattice is plain data: the P-type test reads its binary
+    # form and the coordinates of v, with no setup to test v again.
+    (PointedSublattice, "_witnesses"),
+    pytest.param(
+        construct_p_type(rank_one_setup(6), (0, 1, -3), (1, 0, 0)), "setup", id="PointedSublattice-setup"
+    ),
 ]
 
 
@@ -148,7 +154,7 @@ RECORD_FIELDS = {
     "SNFResult": ("u", "d", "v"),
     "DiscriminantGroup": ("invariant_factors", "order"),
     "PTypeDecomposition": ("s", "t"),
-    "PointedSublattice": ("setup", "v", "basis", "gram2", "v_coords"),
+    "PointedSublattice": ("v", "basis", "gram2", "v_coords"),
     "LineClass": ("numerators", "denominator", "square_numerator", "disc_order"),
     "LineClassVerdict": ("line_class", "n", "square_ok", "torsion_ok", "isotropic_witness_ok", "lattice"),
     "MoriCandidate": ("a", "line_class", "lagrangian"),
