@@ -9,7 +9,7 @@ function.
 """
 
 from .errors import LatticeError
-from .intlinalg import SNFResult, hermite_basis, smith_normal_form
+from .intlinalg import SNFResult, smith_normal_form
 from .lattice import DiscriminantGroup, IntegralLattice
 from .moduli import (
     ALBANESE_FIBRE_CODIM,
@@ -33,7 +33,6 @@ from .mukai import (
 from .ptype import (
     PointedSublattice,
     PTypeDecomposition,
-    construct_p_type,
     enumerate_p_type,
     is_p_type_form,
     isotropic_lines,
@@ -55,10 +54,8 @@ __all__ = [
     "PointedSublattice",
     "SNFResult",
     "classify_line_class",
-    "construct_p_type",
     "contraction_budget",
     "enumerate_p_type",
-    "hermite_basis",
     "is_p_type_form",
     "isotropic_lines",
     "jh_feasibility",

@@ -181,19 +181,15 @@ def smith_diagonal(mat) -> tuple[int, ...]:
     return diag + (0,) * (min(len(mat), n) - len(diag))
 
 
-def hermite_basis(mat) -> IntMatrix:
-    """Nonzero rows of the Hermite form: the canonical basis of the row span.
+def _hermite(rows) -> IntMatrix:
+    """Nonzero rows of the Hermite form of rows already known to be integers
+    of equal length: the canonical basis of the row span.
 
     Pivots are positive, entries above each pivot lie in ``[0, pivot)``, and
     pivot columns increase down the rows.  Rows are inserted one at a time;
     the rows each one touched, all rows at a square rank and all rows at the
     end are reduced again, so entries stay near the size of the form.
-    """
-    return _hermite(freeze_matrix(mat))
-
-
-def _hermite(rows) -> IntMatrix:
-    """``hermite_basis`` of rows already known to be integers of equal length.
+    ``IntegralLattice.span`` checks the rows and returns this basis.
 
     Before each input row, ``_reduce`` passes over the rows the last one inserted or replaced
     by a Bezout combination, or over all rows when their number reaches a square ``root ** 2``,

@@ -9,7 +9,7 @@ functions, so everything is safe to share across threads.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 from math import gcd, prod
 from operator import mul
 from typing import Iterator, NamedTuple
@@ -102,11 +102,9 @@ class IntegralLattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def is_primitive(self, x) -> bool:
-        """True iff the gcd of the coordinates is 1."""
+        """True iff the gcd of the coordinates is 1; the zero vector, of gcd 0, is not primitive."""
         self._check_length(x)
-        if not any(x):
-            raise LatticeError("zero-vector", "primitivity is undefined for the zero vector")
-        return reduce(gcd, x, 0) == 1
+        return gcd(*x) == 1
 
     def dual_pairings(self, x) -> tuple:
         """Pairings of ``x`` (integral or rational) against the basis vectors."""

@@ -8,8 +8,8 @@ Mukai-vector components verbatim.  A vector is the plain int tuple
 ``v[1:-1]`` is ``c`` and ``v[-1]`` is ``s``.  ``+`` and ``*`` on it are the
 tuple operations, so sums and multiples are written out componentwise.  A
 ``MukaiSetup`` is the ``IntegralLattice`` on these coordinates, so every
-lattice method takes a vector as it is; ``setup.vector(r, c, s)`` and
-``setup.vector_from_coords(coords)`` build checked vectors.  The pairing is
+lattice method takes a vector as it is, and every public function checks
+it once on entry.  The pairing is
 
     ((r, c, s), (r', c', s')) = c.c' - r*s' - s*r'
 
@@ -61,13 +61,6 @@ class MukaiSetup(IntegralLattice):
     @property
     def rho(self) -> int:
         return self.ns.rank
-
-    def vector(self, r: int, c, s: int) -> tuple[int, ...]:
-        """The checked vector ``(r, *c, s)``; the entries of ``c`` are checked first."""
-        return self._check((r, *freeze_vector(c), s))
-
-    def vector_from_coords(self, coords) -> tuple[int, ...]:
-        return self._check(coords)
 
     def _check(self, v) -> tuple[int, ...]:
         """``v`` as a tuple of ints, once it is known to have one ``c`` entry

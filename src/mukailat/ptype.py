@@ -222,30 +222,6 @@ def _witness_pair(v, a, asq: int, pairing: int, half: int) -> tuple[tuple[int, .
     return w, t
 
 
-def construct_p_type(setup: MukaiSetup, v: tuple[int, ...], a: tuple[int, ...]) -> PointedSublattice:
-    """Pointed sublattice spanned by a witness: the saturation of span{a, v - a}.
-
-    Requires ``v`` primitive with ``v^2 >= 6`` and ``a`` primitive isotropic
-    with ``(a, v) = v^2/2``; the complement ``v - a`` must be primitive as
-    well (automatic when the witness comes from a primitive extremal ray),
-    otherwise the saturation contains an isotropic class of strictly smaller
-    pairing.  The result is always of P-type.
-    """
-    v, a = setup._check(v), setup._check(a)
-    half = (setup.kummer_dimension(v) + 2) // 2
-    asq, pairing = setup.square(a), setup.pair(a, v)
-    if asq:
-        raise LatticeError("not-isotropic", f"a^2 = {asq} != 0")
-    if not setup.is_primitive(a):
-        raise LatticeError("imprimitive", "a must be primitive")
-    if pairing != half:
-        raise LatticeError("pairing-mismatch", f"(a, v) = {pairing}, expected {half}")
-    t = tuple(map(sub, v, a))
-    if gcd(*t) != 1:
-        raise LatticeError("imprimitive", "v - a must be primitive")
-    return PointedSublattice._of_witness(setup, v, a, t, half)
-
-
 def _check_bound(bound) -> None:
     """Fail unless the box radius ``bound`` of a scan is a nonnegative int."""
     if not isinstance(bound, int) or isinstance(bound, bool):

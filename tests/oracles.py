@@ -11,7 +11,12 @@ obviously right, which is what an oracle should be.
 solved for ``r``: it scans every ``(c, r)`` of the ``(2B+1)^(rho+1)`` box,
 solves only for ``s``, and spans each witness pair through its pairings.
 
-The normal forms that ``hermite_basis`` and ``IntegralLattice.saturation`` used
+``construct_p_type`` is the checked span of one witness that the library
+exported before ``classify_line_class(...).lattice`` became its one checked
+route to ``PointedSublattice._of_witness``; it raises ``not-isotropic`` and
+``pairing-mismatch``, codes no library function raises.
+
+The normal forms that ``_hermite`` and ``IntegralLattice.saturation`` used
 to run are here too: the row Hermite form with its unimodular transform,
 which reduces entries above a pivot only once the pivot's column is done,
 the inverse of a unimodular matrix through it, and the saturation through
@@ -45,7 +50,7 @@ from fractions import Fraction
 from numbers import Rational
 from itertools import product
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_decomp
@@ -64,7 +69,6 @@ from mukailat.intlinalg import (
     SNFResult,
     _hermite,
     freeze_matrix,
-    hermite_basis,
     identity,
     transpose,
     xgcd,
@@ -199,7 +203,7 @@ def kernel_via_smith(mat) -> IntMatrix:
     n = len(snf.v)
     rank = sum(1 for x in snf.diagonal if x)
     cols = [tuple(snf.v[i][j] for i in range(n)) for j in range(rank, n)]
-    return hermite_basis(cols)
+    return _hermite(cols)
 
 
 def dense_pair(gram, x, y):
@@ -337,6 +341,30 @@ def saturated_span(setup: MukaiSetup, v: tuple[int, ...], vectors) -> PointedSub
     if v_coords is None:
         raise LatticeError("not-pointed", "v does not lie in the sublattice")
     return PointedSublattice(v, basis, restricted_gram(setup, basis), v_coords)
+
+
+def construct_p_type(setup: MukaiSetup, v: tuple[int, ...], a: tuple[int, ...]) -> PointedSublattice:
+    """Pointed sublattice spanned by a witness: the saturation of span{a, v - a}.
+
+    Requires ``v`` primitive with ``v^2 >= 6`` and ``a`` primitive isotropic
+    with ``(a, v) = v^2/2``; the complement ``v - a`` must be primitive as
+    well (automatic when the witness comes from a primitive extremal ray),
+    otherwise the saturation contains an isotropic class of strictly smaller
+    pairing.  The result is always of P-type.
+    """
+    v, a = setup._check(v), setup._check(a)
+    half = (setup.kummer_dimension(v) + 2) // 2
+    asq, pairing = setup.square(a), setup.pair(a, v)
+    if asq:
+        raise LatticeError("not-isotropic", f"a^2 = {asq} != 0")
+    if not setup.is_primitive(a):
+        raise LatticeError("imprimitive", "a must be primitive")
+    if pairing != half:
+        raise LatticeError("pairing-mismatch", f"(a, v) = {pairing}, expected {half}")
+    t = tuple(map(sub, v, a))
+    if gcd(*t) != 1:
+        raise LatticeError("imprimitive", "v - a must be primitive")
+    return PointedSublattice._of_witness(setup, v, a, t, half)
 
 
 def enumerate_p_type_scan(setup: MukaiSetup, v: tuple[int, ...], bound: int) -> list[PointedSublattice]:

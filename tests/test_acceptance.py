@@ -22,7 +22,6 @@ import numpy as np
 import mukailat
 from mukailat import (
     classify_line_class,
-    construct_p_type,
     contraction_budget,
     enumerate_p_type,
     isotropic_lines,
@@ -52,20 +51,20 @@ def corollary_family():
     full = kummer_mukai_setup()
     for n in range(1, 21):
         setup = rank_one_setup(2 * (n + 1))
-        yield n, setup, setup.vector(0, [1], -(n + 1)), setup.vector(1, [0], 0)
+        yield n, setup, (0, 1, -(n + 1)), (1, 0, 0)
         for d in (1, 2, 3):
             small = rank_one_setup(2 * d)
-            yield n, small, small.vector(1, [1], d - n - 1), small.vector(1, [1], d)
-        v = full.vector_from_coords([1, 0, 0, 0, 0, 0, 0, -(n + 1)])
-        a = full.vector_from_coords([0, 1, 0, 0, 0, 0, 0, -(n + 1)])
+            yield n, small, (1, 1, d - n - 1), (1, 1, d)
+        v = (1, 0, 0, 0, 0, 0, 0, -(n + 1))
+        a = (0, 1, 0, 0, 0, 0, 0, -(n + 1))
         yield n, full, v, a
 
 
 def test_criterion_1_kummer_fourfold_constant():
     with reported(1, "Kummer fourfold constant"):
         setup = rank_one_setup(6)
-        v = setup.vector(0, [1], -3)
-        lc = theta_dual(setup, v, setup.vector(1, [0], 0))
+        v = (0, 1, -3)
+        lc = theta_dual(setup, v, (1, 0, 0))
         assert Fraction(lc.square_numerator, lc.denominator) == Fraction(-3, 2)
         assert lc.disc_order == 2
 
@@ -203,16 +202,16 @@ def test_criterion_5_dimension_identity_on_random_instances():
                 d = rng.randint(3, 40)
                 m = rng.randint(-30, 30)
                 setup = rank_one_setup(2 * d)
-                v = setup.vector(0, [1], d * (2 * m - 1))
-                a = setup.vector(1, [m], d * m * m)
+                v = (0, 1, d * (2 * m - 1))
+                a = (1, m, d * m * m)
             else:
                 # full U^4 lattice: v = (1, 0, .., -(n+1)), witness in the
                 # first hyperbolic NS block, complement (1, -e1, 0)
                 n = rng.randint(2, 40)
                 setup = full
-                v = setup.vector_from_coords([1, 0, 0, 0, 0, 0, 0, -(n + 1)])
-                a = setup.vector_from_coords([0, 1, 0, 0, 0, 0, 0, -(n + 1)])
-            lattice = construct_p_type(setup, v, a)
+                v = (1, 0, 0, 0, 0, 0, 0, -(n + 1))
+                a = (0, 1, 0, 0, 0, 0, 0, -(n + 1))
+            lattice = classify_line_class(setup, v, a).lattice
             dec = lattice.decomposition()
             assert lincomb((1, dec.s), (1, dec.t)) == v
             assert 2 * (setup.pair(dec.s, dec.t) - 1) == setup.square(v) - 2
@@ -221,12 +220,11 @@ def test_criterion_5_dimension_identity_on_random_instances():
 def test_criterion_6_budget_uniqueness():
     with reported(6, "only two-part isotropic partitions fit the ext^1 budget"):
         start = time.monotonic()
-        for degree, v_coords, expected in [
+        for degree, v, expected in [
             (6, (0, 1, -3), {(( -3, 2, -4), (3, -1, 1)), ((-1, 1, -3), (1, 0, 0))}),
             (8, (0, 1, -4), {((-1, 1, -4), (1, 0, 0))}),
         ]:
             setup = rank_one_setup(degree)
-            v = setup.vector_from_coords(v_coords)
             box = [c for c in product(range(-4, 5), repeat=3) if any(c)]
             # parts must be primitive with square >= 0 (an abelian surface
             # carries no rigid objects, so every factor class satisfies this)
@@ -234,22 +232,22 @@ def test_criterion_6_budget_uniqueness():
                 c
                 for c in box
                 if gcd(gcd(c[0], c[1]), c[2]) == 1
-                and setup.square(setup.vector_from_coords(c)) >= 0
+                and setup.square(c) >= 0
             ]
             index = set(eligible)
             passing = set()
-            if v_coords in index:
-                if contraction_budget(setup, v, [v_coords]).ext1_budget_ok:
-                    passing.add((v_coords,))
+            if v in index:
+                if contraction_budget(setup, v, [v]).ext1_budget_ok:
+                    passing.add((v,))
             for a in eligible:
-                b = tuple(va - xa for va, xa in zip(v_coords, a))
+                b = tuple(va - xa for va, xa in zip(v, a))
                 if b in index and a <= b:
                     if contraction_budget(setup, v, [a, b]).ext1_budget_ok:
                         passing.add((a, b))
             # sum(a_i^2 + 2) >= 2m > 4 for m >= 3 given square >= 0, and the
             # m = 3 layer is searched to confirm
             for a in eligible:
-                rest = tuple(va - xa for va, xa in zip(v_coords, a))
+                rest = tuple(va - xa for va, xa in zip(v, a))
                 for b in eligible:
                     c = tuple(ra - xb for ra, xb in zip(rest, b))
                     if c in index and a <= b <= c:
@@ -258,7 +256,7 @@ def test_criterion_6_budget_uniqueness():
             assert passing == expected
             for parts in passing:
                 assert len(parts) == 2
-                assert all(setup.square(setup.vector_from_coords(p)) == 0 for p in parts)
+                assert all(setup.square(p) == 0 for p in parts)
         assert time.monotonic() - start < 60.0
 
 
@@ -293,16 +291,15 @@ def _scan_for_h(setup, v, radius):
     for coords in product(range(-radius, radius + 1), repeat=setup.rank):
         if not any(coords):
             continue
-        h = setup.vector_from_coords(coords)
-        if setup.pair(h, v) == 0 and setup.square(h) > 0:
-            return h
+        if setup.pair(coords, v) == 0 and setup.square(coords) > 0:
+            return coords
     raise AssertionError("no valid h in the scan box")
 
 
 def test_criterion_8_cross_module_consistency():
     with reported(8, "mori lagrangian flags match the P-type enumeration"):
         setup = rank_one_setup(6)
-        v = setup.vector(0, [1], -3)
+        v = (0, 1, -3)
         h = _scan_for_h(setup, v, 3)
         assert setup.pair(h, v) == 0 and setup.square(h) > 0
         flagged = [c for c in mori_candidates(setup, v, h, 6) if c.lagrangian]

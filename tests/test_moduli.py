@@ -9,7 +9,6 @@ from mukailat import (
     LatticeError,
     PointedSublattice,
     classify_line_class,
-    construct_p_type,
     contraction_budget,
     enumerate_p_type,
     jh_feasibility,
@@ -20,7 +19,7 @@ from mukailat import (
     theta_dual,
     v_perp,
 )
-from oracles import lincomb, restricted_gram
+from oracles import construct_p_type, lincomb, restricted_gram
 
 
 def _coords(lc):
@@ -35,12 +34,12 @@ def _square(lc):
 @pytest.fixture
 def six():
     setup = rank_one_setup(6)
-    return setup, setup.vector(0, [1], -3)
+    return setup, (0, 1, -3)
 
 
 def test_theta_dual_worked_example(six):
     setup, v = six
-    lc = theta_dual(setup, v, setup.vector(1, [0], 0))
+    lc = theta_dual(setup, v, (1, 0, 0))
     assert _coords(lc) == (Fraction(1), Fraction(-1, 2), Fraction(3, 2))
     assert _square(lc) == Fraction(-3, 2)
     assert lc.disc_order == 2
@@ -50,7 +49,7 @@ def test_theta_dual_worked_example(six):
 
 def test_theta_dual_fixes_v_perp(six):
     setup, v = six
-    h = setup.vector(-2, [1], 0)
+    h = (-2, 1, 0)
     assert setup.pair(h, v) == 0
     lc = theta_dual(setup, v, h)
     assert _coords(lc) == tuple(Fraction(x) for x in h)
@@ -68,7 +67,7 @@ def test_theta_dual_kills_v(six):
 def test_theta_dual_requires_positive_square(six):
     setup, _ = six
     with pytest.raises(LatticeError) as err:
-        theta_dual(setup, setup.vector(1, [0], 0), setup.vector(0, [0], 1))
+        theta_dual(setup, (1, 0, 0), (0, 0, 1))
     assert err.value.code == "nonpositive-square"
 
 
@@ -77,26 +76,26 @@ def test_projection_is_idempotent_and_orthogonal(six):
     rng = random.Random(7)
     vsq = setup.square(v)
     for _ in range(200):
-        a = setup.vector_from_coords([rng.randint(-30, 30) for _ in range(3)])
+        a = tuple(rng.randint(-30, 30) for _ in range(3))
         coords = _coords(theta_dual(setup, v, a))
         assert setup.pair(coords, v) == 0
         # by linearity, projecting the integral v^2 R gives back v^2 R
-        again = theta_dual(setup, v, setup.vector_from_coords([int(vsq * x) for x in coords]))
+        again = theta_dual(setup, v, tuple(int(vsq * x) for x in coords))
         assert _coords(again) == tuple(vsq * x for x in coords)
 
 
 def test_line_class_square(six):
     setup, v = six
-    assert _square(theta_dual(setup, v, setup.vector(1, [0], 0))) == Fraction(-3, 2)
+    assert _square(theta_dual(setup, v, (1, 0, 0))) == Fraction(-3, 2)
     # isotropic witness with (a, v) = v^2/2 always lands on -v^2/4
-    assert _square(theta_dual(setup, v, setup.vector(-1, [1], -3))) == Fraction(-6, 4)
-    h = setup.vector(-2, [1], 0)
+    assert _square(theta_dual(setup, v, (-1, 1, -3))) == Fraction(-6, 4)
+    h = (-2, 1, 0)
     assert _square(theta_dual(setup, v, h)) == setup.square(h)
 
 
 def test_classify_worked_example(six):
     setup, v = six
-    verdict = classify_line_class(setup, v, setup.vector(1, [0], 0))
+    verdict = classify_line_class(setup, v, (1, 0, 0))
     assert verdict.n == 2
     assert verdict.square_ok and verdict.torsion_ok and verdict.isotropic_witness_ok
     assert verdict.all_ok
@@ -108,17 +107,17 @@ def test_classify_worked_example(six):
 def test_classify_failure_modes(six):
     setup, v = six
     # pairing 0 != 3: not an isotropic witness, projection square is 0
-    verdict = classify_line_class(setup, v, setup.vector(0, [0], 1))
+    verdict = classify_line_class(setup, v, (0, 0, 1))
     assert not verdict.isotropic_witness_ok
     assert not verdict.square_ok
     assert verdict.lattice is None
     # a^2 = 2 shifts the square off the target value
-    bump = setup.vector(-1, [0], 1)
+    bump = (-1, 0, 1)
     assert setup.square(bump) == 2
     verdict = classify_line_class(setup, v, bump)
     assert not verdict.square_ok
     # negative witness sign is fine: |(a, v)| is what counts
-    verdict = classify_line_class(setup, v, setup.vector(-1, [0], 0))
+    verdict = classify_line_class(setup, v, (-1, 0, 0))
     assert verdict.all_ok
     assert verdict.lattice is not None
 
@@ -127,8 +126,8 @@ def test_classify_imprimitive_witness_has_no_lattice():
     # v^2 = 8 on the full U^4 lattice; a doubled isotropic witness passes
     # every numeric check but spans no P-type lattice
     setup = kummer_mukai_setup()
-    v = setup.vector_from_coords([1, 0, 0, 0, 0, 0, 0, -4])
-    a = setup.vector_from_coords([0, 2, 0, 0, 0, 0, 0, -4])
+    v = (1, 0, 0, 0, 0, 0, 0, -4)
+    a = (0, 2, 0, 0, 0, 0, 0, -4)
     assert setup.square(v) == 8
     assert setup.square(a) == 0 and not setup.is_primitive(a)
     assert setup.pair(a, v) == 4
@@ -141,9 +140,9 @@ def test_classify_imprimitive_witness_has_no_lattice():
 def test_classify_preconditions(six):
     setup, v = six
     with pytest.raises(LatticeError):
-        classify_line_class(setup, lincomb((2, v)), setup.vector(1, [0], 0))
+        classify_line_class(setup, lincomb((2, v)), (1, 0, 0))
     with pytest.raises(LatticeError):
-        classify_line_class(setup, setup.vector(1, [0], 0), v)
+        classify_line_class(setup, (1, 0, 0), v)
 
 
 def test_v_perp(six):
@@ -165,8 +164,7 @@ def test_v_perp_is_the_kummer_bbf_lattice():
             (0, 1, n + 1, 0, 0, 0, 0, 0),
             (2, 1, n + 2, 0, 0, 1, 1, 1),
         ]
-        for coords in vectors:
-            v = setup.vector_from_coords(coords)
+        for v in vectors:
             assert setup.square(v) == 2 * n + 2 and setup.is_primitive(v)
             perp = v_perp(setup, v)
             lattice = IntegralLattice(restricted_gram(setup, perp))
@@ -178,13 +176,13 @@ def test_v_perp_is_the_kummer_bbf_lattice():
 
 def test_mori_bound_zero_is_empty(six):
     setup, v = six
-    assert mori_candidates(setup, v, setup.vector(-2, [1], 0), 0) == []
+    assert mori_candidates(setup, v, (-2, 1, 0), 0) == []
 
 
 @pytest.mark.parametrize("bound", [1.5, "3", True, None])
 def test_mori_takes_only_an_integer_bound(six, bound):
     setup, v = six
-    h = setup.vector(-2, [1], 0)
+    h = (-2, 1, 0)
     with pytest.raises(LatticeError) as err:
         mori_candidates(setup, v, h, bound)
     assert err.value.code == "invalid-matrix"
@@ -196,18 +194,18 @@ def test_mori_takes_only_an_integer_bound(six, bound):
 def test_mori_validates_h(six):
     setup, v = six
     with pytest.raises(LatticeError) as err:
-        mori_candidates(setup, v, setup.vector(1, [0], 0), 2)
+        mori_candidates(setup, v, (1, 0, 0), 2)
     assert err.value.code == "not-orthogonal"
     with pytest.raises(LatticeError) as err:
-        mori_candidates(setup, v, setup.vector(0, [1], 0), 2)
+        mori_candidates(setup, v, (0, 1, 0), 2)
     assert err.value.code == "not-orthogonal"
     # (0, 0, 1) is orthogonal to v but isotropic, so it fails the other gate
     with pytest.raises(LatticeError) as err:
-        mori_candidates(setup, v, setup.vector(0, [0], 1), 2)
+        mori_candidates(setup, v, (0, 0, 1), 2)
     assert err.value.code == "nonpositive-square"
-    isotropic_h = setup.vector(-2, [1], -1)
+    isotropic_h = (-2, 1, -1)
     # h = (-2, 1, -1) has square 2; (-2, 1, -2) pairs to 0 but squares to -2
-    bad = setup.vector(-2, [1], -2)
+    bad = (-2, 1, -2)
     assert setup.pair(bad, v) == 0 and setup.square(bad) < 0
     with pytest.raises(LatticeError) as err:
         mori_candidates(setup, v, bad, 2)
@@ -217,7 +215,7 @@ def test_mori_validates_h(six):
 
 def test_mori_filters(six):
     setup, v = six
-    h = setup.vector(-2, [1], -1)
+    h = (-2, 1, -1)
     candidates = mori_candidates(setup, v, h, 3)
     assert candidates
     half = setup.square(v) // 2
@@ -233,7 +231,7 @@ def test_mori_filters(six):
 
 def test_mori_lagrangian_flags_match_enumeration(six):
     setup, v = six
-    h = setup.vector(-2, [1], -1)
+    h = (-2, 1, -1)
     flagged = [c for c in mori_candidates(setup, v, h, 6) if c.lagrangian]
     assert len(flagged) == 4
     projections = {
@@ -259,7 +257,7 @@ def test_converse_square_forces_witness_pairing(six):
     for coords in product(range(-4, 5), repeat=3):
         if not any(coords):
             continue
-        a = setup.vector_from_coords(coords)
+        a = coords
         if setup.square(a) != 0:
             continue
         if _square(theta_dual(setup, v, a)) != target:
@@ -295,7 +293,7 @@ def test_jh_feasibility(six):
 
 def test_a_part_from_another_setup_is_a_dimension_mismatch(six):
     setup, v = six
-    foreign = kummer_mukai_setup().vector_from_coords([1] + [0] * 7)
+    foreign = (1,) + (0,) * 7
     for check in (jh_feasibility, contraction_budget):
         for parts in ([foreign, v], [v, foreign], [tuple(foreign), v]):
             with pytest.raises(LatticeError) as err:
@@ -338,7 +336,7 @@ def test_budget_equality_for_isotropic_pairs(six):
 def test_wall_sides_are_negatives(six):
     # the two sides of a P-type wall project s and t = v - s
     setup, v = six
-    dec = construct_p_type(setup, v, setup.vector(1, [0], 0)).decomposition()
+    dec = construct_p_type(setup, v, (1, 0, 0)).decomposition()
     plus = theta_dual(setup, v, dec.s)
     minus = theta_dual(setup, v, dec.t)
     assert _coords(plus) == (Fraction(1), Fraction(-1, 2), Fraction(3, 2))
@@ -362,7 +360,7 @@ def test_pipeline_on_picard_rank_two_setups():
             coords = [rng.randint(-3, 3) for _ in range(4)]
             if not any(coords):
                 continue
-            v = setup.vector_from_coords(coords)
+            v = tuple(coords)
             if not setup.is_primitive(v):
                 continue
             vsq = setup.square(v)
@@ -395,8 +393,8 @@ def test_wall_side_requires_p_type():
     from mukailat import PointedSublattice
 
     two = rank_one_setup(2)
-    w = two.vector(1, [0], -3)
-    lattice = PointedSublattice.span(two, w, [w, two.vector(1, [0], 0)])
+    w = (1, 0, -3)
+    lattice = PointedSublattice.span(two, w, [w, (1, 0, 0)])
     with pytest.raises(LatticeError) as err:
         lattice.decomposition()
     assert err.value.code == "not-p-type"
@@ -411,19 +409,18 @@ def test_wall_side_requires_p_type():
     ],
 )
 def test_public_functions_take_plain_coordinates(plain, make_setup, v, a):
-    # Plain tuples and lists give what the vectors of the setup give.
+    # Lists give what tuples give.
     setup = make_setup()
     minus_a, t = lincomb((-1, a)), lincomb((1, v), (-1, a))
-    checked_v, checked_a, checked_t = (setup.vector_from_coords(x) for x in (v, a, t))
-    built = construct_p_type(setup, checked_v, checked_a)
+    built = construct_p_type(setup, v, a)
     assert construct_p_type(setup, plain(v), plain(a)) == built
     verdict = classify_line_class(setup, plain(v), plain(minus_a))
-    assert verdict == classify_line_class(setup, checked_v, setup.vector_from_coords(minus_a))
+    assert verdict == classify_line_class(setup, v, minus_a)
     assert verdict.lattice == built
     spanned = PointedSublattice.span(setup, plain(v), [plain(v), plain(a)])
-    assert spanned.decomposition() == built.decomposition() == (checked_a, checked_t)
+    assert spanned.decomposition() == built.decomposition() == (a, t)
     report = jh_feasibility(setup, plain(v), [plain(a), plain(t)])
-    assert report == jh_feasibility(setup, checked_v, [checked_a, checked_t])
+    assert report == jh_feasibility(setup, v, [a, t])
     assert report.dim_identity_ok
 
 

@@ -10,7 +10,6 @@ from mukailat import (
     MukaiSetup,
     PointedSublattice,
     classify_line_class,
-    construct_p_type,
     contraction_budget,
     jh_feasibility,
     kummer_bbf_lattice,
@@ -21,6 +20,7 @@ from mukailat import (
     theta_dual,
 )
 from mukailat.mukai import MEMO_SIZE, _setup
+from oracles import construct_p_type
 
 # A bool, a float and a str where an integer belongs.
 NON_INTEGERS = [True, 1.0, "1"]
@@ -38,15 +38,15 @@ def six():
 
 
 def test_pair_worked_examples(six):
-    v = six.vector(0, [1], -3)
+    v = (0, 1, -3)
     assert six.square(v) == 6
-    s = six.vector(1, [0], 0)
+    s = (1, 0, 0)
     assert six.pair(s, v) == 3
 
 
 def test_pair_middle_part_is_ns_form():
     setup = MukaiSetup([[4, 1], [1, -2]])
-    c = setup.vector(0, [2, -1], 0)
+    c = (0, 2, -1, 0)
     # 4*2^2 + 2*1*2*(-1) + (-2)*(-1)^2
     assert setup.square(c) == 10
 
@@ -75,45 +75,41 @@ def test_pair_agrees_with_ambient_form(six):
     setups = [six, kummer_mukai_setup(), MukaiSetup([[2, 1], [1, -4]])]
     for setup in setups:
         for _ in range(1000 // len(setups)):
-            x = setup.vector_from_coords([rng.randint(-99, 99) for _ in range(setup.rank)])
-            y = setup.vector_from_coords([rng.randint(-99, 99) for _ in range(setup.rank)])
+            x = tuple(rng.randint(-99, 99) for _ in range(setup.rank))
+            y = tuple(rng.randint(-99, 99) for _ in range(setup.rank))
             assert setup.pair(x, y) == _mukai_form(setup, x, y)
             assert setup.pair(x, y) == setup.pair(y, x)
 
 
 @given(st.lists(st.integers(-1000, 1000), min_size=3, max_size=3))
 def test_ambient_is_even(coords):
-    setup = rank_one_setup(6)
-    v = setup.vector_from_coords(coords)
-    assert setup.square(v) % 2 == 0
+    assert rank_one_setup(6).square(coords) % 2 == 0
 
 
 def test_from_chern(six):
-    # the Todd class of an abelian surface is trivial, so ``vector`` takes
-    # the Chern data (rank, c1, ch2) verbatim; a line bundle with c1 = H,
+    # the Todd class of an abelian surface is trivial, so a vector is the
+    # Chern data (rank, c1, ch2) verbatim; a line bundle with c1 = H,
     # H^2 = 6 has ch2 = H^2/2 = 3 and is isotropic
-    line_bundle = six.vector(1, [1], 3)
-    assert line_bundle == (1, 1, 3)
-    assert six.square(line_bundle) == 0
+    assert six.square((1, 1, 3)) == 0
 
 
 def test_kummer_dimension(six):
-    v = six.vector(0, [1], -3)
+    v = (0, 1, -3)
     assert six.kummer_dimension(v) == 4
     assert six.kummer_dimension(v) // 2 == 2
     assert six.kummer_dimension(v) == six.square(v) - 2
     with pytest.raises(LatticeError) as err:
-        six.kummer_dimension(six.vector(0, [2], -6))
+        six.kummer_dimension((0, 2, -6))
     assert (err.value.code, str(err.value)) == ("imprimitive", "v must be primitive")
     with pytest.raises(LatticeError) as err:
-        six.kummer_dimension(six.vector(1, [0], 0))
+        six.kummer_dimension((1, 0, 0))
     assert (err.value.code, str(err.value)) == ("square-too-small", "v^2 = 0 < 6")
 
 
 @pytest.mark.parametrize("n", range(2, 21))
 def test_kummer_dimension_identity(n):
     setup = rank_one_setup(2 * (n + 1))
-    v = setup.vector(0, [1], -(n + 1))
+    v = (0, 1, -(n + 1))
     assert setup.square(v) == 2 * n + 2
     assert setup.kummer_dimension(v) == 2 * n
     assert setup.kummer_dimension(v) // 2 == n
@@ -122,7 +118,7 @@ def test_kummer_dimension_identity(n):
 def test_kummer_dimension_needs_square_at_least_six():
     # v^2 = 4 (n = 1) is below the fibre definition's threshold
     setup = rank_one_setup(4)
-    v = setup.vector(0, [1], -2)
+    v = (0, 1, -2)
     assert setup.square(v) == 4
     with pytest.raises(LatticeError) as err:
         setup.kummer_dimension(v)
@@ -213,24 +209,27 @@ def test_setup_validation():
 
 
 def test_vector_is_the_tuple_r_c_s(six):
-    # The tuple is flat: c is spliced between r and s.
-    v = six.vector(1, [0], 0)
-    assert v == (1, 0, 0) and type(v) is tuple
-    assert six.vector_from_coords(v) == v and six.vector_from_coords([1, 0, 0]) == v
-    w = MukaiSetup([[2, 1], [1, -4]]).vector(r=2, c=[3, -4], s=5)
-    assert w == (2, 3, -4, 5) and (w[0], w[1:-1], w[-1]) == (2, (3, -4), 5)
-    assert all(type(x) is int for x in w)
+    # The tuple is flat: c sits between r and s.  Every public function reads
+    # a list as the tuple it holds.
+    report = jh_feasibility(six, [0, 1, -3], [[1, 0, 0], (-1, 1, -3)])
+    assert report.parts == ((1, 0, 0), (-1, 1, -3)) and all(type(p) is tuple for p in report.parts)
+    assert PointedSublattice.span(six, [0, 1, -3], [[0, 1, -3], [1, 0, 0]]).v == (0, 1, -3)
+    w = (2, 3, -4, 5)
+    assert (w[0], w[1:-1], w[-1]) == (2, (3, -4), 5)
+    # (w, e_r) = -s and (w, e_s) = -r, so r and s are the ends.
+    setup = MukaiSetup([[2, 1], [1, -4]])
+    assert setup.pair(w, (1, 0, 0, 0)) == -5 and setup.pair(w, (0, 0, 0, 1)) == -2
 
 
 def test_vector_validation(six):
     with pytest.raises(LatticeError) as err:
-        six.vector(1, [0, 0], 0)
+        theta_dual(six, (0, 1, -3), (1, 0, 0, 0))
     assert err.value.code == "dimension-mismatch"
     # A vector of another setup is rejected at every entry, with one code.
     kummer = kummer_mukai_setup()
     for setup, v, foreign in [
-        (six, six.vector(0, [1], -3), kummer.vector_from_coords([1] + [0] * 7)),
-        (kummer, kummer.vector_from_coords([1] + [0] * 6 + [-3]), six.vector(1, [0], 0)),
+        (six, (0, 1, -3), (1,) + (0,) * 7),
+        (kummer, (1,) + (0,) * 6 + (-3,), (1, 0, 0)),
     ]:
         entries = [
             lambda: setup.pair(v, foreign),
@@ -241,7 +240,7 @@ def test_vector_validation(six):
             lambda: classify_line_class(setup, v, foreign),
             lambda: mori_candidates(setup, v, foreign, 1),
             lambda: PointedSublattice.span(setup, v, [v, foreign]),
-            lambda: PointedSublattice.span(setup, v, [v, tuple(foreign)]),
+            lambda: PointedSublattice.span(setup, v, [v, list(foreign)]),
             lambda: construct_p_type(setup, v, foreign),
             lambda: jh_feasibility(setup, v, [foreign, v]),
             lambda: contraction_budget(setup, v, [foreign, v]),
@@ -252,25 +251,25 @@ def test_vector_validation(six):
             assert err.value.code == "dimension-mismatch"
     for short in ([1], []):
         with pytest.raises(LatticeError) as err:
-            six.vector_from_coords(short)
+            theta_dual(six, short, (1, 0, 0))
         assert (err.value.code, str(err.value)) == ("dimension-mismatch", "need at least rank and degree-4 parts")
     for bad in NON_INTEGERS:
-        assert_invalid_matrix(lambda: six.vector(bad, (0,), 0))
-        assert_invalid_matrix(lambda: six.vector(0, (bad,), 0))
-        assert_invalid_matrix(lambda: six.vector(0, (0,), bad))
-        assert_invalid_matrix(lambda: six.vector_from_coords([0, bad, 0]))
-        assert_invalid_matrix(lambda: six.vector_from_coords([bad, 0, 0]))
+        assert_invalid_matrix(lambda: theta_dual(six, (bad, 0, 0), (1, 0, 0)))
+        assert_invalid_matrix(lambda: theta_dual(six, (0, bad, 0), (1, 0, 0)))
+        assert_invalid_matrix(lambda: theta_dual(six, (0, 0, bad), (1, 0, 0)))
+        assert_invalid_matrix(lambda: PointedSublattice.span(six, (0, 1, -3), [[0, bad, 0], (1, 0, 0)]))
+        assert_invalid_matrix(lambda: PointedSublattice.span(six, (0, 1, -3), [[bad, 0, 0], (1, 0, 0)]))
 
 
-def test_vector_reports_c_before_r_and_s(six):
-    # The entries of c are checked first, then r, then s, and all of them
-    # before the length of c.
-    for (r, c, s), bad in [
-        (("r", [1.5], None), 1.5),
-        (("r", [0], None), "r"),
-        ((0, [0], None), None),
-        (("r", [0, 0], 0), "r"),
+def test_vector_reports_its_first_non_integer_entry(six):
+    # The entries are checked in order, and all of them before the length.
+    for vector, bad in [
+        (("r", 1.5, None), "r"),
+        ((0, 1.5, None), 1.5),
+        (("r", 0, None), "r"),
+        ((0, 0, None), None),
+        (("r", 0, 0, 0), "r"),
     ]:
         with pytest.raises(LatticeError) as err:
-            six.vector(r, c, s)
+            theta_dual(six, vector, (1, 0, 0))
         assert (err.value.code, str(err.value)) == ("invalid-matrix", f"non-integer entry {bad!r}")

@@ -9,7 +9,8 @@ force the branches of the closed form: a witness with ``r = 0``, and a ``v`` wit
 ``r_v = 0``, and for ``mori`` an ``h`` with ``r_h = 0``.  The ``lagrangian``
 candidates of ``mori`` are checked against the witnesses of the P-type
 lattices that ``enumerate_p_type`` finds, and against the lattices of
-``classify_line_class`` and ``construct_p_type`` on the ``[-1, 1]`` box,
+``classify_line_class`` and of the checked witness span ``construct_p_type``
+of ``oracles.py`` on the ``[-1, 1]`` box,
 whose squares and orders the rational solve checks.  The sparse pairing
 and the box of squares the searches scan are checked against the dense
 double loop.  Saturation is
@@ -35,6 +36,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    construct_p_type,
     coords,
     dense_pair,
     determinant,
@@ -59,14 +61,13 @@ from mukailat import (
     MukaiSetup,
     PointedSublattice,
     classify_line_class,
-    construct_p_type,
     enumerate_p_type,
     kummer_bbf_lattice,
     kummer_mukai_setup,
     mori_candidates,
     theta_dual,
 )
-from mukailat.intlinalg import hermite_basis, signature, smith_diagonal, smith_normal_form
+from mukailat.intlinalg import _hermite, signature, smith_diagonal, smith_normal_form
 
 BOX = 4
 
@@ -124,7 +125,7 @@ def pointed(draw, rho, mode=None):
     ]
     assume(complements)
     t = draw(st.sampled_from(complements))
-    v = setup.vector_from_coords([x + y for x, y in zip(a, t)])
+    v = tuple(x + y for x, y in zip(a, t))
     return setup, v, a
 
 
@@ -141,7 +142,6 @@ def test_enumerate_matches_the_box_scan(case, bound):
 @pytest.mark.parametrize("v", [(1, 1, 1, 1, 1, 0, 0, -1), (0, 1, 1, 1, 1, 1, 1, 0)])
 def test_enumerate_matches_the_box_scan_on_kummer_mukai(v):
     setup = kummer_mukai_setup()
-    v = setup.vector_from_coords(v)
     assert setup.square(v) == 6
     found = enumerate_p_type(setup, v, 1)
     assert found
@@ -168,7 +168,6 @@ def test_enumerate_matches_the_pair_scan(rho, max_bound, mode, data):
 @pytest.mark.parametrize("bound, count", [(1, 4), (2, 8), (3, 11), (5, 21)])
 def test_enumerate_keeps_every_in_box_root_of_a_vanishing_equation(v, bound, count):
     setup = _setup(((0, 1), (1, 0)))
-    v = setup.vector_from_coords(v)
     found = enumerate_p_type(setup, v, bound)
     assert len(found) == count
     assert found == enumerate_p_type_pairs(setup, v, bound)
@@ -180,7 +179,6 @@ def test_enumerate_keeps_every_in_box_root_of_a_vanishing_equation(v, bound, cou
 )
 def test_enumerate_matches_the_pair_scan_at_bound_400(degree, v, count):
     setup = _setup(((degree,),))
-    v = setup.vector_from_coords(v)
     found = enumerate_p_type(setup, v, 400)
     assert len(found) == count
     assert found == enumerate_p_type_pairs(setup, v, 400)
@@ -201,7 +199,7 @@ def pointed_with_h(draw, rho):
         and (mode != "h r = 0" or h[0] == 0)
     ]
     assume(positive)
-    return setup, v, setup.vector_from_coords(draw(st.sampled_from(positive)))
+    return setup, v, draw(st.sampled_from(positive))
 
 
 @slow(40)
@@ -217,13 +215,12 @@ def test_mori_matches_the_box_scan(data):
 def test_mori_matches_the_box_scan_on_kummer_mukai():
     # rho = 6: the heads come from the box of squares of the rank-6 NS block.
     setup = kummer_mukai_setup()
-    v = setup.vector_from_coords((1, 1, 1, 1, 1, 0, 0, -1))
+    v = (1, 1, 1, 1, 1, 0, 0, -1)
     h = next(
         h
         for h in product(range(-1, 2), repeat=setup.rank)
         if setup.pair(h, v) == 0 and setup.square(h) > 0
     )
-    h = setup.vector_from_coords(h)
     found = mori_candidates(setup, v, h, 1)
     assert any(cand.lagrangian for cand in found)
     assert found == mori_candidates_scan(setup, v, h, 1)
@@ -278,8 +275,8 @@ def witness_cases(draw):
     return setup, v, h, draw(st.sampled_from(witnesses if witnesses and draw(st.booleans()) else box))
 
 
-# classify_line_class, construct_p_type and mori_candidates share one witness
-# test.  The examples are the doubled witness of a v with v^2 = 8, and a
+# classify_line_class, the oracle construct_p_type and mori_candidates share
+# one witness test.  The examples are the doubled witness of a v with v^2 = 8, and a
 # witness whose complement (-3, 0, 0) is imprimitive.
 @slow(80)
 @given(witness_cases())
@@ -307,10 +304,10 @@ def test_theta_dual_matches_the_rational_solve(data):
     kummer = data.draw(st.booleans())
     if kummer:
         setup = kummer_mukai_setup()
-        v = setup.vector_from_coords((1, 1, 1, 1, 1, 0, 0, -1))
+        v = (1, 1, 1, 1, 1, 0, 0, -1)
     else:
         setup, v, _ = data.draw(pointed(data.draw(st.sampled_from([1, 2]))))
-    a = setup.vector_from_coords(data.draw(st.lists(st.integers(-9, 9), min_size=setup.rank, max_size=setup.rank)))
+    a = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=setup.rank, max_size=setup.rank)))
     lc = theta_dual(setup, v, a)
     assert lc == line_class_scan(setup, v, a)
     assert (lc.two_r is not None) == (lc.disc_order <= 2)
@@ -349,7 +346,6 @@ def test_span_matches_the_generic_saturation(data):
         generators = generators[:1]
     elif shape == "v off the span":
         v = data.draw(vector)
-    v = setup.vector_from_coords(v)
     got = _outcome(PointedSublattice.span, setup, v, generators)
     assert got == _outcome(saturated_span, setup, v, generators)
     if isinstance(got, PointedSublattice):
@@ -361,15 +357,15 @@ def test_span_matches_the_generic_saturation(data):
 
 def test_span_error_codes():
     setup = _setup(((6,),))
-    v = setup.vector(0, [1], -3)
-    a = setup.vector(1, [0], 0)
+    v = (0, 1, -3)
+    a = (1, 0, 0)
     doubled = PointedSublattice.span(setup, v, [lincomb((2, a)), v])
     assert doubled == saturated_span(setup, v, [a, v])
     assert setup.saturation([(2, 0, 0), v])[1] == 2
     cases = {
         "rank-mismatch": [a],
         "dependent-rows": [a, v, lincomb((1, a), (1, v))],
-        "not-pointed": [a, setup.vector(0, [0], 1)],
+        "not-pointed": [a, (0, 0, 1)],
     }
     for code, generators in cases.items():
         with pytest.raises(LatticeError) as err:
@@ -574,7 +570,7 @@ def lattices_with_rows(draw):
     gram = draw(symmetric_matrices(6))
     n = len(gram)
     rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=n))
-    assume(len(hermite_basis(rows)) == len(rows))
+    assume(len(_hermite(rows)) == len(rows))
     return gram, rows
 
 

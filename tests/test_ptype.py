@@ -9,7 +9,6 @@ from mukailat import (
     LatticeError,
     MukaiSetup,
     PointedSublattice,
-    construct_p_type,
     enumerate_p_type,
     is_p_type_form,
     isotropic_lines,
@@ -17,7 +16,7 @@ from mukailat import (
     ptype,
     rank_one_setup,
 )
-from oracles import coords, lincomb, saturated_span
+from oracles import construct_p_type, coords, lincomb, saturated_span
 
 
 def brute_lines(a, b, c, box=60):
@@ -63,8 +62,8 @@ def test_isotropic_lines_against_brute_force(a, b, c):
 @pytest.fixture
 def worked():
     setup = rank_one_setup(6)
-    v = setup.vector(0, [1], -3)
-    lattice = PointedSublattice.span(setup, v, [v, setup.vector(1, [0], 0)])
+    v = (0, 1, -3)
+    lattice = PointedSublattice.span(setup, v, [v, (1, 0, 0)])
     return setup, v, lattice
 
 
@@ -74,13 +73,13 @@ def test_span_normalizes_to_hermite_basis(worked):
     assert lattice.gram2 == ((0, 3), (3, 6))
     assert lattice.v_coords == (0, 1)
     # generator order does not matter
-    again = PointedSublattice.span(setup, v, [setup.vector(1, [0], 0), v])
+    again = PointedSublattice.span(setup, v, [(1, 0, 0), v])
     assert again == lattice
 
 
 def test_span_saturates(worked):
     setup, v, _ = worked
-    doubled = PointedSublattice.span(setup, v, [lincomb((2, setup.vector(1, [0], 0))), v])
+    doubled = PointedSublattice.span(setup, v, [(2, 0, 0), v])
     assert doubled.basis == ((1, 0, 0), (0, 1, -3))
     assert setup.saturation(doubled.basis) == (doubled.basis, 1)
 
@@ -91,7 +90,7 @@ def test_span_requires_rank_two_and_membership(worked):
         PointedSublattice.span(setup, v, [v, lincomb((2, v))])
     assert err.value.code == "dependent-rows"
     with pytest.raises(LatticeError) as err:
-        PointedSublattice.span(setup, setup.vector(1, [1], 1), [v, setup.vector(1, [0], 0)])
+        PointedSublattice.span(setup, (1, 1, 1), [v, (1, 0, 0)])
     assert err.value.code == "not-pointed"
 
 
@@ -115,8 +114,8 @@ def test_is_p_type_false_when_smaller_pairing_exists():
     # the saturation of span{v, (1,0,0)} in NS=<2> picks up (0,0,1),
     # which pairs to -1 against v, under v^2/2 = 3
     setup = rank_one_setup(2)
-    v = setup.vector(1, [0], -3)
-    lattice = PointedSublattice.span(setup, v, [v, setup.vector(1, [0], 0)])
+    v = (1, 0, -3)
+    lattice = PointedSublattice.span(setup, v, [v, (1, 0, 0)])
     census = list(lattice.isotropic_classes())
     assert (0, 0, 1) in census
     assert not lattice.is_p_type()
@@ -124,8 +123,8 @@ def test_is_p_type_false_when_smaller_pairing_exists():
 
 def test_is_p_type_false_on_empty_census():
     setup = rank_one_setup(6)
-    v = setup.vector(0, [1], 0)
-    lattice = PointedSublattice.span(setup, v, [v, setup.vector(1, [0], 1)])
+    v = (0, 1, 0)
+    lattice = PointedSublattice.span(setup, v, [v, (1, 0, 1)])
     assert lattice.isotropic_classes() == ()
     assert not lattice.is_p_type()
     with pytest.raises(LatticeError) as err:
@@ -135,8 +134,8 @@ def test_is_p_type_false_on_empty_census():
 
 def test_is_p_type_preconditions(worked):
     setup, v, _ = worked
-    negative = PointedSublattice.span(setup, setup.vector(1, [0], 1), [setup.vector(1, [0], 1), setup.vector(0, [0], 1)])
-    imprimitive = PointedSublattice.span(setup, lincomb((2, v)), [v, setup.vector(1, [0], 0)])
+    negative = PointedSublattice.span(setup, (1, 0, 1), [(1, 0, 1), (0, 0, 1)])
+    imprimitive = PointedSublattice.span(setup, lincomb((2, v)), [v, (1, 0, 0)])
     for lattice, code in ((negative, "nonpositive-square"), (imprimitive, "imprimitive")):
         for check in (lattice.is_p_type, lattice.decomposition):
             with pytest.raises(LatticeError) as err:
@@ -171,30 +170,30 @@ def test_decomposition_solves_the_census_once(worked, monkeypatch):
 
 def test_construct_worked_example(worked):
     setup, v, lattice = worked
-    built = construct_p_type(setup, v, setup.vector(1, [0], 0))
+    built = construct_p_type(setup, v, (1, 0, 0))
     assert built == lattice
     assert built.is_p_type()
     # the complementary witness spans the same lattice
-    assert construct_p_type(setup, v, setup.vector(-1, [1], -3)) == built
+    assert construct_p_type(setup, v, (-1, 1, -3)) == built
 
 
 def test_construct_rejects_bad_witnesses(worked):
     setup, v, _ = worked
     with pytest.raises(LatticeError) as err:
-        construct_p_type(setup, v, setup.vector(0, [0], 1))
+        construct_p_type(setup, v, (0, 0, 1))
     assert err.value.code == "pairing-mismatch"
     with pytest.raises(LatticeError) as err:
-        construct_p_type(setup, v, setup.vector(1, [0], 1))
+        construct_p_type(setup, v, (1, 0, 1))
     assert err.value.code == "not-isotropic"
     with pytest.raises(LatticeError) as err:
-        construct_p_type(setup, v, setup.vector(2, [0], 0))
+        construct_p_type(setup, v, (2, 0, 0))
     assert err.value.code == "imprimitive"
     with pytest.raises(LatticeError) as err:
-        construct_p_type(setup, lincomb((2, v)), setup.vector(1, [0], 0))
+        construct_p_type(setup, lincomb((2, v)), (1, 0, 0))
     assert err.value.code == "imprimitive"
     small = rank_one_setup(4)
     with pytest.raises(LatticeError) as err:
-        construct_p_type(small, small.vector(0, [1], -2), small.vector(1, [0], 0))
+        construct_p_type(small, (0, 1, -2), (1, 0, 0))
     assert err.value.code == "square-too-small"
 
 
@@ -308,12 +307,12 @@ def spans(draw):
     """
     setup = draw(st.sampled_from(SETUPS))
     entries = st.lists(st.integers(-6, 6), min_size=setup.rank, max_size=setup.rank)
-    v = setup.vector_from_coords(draw(entries.filter(lambda x: gcd(*x) == 1)))
+    v = tuple(draw(entries.filter(lambda x: gcd(*x) == 1)))
     if draw(st.booleans()):
         c = draw(st.lists(st.integers(-3, 3), min_size=setup.rho, max_size=setup.rho))
-        w = lincomb((draw(st.integers(-3, 3)), setup.vector(1, c, setup.ns.square(c) // 2)))
+        w = lincomb((draw(st.integers(-3, 3)), (1, *c, setup.ns.square(c) // 2)))
     else:
-        w = setup.vector_from_coords(draw(entries))
+        w = tuple(draw(entries))
     return setup, v, w
 
 
@@ -346,7 +345,7 @@ def isotropic(draw, setup):
         assume(form == 0)
         s = draw(st.integers(-3, 3))
     assume(gcd(r, *c, s) == 1)
-    return setup.vector(r, c, s)
+    return (r, *c, s)
 
 
 @st.composite
@@ -372,7 +371,7 @@ def _outcome(call):
 # Spans of either kind: P-type ones from a witness, most others not.
 @settings(max_examples=300, suppress_health_check=[HealthCheck.filter_too_much])
 @given(st.one_of(spans(), witnessed()))
-@example((SETUPS[1], SETUPS[1].vector(0, [1], -3), SETUPS[1].vector(1, [0], 0)))
+@example((SETUPS[1], (0, 1, -3), (1, 0, 0)))
 def test_the_lattice_level_census_and_test_match_the_form_level(drawn):
     setup, v, w = drawn
     try:
@@ -399,8 +398,8 @@ def test_the_form_functions_need_a_symmetric_binary_gram(gram):
 # Witnesses whose span {a, v - a} has index 5 and 3 in its saturation.
 @settings(max_examples=200, suppress_health_check=[HealthCheck.filter_too_much])
 @given(witnessed())
-@example((SETUPS[1], SETUPS[1].vector(2, [3], 1), SETUPS[1].vector(-1, [1], -3)))
-@example((SETUPS[2], SETUPS[2].vector(-2, [2, 1], 2), SETUPS[2].vector(-1, [1, -1], 1)))
+@example((SETUPS[1], (2, 3, 1), (-1, 1, -3)))
+@example((SETUPS[2], (-2, 2, 1, 2), (-1, 1, -1, 1)))
 def test_construct_matches_the_checked_span(drawn):
     setup, v, a = drawn
     assert construct_p_type(setup, v, a) == PointedSublattice.span(setup, v, [a, lincomb((1, v), (-1, a))])
@@ -413,10 +412,10 @@ def test_construct_matches_the_checked_span(drawn):
 @pytest.mark.parametrize(
     "setup, v, a, lead, index",
     [
-        (SETUPS[1], SETUPS[1].vector(0, [-1], -3), SETUPS[1].vector(-1, [-1], -3), 1, 1),
-        (SETUPS[1], SETUPS[1].vector(-3, [-1], 0), SETUPS[1].vector(-3, [-1], -1), 3, 1),
-        (SETUPS[1], SETUPS[1].vector(2, [3], 1), SETUPS[1].vector(-1, [1], -3), 5, 5),
-        (SETUPS[2], SETUPS[2].vector(-2, [2, 1], 2), SETUPS[2].vector(-1, [1, -1], 1), 3, 3),
+        (SETUPS[1], (0, -1, -3), (-1, -1, -3), 1, 1),
+        (SETUPS[1], (-3, -1, 0), (-3, -1, -1), 3, 1),
+        (SETUPS[1], (2, 3, 1), (-1, 1, -3), 5, 5),
+        (SETUPS[2], (-2, 2, 1, 2), (-1, 1, -1, 1), 3, 3),
     ],
 )
 def test_span_matches_the_smith_saturation(setup, v, a, lead, index):
@@ -435,11 +434,11 @@ def test_span_matches_the_smith_saturation(setup, v, a, lead, index):
 # each branch of the saturation test, and a kummer-mukai witness.
 @settings(max_examples=150, suppress_health_check=[HealthCheck.filter_too_much])
 @given(witnessed())
-@example((SETUPS[1], SETUPS[1].vector(0, [-1], -3), SETUPS[1].vector(-1, [-1], -3)))
-@example((SETUPS[1], SETUPS[1].vector(-3, [-1], 0), SETUPS[1].vector(-3, [-1], -1)))
-@example((SETUPS[1], SETUPS[1].vector(2, [3], 1), SETUPS[1].vector(-1, [1], -3)))
-@example((SETUPS[2], SETUPS[2].vector(-2, [2, 1], 2), SETUPS[2].vector(-1, [1, -1], 1)))
-@example((SETUPS[3], SETUPS[3].vector(1, [1, 1, 1, 1, 0, 0], -1), SETUPS[3].vector(-1, [0, 1, 1, 1, 1, 0], -1)))
+@example((SETUPS[1], (0, -1, -3), (-1, -1, -3)))
+@example((SETUPS[1], (-3, -1, 0), (-3, -1, -1)))
+@example((SETUPS[1], (2, 3, 1), (-1, 1, -3)))
+@example((SETUPS[2], (-2, 2, 1, 2), (-1, 1, -1, 1)))
+@example((SETUPS[3], (1, 1, 1, 1, 1, 0, 0, -1), (-1, 0, 1, 1, 1, 1, 0, -1)))
 def test_the_witness_span_matches_the_span_through_pairings(drawn):
     setup, v, a = drawn
     t = lincomb((1, v), (-1, a))

@@ -5,6 +5,7 @@ A change to any of these has to change this file too, so that it is made on
 purpose.
 """
 
+import ast
 import inspect
 import json
 import pickle
@@ -22,7 +23,6 @@ from mukailat import (
     PointedSublattice,
     SNFResult,
     classify_line_class,
-    construct_p_type,
     jh_feasibility,
     kummer_mukai_setup,
     mori_candidates,
@@ -34,6 +34,7 @@ from mukailat.cli import COMMANDS
 from oracles import lincomb
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+RESPONSES = Path(__file__).resolve().parent / "golden" / "responses.ndjson"
 SRC = Path(mukailat.__file__).resolve().parents[1]
 
 # Lists the top-level modules that importing the package and its CLI loads.
@@ -61,10 +62,8 @@ def test_public_names():
         "PointedSublattice",
         "SNFResult",
         "classify_line_class",
-        "construct_p_type",
         "contraction_budget",
         "enumerate_p_type",
-        "hermite_basis",
         "is_p_type_form",
         "isotropic_lines",
         "jh_feasibility",
@@ -90,7 +89,7 @@ REMOVED = [
     # A vector is the plain tuple of its coordinates, and a setup is its
     # ambient lattice.
     (mukailat, "MukaiVector"),
-    pytest.param(rank_one_setup(6).vector(1, [0], 0), "coords", id="MukaiVector-coords"),
+    pytest.param((1, 0, 0), "coords", id="MukaiVector-coords"),
     (MukaiSetup, "ambient"),
     # A sublattice is its Hermite basis: IntegralLattice.span, .saturation
     # and .orthogonal_complement return one, with no methods of the old class.
@@ -127,8 +126,17 @@ REMOVED = [
     # form and the coordinates of v, with no setup to test v again.
     (PointedSublattice, "_witnesses"),
     pytest.param(
-        construct_p_type(rank_one_setup(6), (0, 1, -3), (1, 0, 0)), "setup", id="PointedSublattice-setup"
+        classify_line_class(rank_one_setup(6), (0, 1, -3), (1, 0, 0)).lattice, "setup", id="PointedSublattice-setup"
     ),
+    # classify_line_class(...).lattice is the one checked span of a witness,
+    # and IntegralLattice.span the checked Hermite basis; a vector is a plain
+    # tuple, which every public function that takes one checks.
+    (mukailat, "construct_p_type"),
+    (mukailat.ptype, "construct_p_type"),
+    (mukailat, "hermite_basis"),
+    (mukailat.intlinalg, "hermite_basis"),
+    (MukaiSetup, "vector"),
+    (MukaiSetup, "vector_from_coords"),
 ]
 
 
@@ -149,6 +157,43 @@ def test_mukai_setup_takes_only_the_gram():
         assert setup.saturation(rows) == lattice.saturation(rows)
 
 
+# The code of every LatticeError raised under src/: a code that leaves or
+# arrives changes this set.
+ERROR_CODES = {
+    "bad-signature",
+    "degenerate-lattice",
+    "dependent-rows",
+    "dimension-mismatch",
+    "empty-partition",
+    "imprimitive",
+    "invalid-matrix",
+    "nonpositive-square",
+    "not-even",
+    "not-orthogonal",
+    "not-p-type",
+    "not-pointed",
+    "rank-mismatch",
+    "schema-error",
+    "square-too-small",
+    "sum-mismatch",
+    "totally-isotropic",
+}
+
+
+def test_every_error_code_is_pinned():
+    codes = set()
+    for path in sorted((SRC / "mukailat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "LatticeError":
+                code = node.args[0]
+                assert isinstance(code, ast.Constant) and isinstance(code.value, str), f"{path.name}:{node.lineno}"
+                codes.add(code.value)
+    assert codes == ERROR_CODES
+    # The CLI's own codes aside, every code the golden batch answers is one of them.
+    golden = {json.loads(line).get("code") for line in RESPONSES.read_text(encoding="utf-8").splitlines()}
+    assert golden - {None, "parse-error", "internal-error"} <= ERROR_CODES
+
+
 # Each public result record, by type name, with its fields in order.
 RECORD_FIELDS = {
     "SNFResult": ("u", "d", "v"),
@@ -164,16 +209,17 @@ RECORD_FIELDS = {
 
 def _records():
     six = rank_one_setup(6)
-    v, a = six.vector(0, [1], -3), six.vector(1, [0], 0)
-    lattice = construct_p_type(six, v, a)
+    v, a = (0, 1, -3), (1, 0, 0)
+    verdict = classify_line_class(six, v, a)
+    lattice = verdict.lattice
     return [
         smith_normal_form([[2, 0], [0, 4]]),
         IntegralLattice([[2]]).discriminant_group(),
         lattice.decomposition(),
         lattice,
         theta_dual(six, v, a),
-        classify_line_class(six, v, a),
-        mori_candidates(six, v, six.vector(-2, [1], -1), 1)[0],
+        verdict,
+        mori_candidates(six, v, (-2, 1, -1), 1)[0],
         jh_feasibility(six, v, [a, lincomb((1, v), (-1, a))]),
     ]
 
