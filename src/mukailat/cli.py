@@ -370,10 +370,8 @@ def handle_line(line: str, bound: int) -> tuple[str, bool] | None:
 
 
 def run_batch(lines, bound: int, jobs: int, out) -> int:
-    """Answer the request lines in order, writing each response as it is made.
-
-    ``jobs`` is ignored; it stays in the signature for existing callers.
-    """
+    """Answer the request lines in order, writing each response as it is made;
+    ``jobs`` is ignored, and stays only because ``bench/run.py`` passes it."""
     failed = False
     for line in lines:
         outcome = handle_line(line, bound)

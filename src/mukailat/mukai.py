@@ -117,10 +117,8 @@ def rank_one_setup(degree: int) -> MukaiSetup:
     """Picard rank 1 setup with NS = <degree>; ``degree = 2d > 0`` must be even.
 
     Shared: every call with one degree returns the same setup, and so does
-    the CLI's ``"ns": [[degree]]``.
+    the CLI's ``"ns": [[degree]]``, which fails the same way on a bad degree.
     """
-    if not isinstance(degree, int) or degree <= 0 or degree % 2:
-        raise LatticeError("invalid-matrix", "polarisation degree must be a positive even integer")
     return _setup(freeze_matrix([[degree]]))
 
 

@@ -278,13 +278,11 @@ def enumerate_p_type(setup: MukaiSetup, v: tuple[int, ...], bound: int) -> list[
             elif not s_weight and not rest:
                 witnesses += [(0, *c, s) for s in box]
         for a in witnesses:
-            if abs(a[-1]) > bound or gcd(*a) != 1:
+            pair = _witness_pair(v, a, 0, half, half) if abs(a[-1]) <= bound else None
+            # A P-type lattice has exactly the two witnesses a and v - a;
+            # span it from the smaller one when both lie in the box.
+            if pair is None or (pair[1] < a and max(map(abs, pair[1])) <= bound):
                 continue
-            t = tuple(map(sub, v, a))
-            # A P-type lattice has exactly the two witnesses a and t; span
-            # it from the smaller one when both lie in the box.
-            if gcd(*t) != 1 or (t < a and max(map(abs, t)) <= bound):
-                continue
-            lattice = PointedSublattice._of_witness(setup, v, a, t, half)
+            lattice = PointedSublattice._of_witness(setup, v, *pair, half)
             found.setdefault(lattice.basis, lattice)
     return [found[key] for key in sorted(found)]

@@ -376,7 +376,7 @@ def _criterion_requests():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    with reported(9, "byte-identical CLI output across runs and thread counts"):
+    with reported(9, "byte-identical CLI output across runs and --jobs values, which the CLI ignores"):
         batch = tmp_path / "requests.ndjson"
         batch.write_text("\n".join(_criterion_requests()) + "\n", encoding="utf-8")
 
@@ -389,9 +389,9 @@ def test_criterion_9_cli_determinism(tmp_path):
 
         first = run("--jobs", "1")
         second = run("--jobs", "1")
-        threaded = run("--jobs", "4")
+        ignored = run("--jobs", "4")
         assert first.returncode == 0, first.stderr
-        assert first.stdout == second.stdout == threaded.stdout
+        assert first.stdout == second.stdout == ignored.stdout
         responses = [json.loads(line) for line in first.stdout.splitlines()]
         assert len(responses) == len(_criterion_requests())
         assert all(doc["status"] == "ok" for doc in responses)

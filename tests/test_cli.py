@@ -21,9 +21,9 @@ from mukailat.mukai import _setup
 CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(mukailat.__file__).parents[1])}
 
 
-def run_lines(lines, bound=DEFAULT_BOUND, jobs=1):
+def run_lines(lines, bound=DEFAULT_BOUND):
     out = io.StringIO()
-    status = run_batch(lines, bound, jobs, out)
+    status = run_batch(lines, bound, 1, out)
     return status, out.getvalue().splitlines()
 
 
@@ -285,15 +285,14 @@ def test_batch_empty_input():
     assert status == 0 and output == []
 
 
-def test_batch_concurrency_preserves_bytes():
+def test_batch_classifies_the_rank_one_family_in_order():
     lines = [
         json.dumps({"command": "classify", "ns": [[2 * (n + 1)]], "v": [0, 1, -(n + 1)], "a": [1, 0, 0]})
         for n in range(2, 12)
     ] + ['{"command": "snf", "matrix": [[6, 4], [4, 8]]}', "oops"]
-    _, sequential = run_lines(lines, jobs=1)
-    _, threaded = run_lines(lines, jobs=4)
-    assert sequential == threaded
-    for n, line in zip(range(2, 12), sequential):
+    _, output = run_lines(lines)
+    assert len(output) == len(lines) and json.loads(output[-1])["code"] == "parse-error"
+    for n, line in zip(range(2, 12), output):
         doc = json.loads(line)
         assert doc["result"]["square"] == str(Fraction(-(n + 1), 2))
         assert doc["result"]["all_ok"] is True

@@ -40,9 +40,9 @@ def test_golden_batch_in_process(jobs):
     assert status == 1
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_golden_batch_through_the_cli(jobs):
-    done = run_cli("--jobs", jobs, str(REQUESTS))
+@pytest.mark.parametrize("flags", [(), ("--jobs", "2")], ids=["no-flag", "jobs-2"])
+def test_golden_batch_through_the_cli(flags):
+    done = run_cli(*flags, str(REQUESTS))
     assert done.stdout == EXPECTED
     assert done.returncode == 1
     assert done.stderr == b""

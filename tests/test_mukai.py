@@ -187,10 +187,13 @@ def test_setup_validation():
     with pytest.raises(LatticeError) as err:
         MukaiSetup([[2, 0], [0, 2]])
     assert err.value.code == "bad-signature"
-    with pytest.raises(LatticeError):
-        rank_one_setup(5)
-    with pytest.raises(LatticeError):
-        rank_one_setup(-2)
+    # A preset degree fails with the code and message of its explicit Gram.
+    for degree in (5, 0, -2):
+        with pytest.raises(LatticeError) as preset:
+            rank_one_setup(degree)
+        with pytest.raises(LatticeError) as explicit:
+            MukaiSetup([[degree]])
+        assert (preset.value.code, str(preset.value)) == (explicit.value.code, str(explicit.value))
     # A degree that is not an int fails on entry, never with a TypeError.
     for degree in ["6", *NON_INTEGERS]:
         assert_invalid_matrix(lambda: rank_one_setup(degree))

@@ -30,7 +30,7 @@ from mukailat import (
     smith_normal_form,
     theta_dual,
 )
-from mukailat.cli import COMMANDS
+from mukailat.cli import COMMANDS, run_batch
 from oracles import lincomb
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -147,6 +147,9 @@ def test_removed_names_stay_removed(owner, name):
 
 def test_mukai_setup_takes_only_the_gram():
     assert list(inspect.signature(MukaiSetup).parameters) == ["ns_gram"]
+    # The benchmark calls run_batch with four positional arguments; the
+    # ignored jobs leaves when it passes three.
+    assert list(inspect.signature(run_batch).parameters) == ["lines", "bound", "jobs", "out"]
     # A setup is the lattice on its Mukai Gram, with no ambient beside it.
     for setup in (rank_one_setup(6), kummer_mukai_setup()):
         lattice = IntegralLattice(setup.gram)
