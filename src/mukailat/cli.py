@@ -286,6 +286,7 @@ SCHEMA = {
         "setup": "preset string: kummer-mukai | ns-rank1:<2d> | kummer-bbf:<n>",
         "ns": "explicit NS Gram matrix (alternative to setup for Mukai commands)",
         "gram": "explicit Gram matrix (alternative to setup for lattice commands)",
+        "bound": f"box radius of ptype-enumerate and mori; {DEFAULT_BOUND} when the request has none",
     },
     "response": {
         "ok": {"command": "echoed", "status": "ok", "result": "per command", "diagnostics": []},
@@ -299,10 +300,7 @@ SCHEMA = {
         "rationals": "strings 'p/q' with q > 0, 'p' when integral",
     },
     "commands": {name: {"payload": cmd.payload, "result": cmd.result} for name, cmd in COMMANDS.items()},
-    "flags": {
-        "--bound": "default box radius for enumerations (10) when the payload has none",
-        "--jobs": "accepted for compatibility; batches run sequentially, because the work holds the GIL",
-    },
+    "flags": {"--jobs": "accepted for compatibility; batches run sequentially, because the work holds the GIL"},
     "exit_codes": {"0": "all responses ok", "1": "some response failed", "2": "unreadable input, unwritable output or a closed output pipe"},
 }
 
@@ -389,7 +387,6 @@ def main(argv=None) -> int:
         description="Exact Mukai-lattice computations over newline-delimited JSON requests.",
     )
     parser.add_argument("input", nargs="?", help="request file (defaults to stdin)")
-    parser.add_argument("--bound", type=int, default=DEFAULT_BOUND, help="default enumeration box radius")
     parser.add_argument("--jobs", type=int, default=1, help="ignored; batches run sequentially")
     parser.add_argument("--schema", action="store_true", help="print the request/response schema and exit")
     args = parser.parse_args(argv)
@@ -402,7 +399,7 @@ def main(argv=None) -> int:
             # A line ends at \n, \r\n or \r only, not at U+2028, U+0085 or a form feed.
             raw = sys.stdin.buffer if args.input is None else open(args.input, "rb")
             with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline=None) as lines:
-                status = run_batch(lines, args.bound, args.jobs, sys.stdout)
+                status = run_batch(lines, DEFAULT_BOUND, args.jobs, sys.stdout)
         sys.stdout.flush()
     except OSError as exc:
         if not isinstance(exc, BrokenPipeError):  # a closed pipe ends the run quietly

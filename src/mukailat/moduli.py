@@ -173,8 +173,9 @@ def mori_candidates(
     vsq = setup.kummer_dimension(v) + 2
     if setup.pair(h, v) != 0:
         raise LatticeError("not-orthogonal", "h must be orthogonal to v")
-    if setup.square(h) <= 0:
-        raise LatticeError("nonpositive-square", f"h^2 = {setup.square(h)} <= 0")
+    hsq = setup.square(h)
+    if hsq <= 0:
+        raise LatticeError("nonpositive-square", f"h^2 = {hsq} <= 0")
     _check_bound(bound)
     half = vsq // 2
     # (a, w) is the dot product of a with w_row, whose last entry is -r_w.

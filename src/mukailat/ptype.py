@@ -16,7 +16,8 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import LatticeError
-from .intlinalg import IntMatrix, _hermite, freeze_matrix, freeze_vector, saturation
+from .intlinalg import IntMatrix, _hermite, freeze_vector, saturation
+from .lattice import IntegralLattice
 from .mukai import MukaiSetup
 
 
@@ -36,15 +37,10 @@ def isotropic_lines(gram2) -> tuple[tuple[int, int], ...]:
     primitive generator with canonical sign (first nonzero coordinate
     positive), sorted lexicographically.
     """
-    return _isotropic_lines(_binary_gram(gram2))
-
-
-def _binary_gram(gram2) -> IntMatrix:
-    """``gram2`` as nested tuples, once it is known to be a symmetric 2x2 integer matrix."""
-    g = freeze_matrix(gram2)
-    if len(g) != 2 or len(g[0]) != 2 or g[0][1] != g[1][0]:
+    lattice = IntegralLattice(gram2)
+    if lattice.rank != 2:
         raise LatticeError("invalid-matrix", "need a symmetric 2x2 Gram matrix")
-    return g
+    return _isotropic_lines(lattice.gram)
 
 
 def _isotropic_lines(gram2: IntMatrix) -> tuple[tuple[int, int], ...]:
@@ -69,17 +65,21 @@ def is_p_type_form(gram2, v_xy) -> bool:
     Requires primitive coordinates, then ``v^2 > 0``.  An empty isotropic
     census never qualifies (the minimum over the empty set is +infinity).
     """
-    gram2, v_xy = _binary_gram(gram2), freeze_vector(v_xy)
-    if len(v_xy) != 2:
-        raise LatticeError("dimension-mismatch", f"vector of length {len(v_xy)} in a rank 2 lattice")
-    return bool(_witnesses(gram2, v_xy))
+    lattice = IntegralLattice(gram2)
+    if lattice.rank != 2:
+        raise LatticeError("invalid-matrix", "need a symmetric 2x2 Gram matrix")
+    v_xy = freeze_vector(v_xy)
+    lattice._check_length(v_xy)
+    return bool(_witnesses(lattice.gram, v_xy))
 
 
 def _witnesses(gram2: IntMatrix, v_xy: tuple[int, int]) -> list[tuple[tuple[int, int], int]]:
-    """``(line, (line, v))`` for each isotropic line with ``|(line, v)| = v^2/2``.
+    """``(line, (line, v))`` for both isotropic lines when each has ``|(line, v)| = v^2/2``, else [].
 
-    Empty unless ``gram2``, a symmetric 2x2 integer Gram, is of P-type at the
-    integer pair ``v_xy``; the checks and errors are those of ``is_p_type_form``.
+    A line ``w`` with ``(w, v) = v^2/2`` (up to sign) makes ``v - w`` isotropic,
+    ``k`` times the other line, which so pairs ``v^2/2k``: both lines pair
+    ``v^2/2`` exactly when ``gram2``, a symmetric 2x2 integer Gram, is of
+    P-type at ``v_xy``.  The checks and errors are those of ``is_p_type_form``.
     """
     ((a, b), (_, c)), (x, y) = gram2, v_xy
     if gcd(x, y) != 1:
@@ -90,9 +90,7 @@ def _witnesses(gram2: IntMatrix, v_xy: tuple[int, int]) -> list[tuple[tuple[int,
     if vsq <= 0:
         raise LatticeError("nonpositive-square", f"v^2 = {vsq} <= 0")
     pairings = [(line, line[0] * gx + line[1] * gy) for line in _isotropic_lines(gram2)]
-    if any(2 * abs(p) < vsq for _, p in pairings):
-        return []
-    return [(line, p) for line, p in pairings if 2 * abs(p) == vsq]
+    return pairings if len(pairings) == 2 and all(2 * abs(p) == vsq for _, p in pairings) else []
 
 
 def _saturated(b1, b2) -> bool:

@@ -115,7 +115,7 @@ def test_criterion_3_isotropic_census_vs_brute_force():
 
 
 def test_criterion_4_p_type_iff_decomposition():
-    with reported(4, "P-type iff brute-force decomposition exists"):
+    with reported(4, "P-type by definition iff brute-force decomposition exists iff is_p_type_form"):
         start = time.monotonic()
         entry_bound = 20
         # Any primitive isotropic vector of such a form has |x| <= |b| + isqrt(b*b - a*c) <= 48
@@ -168,6 +168,9 @@ def test_criterion_4_p_type_iff_decomposition():
                     continue
                 pairs += 1
                 half = vsq // 2
+                # the definition: the brute-force census is nonempty and its
+                # minimum |(a, v)| is v^2/2
+                defined = bool(brute) and min(abs(dense_pair(gram, a, vxy)) for a in brute) == half
                 # oracle: search s with s^2 = 0, (s, v) = v^2/2, both s and
                 # t = v - s primitive; t^2 = 0 is checked, not assumed
                 witnessed = False
@@ -184,7 +187,7 @@ def test_criterion_4_p_type_iff_decomposition():
                         break
                     if witnessed:
                         break
-                assert witnessed == is_p_type_form(gram, vxy), (gram, vxy)
+                assert defined == witnessed == is_p_type_form(gram, vxy), (gram, vxy)
                 agreements += 1
         assert pairs == agreements
         assert pairs > 30000

@@ -382,6 +382,20 @@ def test_default_bound_flows_into_enumeration():
     assert wide["result"]["count"] == 2
 
 
+def test_the_box_radius_is_set_per_request_only(tmp_path, capsys):
+    # --bound is retired: a request's own bound overrides the radius of 10.
+    path = tmp_path / "enumerate.ndjson"
+    path.write_text('{"command": "ptype-enumerate", "ns": [[6]], "v": [0, 1, -3]}\n', encoding="utf-8")
+    with pytest.raises(SystemExit) as exited:
+        main(["--bound", "3", str(path)])
+    assert exited.value.code == 2
+    assert "--bound" in capsys.readouterr().err
+    assert main(["--schema"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert "--bound" not in doc["flags"]
+    assert "10 when the request has none" in doc["request"]["bound"]
+
+
 GOLDEN_REQUESTS = Path(__file__).parent / "golden" / "requests.ndjson"
 
 

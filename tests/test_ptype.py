@@ -37,6 +37,16 @@ def test_isotropic_lines_examples():
     assert isotropic_lines([[2, 0], [0, -6]]) == ()
 
 
+# Grams that are not symmetric 2x2, with the code and message each binary-form
+# entry raises: IntegralLattice checks the matrix, then the entry its rank.
+NOT_BINARY = [
+    ([[0, 1], [2, 0]], "Gram matrix must be symmetric"),
+    ([[1, 2]], "Gram matrix must be square of positive rank"),
+    ([[1, 0], [0]], "rows have unequal lengths"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "need a symmetric 2x2 Gram matrix"),
+]
+
+
 def test_isotropic_lines_degenerate_cases():
     assert isotropic_lines([[0, 0], [0, 4]]) == ((1, 0),)
     assert isotropic_lines([[4, 0], [0, 0]]) == ((0, 1),)
@@ -44,6 +54,10 @@ def test_isotropic_lines_degenerate_cases():
     with pytest.raises(LatticeError) as err:
         isotropic_lines([[0, 0], [0, 0]])
     assert err.value.code == "totally-isotropic"
+    for gram, message in NOT_BINARY:
+        with pytest.raises(LatticeError) as err:
+            isotropic_lines(gram)
+        assert (err.value.code, str(err.value)) == ("invalid-matrix", message)
 
 
 @settings(max_examples=300)
@@ -272,6 +286,12 @@ def test_is_p_type_form_checks_v_at_entry():
         with pytest.raises(LatticeError) as err:
             is_p_type_form(gram, v_xy)
         assert err.value.code == "invalid-matrix"
+    # The Gram is checked first, so a v of the wrong length changes nothing.
+    for bad, message in NOT_BINARY:
+        for v_xy in [(1, 1), (1, 1, 0)]:
+            with pytest.raises(LatticeError) as err:
+                is_p_type_form(bad, v_xy)
+            assert (err.value.code, str(err.value)) == ("invalid-matrix", message)
 
 
 def test_construct_checks_a_at_entry(worked):

@@ -125,6 +125,8 @@ REMOVED = [
     # A pointed sublattice is plain data: the P-type test reads its binary
     # form and the coordinates of v, with no setup to test v again.
     (PointedSublattice, "_witnesses"),
+    # The binary-form entries validate a Gram through IntegralLattice.
+    (mukailat.ptype, "_binary_gram"),
     pytest.param(
         classify_line_class(rank_one_setup(6), (0, 1, -3), (1, 0, 0)).lattice, "setup", id="PointedSublattice-setup"
     ),
