@@ -13,19 +13,23 @@ way gets an ``internal-error`` response.  Output is byte-stable for
 identical input.  The ``MEMO_SIZE`` (128) most recently used Mukai setups
 are kept and shared between requests, the least recently used dropped
 first; an answer does not depend on the requests before it.
-Requests run one after another: ``--jobs`` is accepted for compatibility
-and ignored, because the work is pure Python and holds the interpreter lock.
+Requests run one after another.
+
+Arguments, parsed by hand: an optional input path (stdin when absent),
+``--schema``, ``--jobs N`` or ``--jobs=N`` and ``-h``/``--help``.  ``N``
+must be an int and is ignored, because the work is pure Python and holds
+the interpreter lock.  Flags are not abbreviated; any other argument, or a
+second input, is a usage error, which prints the usage on stderr.
 
 Exit status: 0 when every response is ok, 1 when any request failed,
-2 when the input could not be opened or read or the output could not be
-written, with one line on stderr; the responses written before a read
-failure stay written.  A closed output pipe ends the run quietly, with
-exit status 2.
+2 on a usage error, or when the input could not be opened or read or the
+output could not be written, with one line on stderr; the responses written
+before a read failure stay written.  A closed output pipe ends the run
+quietly, with exit status 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
@@ -381,25 +385,58 @@ def run_batch(lines, bound: int, jobs: int, out) -> int:
     return 1 if failed else 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="mukailat",
-        description="Exact Mukai-lattice computations over newline-delimited JSON requests.",
-    )
-    parser.add_argument("input", nargs="?", help="request file (defaults to stdin)")
-    parser.add_argument("--jobs", type=int, default=1, help="ignored; batches run sequentially")
-    parser.add_argument("--schema", action="store_true", help="print the request/response schema and exit")
-    args = parser.parse_args(argv)
+USAGE = "usage: mukailat [-h] [--schema] [--jobs N] [input]"
 
+
+def _usage_error(message):
+    print(f"{USAGE}\nmukailat: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse_args(argv) -> tuple[str | None, bool]:
+    """The input path (None for stdin) and whether ``--schema`` was given.
+
+    ``-h`` prints the usage and exits 0.  ``--jobs N`` and ``--jobs=N`` need
+    an int ``N``, which is ignored.  Any other argument, a second input or
+    an abbreviated flag is a usage error, which exits 2.
+    """
+    path, schema = None, False
+    args = iter(argv)
+    for arg in args:
+        flag, eq, value = arg.partition("=")
+        if arg in ("-h", "--help"):
+            print(USAGE)
+            for name, text in SCHEMA["flags"].items():
+                print(f"  {name}  {text}")
+            raise SystemExit(0)
+        if arg == "--schema":
+            schema = True
+        elif flag == "--jobs":
+            value = value if eq else next(args, None)
+            if value is None:
+                _usage_error("argument --jobs: expected one argument")
+            try:
+                int(value)
+            except ValueError:
+                _usage_error(f"argument --jobs: invalid int value: {value!r}")
+        elif arg.startswith("-") or path is not None:
+            _usage_error(f"unrecognized argument: {arg}")
+        else:
+            path = arg
+    return path, schema
+
+
+def main(argv=None) -> int:
+    path, schema = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        if args.schema:
+        if schema:
             print(canonical_json(SCHEMA))
             status = 0
         else:
             # A line ends at \n, \r\n or \r only, not at U+2028, U+0085 or a form feed.
-            raw = sys.stdin.buffer if args.input is None else open(args.input, "rb")
+            raw = sys.stdin.buffer if path is None else open(path, "rb")
             with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline=None) as lines:
-                status = run_batch(lines, DEFAULT_BOUND, args.jobs, sys.stdout)
+                status = run_batch(lines, DEFAULT_BOUND, 1, sys.stdout)
         sys.stdout.flush()
     except OSError as exc:
         if not isinstance(exc, BrokenPipeError):  # a closed pipe ends the run quietly
@@ -412,7 +449,3 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(2)
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -351,14 +351,33 @@ def test_schema_flag(capsys):
     }
 
 
+# The argument forms main() parses by hand.  Each answers the batch in FILE,
+# exits 2 naming the argument it rejects on stderr, or prints the usage.
+ANSWERING_ARGS = [["--jobs=4", "FILE"], ["FILE", "--jobs", "2"]]
+USAGE_ERRORS = [
+    (["--seed", "7", "FILE"], "--seed"),
+    (["--bound", "3", "FILE"], "--bound"),
+    (["FILE", "--jobs"], "--jobs"),
+    (["--jobs", "x", "FILE"], "'x'"),
+    (["FILE", "FILE2"], "FILE2"),
+    (["--sch"], "--sch"),
+]
+HELP_ARGS = [["-h"], ["--help", "FILE"]]
+
+
+def _with_files(args, path):
+    """``args`` with FILE read as ``path`` and FILE2 as a second input beside it."""
+    return [{"FILE": str(path), "FILE2": str(path.with_name("FILE2"))}.get(arg, arg) for arg in args]
+
+
 def test_main_exit_codes(tmp_path):
     good = tmp_path / "good.ndjson"
     good.write_text('{"command": "disc", "gram": [[-6]]}\n', encoding="utf-8")
     bad = tmp_path / "bad.ndjson"
     bad.write_text("nope\n", encoding="utf-8")
 
-    run = lambda *args: subprocess.run(
-        [sys.executable, "-m", "mukailat", *args], capture_output=True, text=True, env=CLI_ENV
+    run = lambda *args, stdin="": subprocess.run(
+        [sys.executable, "-m", "mukailat", *args], input=stdin, capture_output=True, text=True, env=CLI_ENV
     )
     ok = run(str(good))
     assert ok.returncode == 0
@@ -368,10 +387,19 @@ def test_main_exit_codes(tmp_path):
     missing = run(str(tmp_path / "absent.ndjson"))
     assert missing.returncode == 2
     assert missing.stderr
-    # There is no --seed flag: argparse rejects it as a usage error.
-    seeded = run("--seed", "7", str(good))
-    assert seeded.returncode == 2
-    assert "--seed" in seeded.stderr
+    for args in ANSWERING_ARGS:
+        answered = run(*_with_files(args, good))
+        assert (answered.returncode, answered.stdout) == (0, ok.stdout), args
+    # There is no --seed flag and no abbreviation: each is a usage error.
+    for args, named in USAGE_ERRORS:
+        rejected = run(*_with_files(args, good))
+        assert (rejected.returncode, rejected.stdout) == (2, ""), args
+        assert named in rejected.stderr and rejected.stderr.startswith("usage: mukailat"), args
+    # The usage goes to stdout, and the request waiting on stdin is not read.
+    for args in HELP_ARGS:
+        helped = run(*_with_files(args, good), stdin=good.read_text(encoding="utf-8"))
+        assert (helped.returncode, helped.stderr) == (0, ""), args
+        assert helped.stdout.startswith("usage: mukailat") and '"status"' not in helped.stdout, args
 
 
 def test_default_bound_flows_into_enumeration():
@@ -382,14 +410,27 @@ def test_default_bound_flows_into_enumeration():
     assert wide["result"]["count"] == 2
 
 
-def test_the_box_radius_is_set_per_request_only(tmp_path, capsys):
+def test_the_box_radius_is_set_per_request_only(tmp_path, capsys, monkeypatch):
     # --bound is retired: a request's own bound overrides the radius of 10.
     path = tmp_path / "enumerate.ndjson"
     path.write_text('{"command": "ptype-enumerate", "ns": [[6]], "v": [0, 1, -3]}\n', encoding="utf-8")
-    with pytest.raises(SystemExit) as exited:
-        main(["--bound", "3", str(path)])
-    assert exited.value.code == 2
-    assert "--bound" in capsys.readouterr().err
+    for args, named in USAGE_ERRORS:
+        with pytest.raises(SystemExit) as exited:
+            main(_with_files(args, path))
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == "", args
+    for args in ANSWERING_ARGS:
+        assert main(_with_files(args, path)) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["count"] == 2
+    # No stdin to read: main() must print the usage and exit before it reads.
+    monkeypatch.setattr(sys, "stdin", None)
+    for args in HELP_ARGS:
+        with pytest.raises(SystemExit) as exited:
+            main(_with_files(args, path))
+        assert exited.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: mukailat") and captured.err == "", args
     assert main(["--schema"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert "--bound" not in doc["flags"]

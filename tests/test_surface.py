@@ -46,6 +46,27 @@ import mukailat, mukailat.cli
 print(json.dumps(sorted({{name.partition(".")[0] for name in set(sys.modules) - before}})))
 """
 
+# Runs a whole ``--schema`` process through ``mukailat.__main__``, and
+# prints what it imported and the freeze count that main() started with.
+MAIN_PROBE = f"""
+import gc, json, runpy, sys
+before = set(sys.modules)
+sys.path.insert(0, {str(SRC)!r})
+import mukailat.cli
+real_main, seen = mukailat.cli.main, {{}}
+def probe(argv=None):
+    seen["frozen"] = gc.get_freeze_count()
+    return real_main(argv)
+mukailat.cli.main = probe
+sys.argv = ["mukailat", "--schema"]
+try:
+    runpy.run_module("mukailat", run_name="__main__")
+except SystemExit as exc:
+    seen["status"] = exc.code
+seen["loaded"] = sorted({{name.partition(".")[0] for name in set(sys.modules) - before}})
+print(json.dumps(seen))
+"""
+
 
 def test_public_names():
     assert mukailat.__all__ == [
@@ -270,3 +291,15 @@ def test_start_up_skips_dataclasses_and_inspect():
     loaded = _new_modules()
     assert "dataclasses" not in loaded and "inspect" not in loaded
     assert "fractions" not in loaded and "decimal" not in loaded and "numbers" not in loaded
+
+
+def test_a_cli_process_skips_argparse_and_freezes_its_import_time_heap():
+    # argparse, with the gettext and locale it imports, cost every process
+    # about 5 ms; the frozen heap spares the exit-time collections and module
+    # teardown the import-time objects.
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", MAIN_PROBE], capture_output=True, check=True)
+    schema, probe = done.stdout.decode().splitlines()
+    seen = json.loads(probe)
+    assert seen["status"] == 0 and json.loads(schema)["flags"]
+    assert not {"argparse", "gettext", "locale"} & set(seen["loaded"])
+    assert seen["frozen"] > 0
